@@ -46,7 +46,7 @@ from .ingest import (  # noqa: F401
     split_sentences,
     write_corpus,
 )
-from .tokens import Token, tokenize  # noqa: F401
+from .tokens import tokenize  # noqa: F401
 from .validation import (  # noqa: F401
     AnnotationRecord,
     ValidationStats,

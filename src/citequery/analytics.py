@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .catalog import ValidatedSet
 from .engine import MatchRecord
@@ -319,6 +319,21 @@ def top_tables(
     return top(issued), top(received)
 
 
+def numbered_csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """``csv.DictReader`` rows over ``lines`` with ``#`` lines skipped as
+    comments, each row paired with the 1-based number of its last line."""
+    last = 0
+
+    def data() -> Iterator[str]:
+        nonlocal last
+        for last, text in enumerate(lines, start=1):
+            if not text.startswith("#"):
+                yield text
+
+    for row in csv.DictReader(data()):
+        yield last, row
+
+
 class CitationTable:
     """Per-paper yearly citation counts plus publication years.
 
@@ -332,16 +347,21 @@ class CitationTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CitationTable":
+        """Read ``doc_id,pub_year,year,citations`` rows; a malformed row
+        raises ValueError naming its line."""
         pub_years: dict[str, int] = {}
         counts: dict[tuple[str, int], int] = {}
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = (r for r in handle if not r.startswith("#"))
-            for row in csv.DictReader(rows):
-                doc_id = row["doc_id"]
-                pub_year = int(row["pub_year"])
+            for line, row in numbered_csv_rows(handle):
+                try:
+                    doc_id = row["doc_id"]
+                    pub_year = int(row["pub_year"])
+                    key = (doc_id, int(row["year"]))
+                    counts[key] = int(row["citations"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"line {line}: bad row ({exc})") from None
                 if pub_years.setdefault(doc_id, pub_year) != pub_year:
-                    raise ValueError(f"conflicting pub_year for {doc_id!r}")
-                counts[(doc_id, int(row["year"]))] = int(row["citations"])
+                    raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")
         return cls(pub_years, counts)
 
     def citations(self, doc_id: str, year: int) -> int:
@@ -439,6 +459,8 @@ def impact_ratio(
     weight = sum(cohort.p for cohort in cohorts)
     mean_disagreement = sum(c.p * c.mean_next_disagreement for c in cohorts) / weight
     mean_expected = sum(c.p * c.mean_next_expected for c in cohorts) / weight
+    if mean_expected == 0:
+        raise ValueError("impact ratio undefined: expected citation mean is zero")
     return ImpactReport(k, weight, mean_disagreement, mean_expected)
 
 

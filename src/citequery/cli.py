@@ -28,6 +28,7 @@ from .analytics import (
     flag_citances,
     impact_ratio,
     meso_log_ratio,
+    numbered_csv_rows,
     rate_by,
     self_citation_ratio,
     top_tables,
@@ -115,6 +116,8 @@ def _load_corpus_or_die(path: str, mode: str) -> LoadResult:
         result = load_corpus(path, mode)
     except OSError as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}")
+    except ValueError as exc:
+        raise DataError(f"corpus file {path}: {exc}")
     for error in result.errors:
         print(error.report(), file=sys.stderr)
     return result
@@ -147,12 +150,14 @@ def _validated_set(args, queries) -> ValidatedSet:
 
 
 def _read_stats_csv(path: Path) -> dict[str, float]:
+    stats = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = (r for r in handle if not r.startswith("#"))
-        return {
-            row["query_id"]: float(row["pct_valid"])
-            for row in csv.DictReader(rows)
-        }
+        for line, row in numbered_csv_rows(handle):
+            try:
+                stats[row["query_id"]] = float(row["pct_valid"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"stats file {path}: line {line}: bad row ({exc})") from None
+    return stats
 
 
 def _config(args, keys: Sequence[str]) -> dict:
@@ -273,27 +278,27 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _read_sample_csv(path: Path) -> tuple[list[dict], str | None, list[str]]:
+def _read_sample_csv(path: Path) -> tuple[list[tuple[int, dict]], str | None, list[str]]:
+    """Numbered rows, the coder named in a ``# coder`` line, and the
+    other comment lines."""
     coder = None
     header: list[str] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        data_lines = []
-        for line in handle:
-            if line.startswith("#"):
-                if line.startswith("# coder "):
-                    coder = line[len("# coder "):].strip()
-                else:
-                    header.append(line)
-                continue
-            data_lines.append(line)
-    return list(csv.DictReader(data_lines)), coder, header
+        lines = handle.readlines()
+    for line in lines:
+        if line.startswith("# coder "):
+            coder = line[len("# coder "):].strip()
+        elif line.startswith("#"):
+            header.append(line)
+    return list(numbered_csv_rows(lines)), coder, header
 
 
 def cmd_annotate(args) -> int:
     try:
-        rows, _, provenance = _read_sample_csv(Path(args.sample))
+        numbered, _, provenance = _read_sample_csv(Path(args.sample))
     except OSError as exc:
         raise DataError(f"cannot read sample file {args.sample}: {exc}")
+    rows = [row for _, row in numbered]
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     labeled = 0
@@ -346,16 +351,17 @@ def _annotations_from_file(path: Path) -> list[AnnotationRecord]:
     rows, coder, _ = _read_sample_csv(path)
     coder_id = coder or path.stem
     records = []
-    for row in rows:
+    for line, row in rows:
         label = (row.get("label") or "").strip().lower()
         if label not in ("valid", "invalid"):
             continue  # unlabeled or skipped rows are left to the metrics to flag
-        records.append(
-            AnnotationRecord(
+        try:
+            records.append(AnnotationRecord(
                 row["doc_id"], int(row["sentence_index"]), row["query_id"],
                 coder_id, label,
-            )
-        )
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"annotation file {path}: line {line}: bad row ({exc})") from None
     return records
 
 
@@ -465,6 +471,8 @@ def _write_report(
             table = CitationTable.from_csv(args.citations)
         except OSError as exc:
             raise DataError(f"cannot read citations file {args.citations}: {exc}")
+        except ValueError as exc:
+            raise DataError(f"citations file {args.citations}: {exc}")
         if name == "impact":
             fields = sorted({d.main_field for d in corpus_docs if d.main_field})
             rows = []

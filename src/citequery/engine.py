@@ -3,29 +3,35 @@
 Two implementations live here and must stay exactly equivalent:
 
 * the definitional path (``match_pattern``, ``suppress_negation``,
-  ``apply_exclusions``, ``check_proximity``, composed by ``run_query``),
-  which evaluates one query against one citance by direct scanning, and
+  ``apply_exclusions``, composed by ``run_query``), which evaluates one
+  query against one citance by direct scanning, and
 * ``CatalogMatcher`` / ``run_all``, which compiles a whole catalog into
-  a shared token classifier so each citance is scanned once for all
+  a shared word classifier so each citance is scanned once for all
   queries. The classifier memoizes, per distinct word, the set of
   pattern tokens (literal or prefix) it satisfies, so steady-state cost
-  per word is one dictionary lookup; queries whose signal terms never
-  occur in a citance are skipped outright.
+  per word is one dictionary lookup. Queries sharing a signal definition
+  form one signal group, and queries sharing filter patterns one filter
+  set; per citance each candidate group's surviving signal spans, and
+  each needed filter set's spans, are computed once and every query's
+  record is composed from them. Groups whose signal terms never occur in
+  a citance are skipped outright.
 
 Matching conventions, shared by both paths (and by any external oracle):
 
-* All indices are word indices; ref sentinels and punctuation do not
-  count. Span ends are inclusive.
+* All indices are word indices: positions in ``Citance.words``, where
+  ref markers and punctuation leave no trace. Span ends are inclusive.
 * Spans are ordered by (start, end, pattern text). A standalone match
   records the first surviving signal span; a filtered match records the
   first surviving signal span that has a qualifying filter span, with
   the first qualifying filter span in the same order.
-* The gap between two spans is the number of word tokens strictly
-  between their closest edges; overlapping spans have gap 0.
+* The gap between two spans is the number of words strictly between
+  their closest edges; overlapping spans have gap 0. A filter span
+  qualifies when its gap to the signal span is at most the query's
+  ``max_gap``, on either side.
 * A signal match is suppressed when a generic negation token (no, not,
-  cannot, nor, neither) occurs within the two word tokens immediately
-  before the span, unless the query or the matched pattern itself
-  carries a negation token. Tokens inside the span never count.
+  cannot, nor, neither) occurs within the two words immediately before
+  the span, unless the query or the matched pattern itself carries a
+  negation token. Words inside the span never count.
 * Token carve-outs void an occurrence whose matched word also matches a
   carve-out pattern. Citance-phrase and co-occurrence exclusions reject
   the whole citance for that query; match-context exclusions drop only
@@ -34,7 +40,6 @@ Matching conventions, shared by both paths (and by any external oracle):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,9 +54,6 @@ from .catalog import (
     QuerySpec,
 )
 from .ingest import Citance
-from .tokens import Token
-
-THREADS_ENV_VAR = "CITEQUERY_THREADS"
 
 NEGATION_WINDOW = 2
 
@@ -79,12 +81,6 @@ class MatchRecord:
     filter_span: Span | None = None
 
 
-def _words(tokens: Sequence[Token] | Sequence[str]) -> list[str]:
-    if tokens and isinstance(tokens[0], Token):
-        return [t.text for t in tokens if not t.is_ref_sentinel]
-    return list(tokens)  # type: ignore[arg-type]
-
-
 def _token_matches(pattern_token: str, word: str) -> bool:
     if pattern_token.endswith("*"):
         return word.startswith(pattern_token[:-1])
@@ -102,17 +98,16 @@ def _occurrences(words: Sequence[str], pattern: Pattern) -> list[int]:
 
 
 def match_pattern(
-    tokens: Sequence[Token] | Sequence[str],
+    words: Sequence[str],
     pattern: Pattern,
     carveouts: Sequence[Pattern] = (),
 ) -> list[Span]:
-    """All spans of ``pattern`` over the word tokens, carve-outs applied.
+    """All spans of ``pattern`` over the words, carve-outs applied.
 
     A carve-out (single-token pattern of the owning signal) voids an
     occurrence whose matched words include a word the carve-out matches;
     the same word elsewhere in the citance does not.
     """
-    words = _words(tokens)
     length = len(pattern.tokens)
     spans = []
     for start in _occurrences(words, pattern):
@@ -126,24 +121,20 @@ def match_pattern(
     return spans
 
 
-def suppress_negation(
-    tokens: Sequence[Token] | Sequence[str], span: Span, exempt: bool
-) -> bool:
+def suppress_negation(words: Sequence[str], span: Span, exempt: bool) -> bool:
     """Whether to keep a signal span given the preceding negation window."""
     if exempt:
         return True
-    words = _words(tokens)
     window = words[max(0, span.start - NEGATION_WINDOW):span.start]
     return not any(w in NEGATION_TOKENS for w in window)
 
 
 def apply_exclusions(
-    tokens: Sequence[Token] | Sequence[str],
+    words: Sequence[str],
     spans: Sequence[Span],
     rules: Sequence[ExclusionRule],
 ) -> list[Span] | None:
     """Apply a query's exclusion rules; ``None`` means the citance is rejected."""
-    words = _words(tokens)
     surviving = list(spans)
     for rule in rules:
         if rule.kind == TOKEN_CARVEOUT:
@@ -168,32 +159,12 @@ def apply_exclusions(
 
 
 def span_gap(a: Span, b: Span) -> int:
-    """Word tokens strictly between two spans; 0 when they touch or overlap."""
+    """Words strictly between two spans; 0 when they touch or overlap."""
     if a.start > b.end:
         return a.start - b.end - 1
     if b.start > a.end:
         return b.start - a.end - 1
     return 0
-
-
-def check_proximity(
-    signal_span: Span, filter_spans: Sequence[Span], max_gap: int = 4
-) -> Span | None:
-    """The nearest filter span within ``max_gap`` of the signal, either side.
-
-    Ties on distance resolve to the span ordering (start, end, pattern).
-    """
-    best: tuple[int, tuple[int, int, str]] | None = None
-    chosen = None
-    for span in filter_spans:
-        gap = span_gap(signal_span, span)
-        if gap > max_gap:
-            continue
-        key = (gap, span.sort_key())
-        if best is None or key < best:
-            best = key
-            chosen = span
-    return chosen
 
 
 def _signal_spans(words: Sequence[str], query: QuerySpec) -> list[Span] | None:
@@ -269,139 +240,89 @@ class _TokenClassifier:
         return result
 
 
+# A span inside the matcher: (start, inclusive end, pattern text). Plain
+# tuples order exactly as Span.sort_key does.
+_RawSpan = tuple[int, int, str]
+
+
+def _pattern_starts(
+    pattern: Pattern,
+    classes: list[frozenset[str]],
+    positions: dict[str, list[int]],
+) -> list[int]:
+    """Start positions of ``pattern``, read off the citance's token index."""
+    firsts = positions.get(pattern.tokens[0])
+    rest = pattern.tokens[1:]
+    if not firsts or not rest:
+        return firsts or []
+    limit = len(classes) - len(rest)
+    return [
+        i for i in firsts
+        if i < limit and all(t in classes[i + 1 + j] for j, t in enumerate(rest))
+    ]
+
+
 @dataclass(frozen=True)
-class _CompiledQuery:
-    query: QuerySpec
+class _SignalGroup:
+    """The signal definition that a set of queries shares."""
+
+    patterns: tuple[Pattern, ...]
+    pattern_exempt: tuple[bool, ...]  # parallel to patterns
     carveout_tokens: frozenset[str]
-    pattern_exempt: tuple[bool, ...]  # parallel to query.signal_patterns
     citance_phrases: tuple[Pattern, ...]
     cooccurrences: tuple[ExclusionRule, ...]
     context_patterns: tuple[Pattern, ...]
 
+    @classmethod
+    def of(cls, query: QuerySpec) -> "_SignalGroup":
+        carveouts = []
+        phrases = []
+        cooccurrences = []
+        contexts = []
+        for rule in query.exclusions:
+            if rule.kind == TOKEN_CARVEOUT:
+                carveouts.extend(p.tokens[0] for p in rule.patterns)
+            elif rule.kind == CITANCE_PHRASE:
+                phrases.extend(rule.patterns)
+            elif rule.kind == COOCCURRENCE_WINDOW:
+                cooccurrences.append(rule)
+            elif rule.kind == MATCH_CONTEXT:
+                contexts.extend(rule.patterns)
+        return cls(
+            patterns=query.signal_patterns,
+            pattern_exempt=tuple(
+                query.negation_exempt or p.contains_negation_token
+                for p in query.signal_patterns
+            ),
+            carveout_tokens=frozenset(carveouts),
+            citance_phrases=tuple(phrases),
+            cooccurrences=tuple(cooccurrences),
+            context_patterns=tuple(contexts),
+        )
 
-def _compile_query(query: QuerySpec) -> _CompiledQuery:
-    carveouts = []
-    phrases = []
-    cooccurrences = []
-    contexts = []
-    for rule in query.exclusions:
-        if rule.kind == TOKEN_CARVEOUT:
-            carveouts.extend(p.tokens[0] for p in rule.patterns)
-        elif rule.kind == CITANCE_PHRASE:
-            phrases.extend(rule.patterns)
-        elif rule.kind == COOCCURRENCE_WINDOW:
-            cooccurrences.append(rule)
-        elif rule.kind == MATCH_CONTEXT:
-            contexts.extend(rule.patterns)
-    return _CompiledQuery(
-        query=query,
-        carveout_tokens=frozenset(carveouts),
-        pattern_exempt=tuple(
-            query.negation_exempt or p.contains_negation_token
-            for p in query.signal_patterns
-        ),
-        citance_phrases=tuple(phrases),
-        cooccurrences=tuple(cooccurrences),
-        context_patterns=tuple(contexts),
-    )
-
-
-class CatalogMatcher:
-    """Single-pass execution of a fixed query catalog over citances.
-
-    Compiling collects every pattern token from every query into one
-    classifier; matching a citance classifies each word once and then
-    evaluates only the queries whose signal terms actually occurred.
-    Results are identical to running ``run_query`` per query.
-    """
-
-    def __init__(self, queries: Sequence[QuerySpec]):
-        self.queries = list(queries)
-        self._compiled = [_compile_query(q) for q in self.queries]
-        tokens: set[str] = set()
-        for compiled in self._compiled:
-            q = compiled.query
-            for pattern in q.signal_patterns:
-                tokens.update(pattern.tokens)
-            for pattern in q.filter_patterns:
-                tokens.update(pattern.tokens)
-            tokens.update(compiled.carveout_tokens)
-            for pattern in compiled.citance_phrases + compiled.context_patterns:
-                tokens.update(pattern.tokens)
-            for rule in compiled.cooccurrences:
-                for pattern in rule.patterns:
-                    tokens.update(pattern.tokens)
-        self._classifier = _TokenClassifier(tokens)
-        # Queries indexed by the lead token of each signal pattern, so a
-        # citance only evaluates queries whose signals can occur in it.
-        self._by_lead: dict[str, list[int]] = {}
-        for index, compiled in enumerate(self._compiled):
-            for pattern in compiled.query.signal_patterns:
-                self._by_lead.setdefault(pattern.tokens[0], []).append(index)
-
-    def _pattern_starts(
-        self, pattern: Pattern, classes: list[frozenset[str]]
-    ) -> list[int]:
-        first = pattern.tokens[0]
-        rest = pattern.tokens[1:]
-        limit = len(classes) - len(rest)
-        starts = []
-        for i in range(limit):
-            if first in classes[i] and all(
-                t in classes[i + 1 + j] for j, t in enumerate(rest)
-            ):
-                starts.append(i)
-        return starts
-
-    def match_citance(self, citance: Citance) -> list[MatchRecord]:
-        words = citance.words
-        classify = self._classifier.classify
-        classes: list[frozenset[str]] = []
-        seen: set[str] = set()
-        for word in words:
-            c = classify(word)
-            classes.append(c)
-            if c:
-                seen.update(c)
-        if not seen:
-            return []
-        candidates: set[int] = set()
-        for token in seen:
-            hits = self._by_lead.get(token)
-            if hits:
-                candidates.update(hits)
-        records = []
-        for index in sorted(candidates):
-            record = self._evaluate(self._compiled[index], citance, words, classes)
-            if record is not None:
-                records.append(record)
-        return records
-
-    def _evaluate(
+    def survivors(
         self,
-        compiled: _CompiledQuery,
-        citance: Citance,
         words: Sequence[str],
         classes: list[frozenset[str]],
-    ) -> MatchRecord | None:
-        query = compiled.query
-
-        for pattern in compiled.citance_phrases:
-            if self._pattern_starts(pattern, classes):
-                return None
-        for rule in compiled.cooccurrences:
-            starts_a = self._pattern_starts(rule.patterns[0], classes)
+        positions: dict[str, list[int]],
+    ) -> list[_RawSpan]:
+        """Sorted surviving signal spans; empty when the citance is rejected."""
+        for pattern in self.citance_phrases:
+            if _pattern_starts(pattern, classes, positions):
+                return []
+        for rule in self.cooccurrences:
+            starts_a = _pattern_starts(rule.patterns[0], classes, positions)
             if starts_a:
-                starts_b = self._pattern_starts(rule.patterns[1], classes)
+                starts_b = _pattern_starts(rule.patterns[1], classes, positions)
                 if any(abs(a - b) <= rule.window for a in starts_a for b in starts_b):
-                    return None
+                    return []
 
         context_ends: set[int] | None = None
-        spans: list[Span] = []
-        carveouts = compiled.carveout_tokens
-        for pattern, exempt in zip(query.signal_patterns, compiled.pattern_exempt):
+        spans: list[_RawSpan] = []
+        carveouts = self.carveout_tokens
+        for pattern, exempt in zip(self.patterns, self.pattern_exempt):
             length = len(pattern.tokens)
-            for start in self._pattern_starts(pattern, classes):
+            for start in _pattern_starts(pattern, classes, positions):
                 if carveouts and any(
                     not carveouts.isdisjoint(classes[start + j]) for j in range(length)
                 ):
@@ -411,103 +332,163 @@ class CatalogMatcher:
                     for w in words[max(0, start - NEGATION_WINDOW):start]
                 ):
                     continue
-                if compiled.context_patterns:
+                if self.context_patterns:
                     if context_ends is None:
                         context_ends = {
                             s + len(p.tokens) - 1
-                            for p in compiled.context_patterns
-                            for s in self._pattern_starts(p, classes)
+                            for p in self.context_patterns
+                            for s in _pattern_starts(p, classes, positions)
                         }
                     if start - 1 in context_ends:
                         continue
-                spans.append(Span(start, start + length - 1, pattern.text))
-        if not spans:
-            return None
-        spans.sort(key=Span.sort_key)
-
-        if query.filter_set == "standalone":
-            return MatchRecord(
-                citance.doc_id, citance.sentence_index, query.query_id, spans[0]
-            )
-        filter_spans = sorted(
-            (
-                Span(s, s + len(p.tokens) - 1, p.text)
-                for p in query.filter_patterns
-                for s in self._pattern_starts(p, classes)
-            ),
-            key=Span.sort_key,
-        )
-        if not filter_spans:
-            return None
-        for signal in spans:
-            for filter_span in filter_spans:
-                if span_gap(signal, filter_span) <= query.max_gap:
-                    return MatchRecord(
-                        citance.doc_id, citance.sentence_index, query.query_id,
-                        signal, filter_span,
-                    )
-        return None
+                spans.append((start, start + length - 1, pattern.text))
+        spans.sort()
+        return spans
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Effective worker count: explicit argument, else the env cap, else 1."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    return max(1, threads)
+def _filter_spans(
+    patterns: tuple[Pattern, ...],
+    classes: list[frozenset[str]],
+    positions: dict[str, list[int]],
+) -> list[_RawSpan]:
+    return sorted(
+        (s, s + len(p.tokens) - 1, p.text)
+        for p in patterns
+        for s in _pattern_starts(p, classes, positions)
+    )
+
+
+def _first_within(
+    signals: list[_RawSpan], filters: list[_RawSpan], max_gap: int
+) -> tuple[_RawSpan, _RawSpan] | None:
+    """The first (signal, filter) pair, in span order, at most ``max_gap`` apart."""
+    for signal in signals:
+        s_start, s_end, _ = signal
+        for f in filters:
+            if f[0] > s_end:
+                gap = f[0] - s_end - 1
+            elif s_start > f[1]:
+                gap = s_start - f[1] - 1
+            else:
+                gap = 0
+            if gap <= max_gap:
+                return signal, f
+    return None
+
+
+class CatalogMatcher:
+    """Single-pass execution of a fixed query catalog over citances.
+
+    Compiling collects every pattern token from every query into one
+    classifier and groups the queries by signal definition
+    ``(signal_patterns, exclusions, negation_exempt)`` and by filter
+    patterns. Matching a citance classifies each word once into a
+    token -> positions index, evaluates each signal group whose lead
+    tokens occurred and each filter set a surviving group needs once,
+    and composes every query's record from those spans. Results are
+    identical to running ``run_query`` per query.
+    """
+
+    def __init__(self, queries: Sequence[QuerySpec]):
+        self.queries = list(queries)
+        group_ids: dict[tuple, int] = {}
+        filter_ids: dict[tuple[Pattern, ...], int] = {}
+        self._groups: list[_SignalGroup] = []
+        self._filter_sets: list[tuple[Pattern, ...]] = []
+        # Per query: (query, signal group, filter set or None for standalone).
+        self._plan: list[tuple[QuerySpec, int, int | None]] = []
+        for query in self.queries:
+            key = (query.signal_patterns, query.exclusions, query.negation_exempt)
+            if key not in group_ids:
+                group_ids[key] = len(self._groups)
+                self._groups.append(_SignalGroup.of(query))
+            patterns = query.filter_patterns
+            if patterns and patterns not in filter_ids:
+                filter_ids[patterns] = len(self._filter_sets)
+                self._filter_sets.append(patterns)
+            self._plan.append((query, group_ids[key], filter_ids.get(patterns)))
+
+        tokens: set[str] = set()
+        for query in self.queries:
+            for pattern in query.signal_patterns + query.filter_patterns:
+                tokens.update(pattern.tokens)
+            for rule in query.exclusions:
+                for pattern in rule.patterns:
+                    tokens.update(pattern.tokens)
+        self._classifier = _TokenClassifier(tokens)
+        # Queries indexed by the lead token of each signal pattern, so a
+        # citance only evaluates queries whose signals can occur in it.
+        self._by_lead: dict[str, list[int]] = {}
+        for index, query in enumerate(self.queries):
+            for pattern in query.signal_patterns:
+                self._by_lead.setdefault(pattern.tokens[0], []).append(index)
+
+    def match_citance(self, citance: Citance) -> list[MatchRecord]:
+        words = citance.words
+        classify = self._classifier.classify
+        classes: list[frozenset[str]] = []
+        positions: dict[str, list[int]] = {}
+        for i, word in enumerate(words):
+            c = classify(word)
+            classes.append(c)
+            for token in c:
+                hits = positions.get(token)
+                if hits is None:
+                    positions[token] = [i]
+                else:
+                    hits.append(i)
+        if not positions:
+            return []
+        candidates: set[int] = set()
+        for token in positions:
+            hits = self._by_lead.get(token)
+            if hits:
+                candidates.update(hits)
+
+        signals: dict[int, list[_RawSpan]] = {}
+        filters: dict[int, list[_RawSpan]] = {}
+        records = []
+        for index in sorted(candidates):
+            query, group_id, filter_id = self._plan[index]
+            spans = signals.get(group_id)
+            if spans is None:
+                spans = signals[group_id] = self._groups[group_id].survivors(
+                    words, classes, positions
+                )
+            if not spans:
+                continue
+            if filter_id is None:
+                records.append(MatchRecord(
+                    citance.doc_id, citance.sentence_index, query.query_id,
+                    Span(*spans[0]),
+                ))
+                continue
+            filter_spans = filters.get(filter_id)
+            if filter_spans is None:
+                filter_spans = filters[filter_id] = _filter_spans(
+                    self._filter_sets[filter_id], classes, positions
+                )
+            pair = _first_within(spans, filter_spans, query.max_gap)
+            if pair is not None:
+                records.append(MatchRecord(
+                    citance.doc_id, citance.sentence_index, query.query_id,
+                    Span(*pair[0]), Span(*pair[1]),
+                ))
+        return records
 
 
 def run_all(
-    citances: Iterable[Citance],
-    queries: Sequence[QuerySpec],
-    threads: int | None = None,
-    chunk_size: int = 2048,
+    citances: Iterable[Citance], queries: Sequence[QuerySpec]
 ) -> list[MatchRecord]:
     """Match every citance against every query.
 
-    Output is sorted by (doc_id, sentence_index, query_id) and is
-    byte-identical for any worker count.
+    Output is sorted by (doc_id, sentence_index, query_id).
     """
-    matcher = CatalogMatcher(queries)
-    workers = resolve_threads(threads)
+    match = CatalogMatcher(queries).match_citance
     records: list[MatchRecord] = []
-    if workers <= 1:
-        match = matcher.match_citance
-        for citance in citances:
-            found = match(citance)
-            if found:
-                records.extend(found)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def match_chunk(chunk: list[Citance]) -> list[MatchRecord]:
-            out = []
-            for c in chunk:
-                out.extend(matcher.match_citance(c))
-            return out
-
-        def chunks():
-            chunk: list[Citance] = []
-            for citance in citances:
-                chunk.append(citance)
-                if len(chunk) >= chunk_size:
-                    yield chunk
-                    chunk = []
-            if chunk:
-                yield chunk
-
-        # Dispatch a bounded window of chunks so a streamed corpus is never
-        # materialized whole; in-order collection keeps output deterministic.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            window: list = []
-            for chunk in chunks():
-                window.append(pool.submit(match_chunk, chunk))
-                if len(window) >= workers * 4:
-                    records.extend(window.pop(0).result())
-            for future in window:
-                records.extend(future.result())
+    for citance in citances:
+        found = match(citance)
+        if found:
+            records.extend(found)
     records.sort(key=lambda r: (r.doc_id, r.sentence_index, r.query_id))
     return records

@@ -9,7 +9,6 @@ sentence carrying at least one reference link.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import unicodedata
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .tokens import Token, tokenize, word_texts
+from .tokens import tokenize
 
 DOC_TYPES = ("full-article", "review", "short-communication", "other")
 MAIN_FIELDS = ("BioHealth", "LifeEarth", "MathComp", "PhysEngr", "SocHum")
@@ -93,17 +92,13 @@ class Document:
 
 @dataclass(frozen=True)
 class Citance:
-    """A citing sentence: position metadata plus its token sequence."""
+    """A citing sentence: position metadata plus its words."""
 
     doc_id: str
     sentence_index: int
-    tokens: tuple[Token, ...]
+    words: tuple[str, ...]
     refs: tuple[RefLink, ...]
     position_fraction: float
-
-    @functools.cached_property
-    def words(self) -> tuple[str, ...]:
-        return word_texts(self.tokens)
 
 
 class RecordError(ValueError):
@@ -364,13 +359,18 @@ def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
     """Load a JSON Lines corpus file.
 
     Malformed records are skipped and collected as LoadErrors carrying
-    their 1-based line numbers; an unreadable file raises OSError.
+    their 1-based line numbers; an unreadable file raises OSError, and a
+    line that is not UTF-8 a ValueError naming it.
     """
     if mode not in ("presegmented", "rawtext"):
         raise ValueError(f"unknown mode: {mode!r}")
     result = LoadResult()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"line {lineno}: not valid UTF-8") from None
             if not line.strip():
                 continue
             try:
@@ -439,7 +439,7 @@ def extract_citances(doc: Document) -> list[Citance]:
             Citance(
                 doc_id=doc.doc_id,
                 sentence_index=sentence.index,
-                tokens=tuple(tokenize(sentence.text, spans)),
+                words=tokenize(sentence.text, spans),
                 refs=sentence.refs,
                 position_fraction=sentence.index / denominator,
             )

@@ -1,80 +1,39 @@
 """Word tokenization shared by corpus ingestion and the match engine.
 
-A sentence is turned into a flat token sequence. Word tokens are
-lowercased runs of letters and digits; a hyphen or apostrophe is kept
-only when it sits between two such characters ("co-limit", "al's"),
-every other character is dropped. Inline reference markers become ref
-sentinel tokens that carry no word index: all matching semantics
-(pattern spans, gap counting, negation windows) are defined over word
-indices only, so sentinels are transparent to the engine.
+A sentence is turned into a flat tuple of words. Words are lowercased
+runs of letters and digits; a hyphen or apostrophe (straight or curly,
+the latter normalized to ``'``) is kept only when it sits between two
+such characters ("co-limit", "al's"), every other character is dropped
+and whitespace separates words. Inline reference markers separate words
+like whitespace and contribute none, so all matching semantics (pattern
+spans, gap counting, negation windows) are defined over positions in
+the word tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Sequence
 
-REF_SENTINEL_TEXT = "<ref>"
-
-_JOINERS = ("'", "-", "’")
-
-
-@dataclass(slots=True)
-class Token:
-    """One token of a citance; treat as immutable once built."""
-
-    text: str
-    word_index: int | None
-    is_ref_sentinel: bool = False
+# Everything that is neither alphanumeric, a joiner nor whitespace;
+# ``\w`` also admits ``_``, which is not alphanumeric.
+_DROPPED = re.compile(r"[^\w'\-’\s]|_")
+_WORD = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*")
 
 
-def _chunk_words(chunk: str) -> list[str]:
-    """Split one whitespace-delimited chunk into word tokens."""
-    kept = [c for c in chunk.lower() if c.isalnum() or c in _JOINERS]
-    words: list[str] = []
-    current: list[str] = []
-    n = len(kept)
-    for i, c in enumerate(kept):
-        if c not in _JOINERS:
-            current.append("'" if c == "’" else c)
-            continue
-        # Joiners survive only between two alphanumerics.
-        if current and current[-1].isalnum() and i + 1 < n and kept[i + 1].isalnum():
-            current.append("'" if c == "’" else c)
-        elif current:
-            words.append("".join(current))
-            current = []
-    if current:
-        words.append("".join(current))
-    return words
-
-
-def tokenize(text: str, ref_spans: Sequence[tuple[int, int]] = ()) -> list[Token]:
-    """Tokenize sentence text, replacing each ref marker span by a sentinel.
+def tokenize(text: str, ref_spans: Sequence[tuple[int, int]] = ()) -> tuple[str, ...]:
+    """The words of sentence text, with each ref marker span cut out.
 
     ``ref_spans`` are character offsets of inline reference markers within
-    ``text``; they must be sorted and non-overlapping. Word indices count
-    word tokens only.
+    ``text``; they must be sorted and non-overlapping.
     """
-    tokens: list[Token] = []
-    word_index = 0
-
-    def emit_words(segment: str) -> None:
-        nonlocal word_index
-        for chunk in segment.split():
-            for word in _chunk_words(chunk):
-                tokens.append(Token(word, word_index))
-                word_index += 1
-
-    pos = 0
-    for start, end in ref_spans:
-        emit_words(text[pos:start])
-        tokens.append(Token(REF_SENTINEL_TEXT, None, is_ref_sentinel=True))
-        pos = end
-    emit_words(text[pos:])
-    return tokens
-
-
-def word_texts(tokens: Sequence[Token]) -> tuple[str, ...]:
-    """Word-token texts in order, sentinels excluded."""
-    return tuple(t.text for t in tokens if not t.is_ref_sentinel)
+    if ref_spans:
+        segments = []
+        pos = 0
+        for start, end in ref_spans:
+            segments.append(text[pos:start])
+            pos = end
+        segments.append(text[pos:])
+        text = " ".join(segments)
+    kept = _DROPPED.sub("", text.lower()).replace("’", "'")
+    return tuple(_WORD.findall(kept))

@@ -42,8 +42,22 @@ def gap_between(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 0
 
 
-def scan_query(words, query: QuerySpec) -> tuple[Span, Span | None] | None:
-    """Evaluate one query over one word list, the slow obvious way."""
+def scan_query(
+    words, query: QuerySpec, found: dict | None = None
+) -> tuple[Span, Span | None] | None:
+    """Evaluate one query over one word list, the slow obvious way.
+
+    ``found`` memoizes ``find_pattern`` per pattern; pass one dict for
+    all queries evaluated over the same ``words``.
+    """
+    if found is None:
+        found = {}
+
+    def occurrences(pattern: Pattern) -> list[tuple[int, int]]:
+        if pattern not in found:
+            found[pattern] = find_pattern(words, pattern)
+        return found[pattern]
+
     carveouts = []
     phrase_rules = []
     cooccur_rules = []
@@ -60,11 +74,11 @@ def scan_query(words, query: QuerySpec) -> tuple[Span, Span | None] | None:
 
     # Whole-citance rejections first.
     for pattern in phrase_rules:
-        if find_pattern(words, pattern):
+        if occurrences(pattern):
             return None
     for rule in cooccur_rules:
-        for a, _ in find_pattern(words, rule.patterns[0]):
-            for b, _ in find_pattern(words, rule.patterns[1]):
+        for a, _ in occurrences(rule.patterns[0]):
+            for b, _ in occurrences(rule.patterns[1]):
                 if abs(a - b) <= rule.window:
                     return None
 
@@ -74,7 +88,7 @@ def scan_query(words, query: QuerySpec) -> tuple[Span, Span | None] | None:
         exempt = query.negation_exempt or any(
             t in NEGATION_TOKENS for t in pattern.tokens
         )
-        for start, end in find_pattern(words, pattern):
+        for start, end in occurrences(pattern):
             carved = False
             for c in carveouts:
                 for position in range(start, end + 1):
@@ -91,7 +105,7 @@ def scan_query(words, query: QuerySpec) -> tuple[Span, Span | None] | None:
                     continue
             dropped = False
             for pattern_c in context_rules:
-                for c_start, c_end in find_pattern(words, pattern_c):
+                for c_start, c_end in occurrences(pattern_c):
                     if c_end == start - 1:
                         dropped = True
             if dropped:
@@ -107,7 +121,7 @@ def scan_query(words, query: QuerySpec) -> tuple[Span, Span | None] | None:
 
     filter_spans: list[tuple[int, int, str]] = []
     for pattern in query.filter_patterns:
-        for start, end in find_pattern(words, pattern):
+        for start, end in occurrences(pattern):
             filter_spans.append((start, end, pattern.text))
     filter_spans.sort()
     for s_start, s_end, s_text in survivors:
@@ -119,8 +133,9 @@ def scan_query(words, query: QuerySpec) -> tuple[Span, Span | None] | None:
 
 def scan_citance(citance, queries) -> list[MatchRecord]:
     records = []
+    found: dict = {}
     for query in queries:
-        result = scan_query(citance.words, query)
+        result = scan_query(citance.words, query, found)
         if result is not None:
             signal, filter_span = result
             records.append(

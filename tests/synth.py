@@ -6,7 +6,6 @@ import json
 import random
 
 from citequery.ingest import Citance, RefLink
-from citequery.tokens import Token
 
 # Vocabulary mixing signal stems and inflections, filter terms, negation,
 # exclusion triggers and neutral filler, so random sentences exercise
@@ -53,8 +52,7 @@ _SHARED_REF = (RefLink("r0"),)
 
 
 def make_citance(doc_id: str, sentence_index: int, words: list[str]) -> Citance:
-    tokens = tuple(Token(w, i) for i, w in enumerate(words))
-    return Citance(doc_id, sentence_index, tokens, _SHARED_REF, 0.0)
+    return Citance(doc_id, sentence_index, tuple(words), _SHARED_REF, 0.0)
 
 
 def random_citances(count: int, seed: int, min_len: int = 1, max_len: int = 40):

@@ -240,7 +240,7 @@ def test_criterion_7_throughput(catalog):
             yield make_citance(f"d{i // 25:06d}", i % 25, list(words))
 
     started = time.perf_counter()
-    records = run_all(stream(1_000_000), catalog, threads=1)
+    records = run_all(stream(1_000_000), catalog)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"1M citances took {elapsed:.1f}s"
     assert len(records) > 0

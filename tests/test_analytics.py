@@ -329,6 +329,14 @@ class TestImpactRatio:
         flags = flags_for(docs, {("c1", i) for i in range(10)})
         assert impact_ratio(flags, docs, table, k=1).d == pytest.approx(1.0)
 
+    def test_zero_expected_mean_is_undefined(self):
+        pub_years = {p: 2000 for p in ("P1", "Q2")}
+        table = CitationTable(pub_years, {("P1", 2002): 0})
+        docs = [citing_doc("c1", 2002, ["P1"])]
+        flags = flags_for(docs, {("c1", 0)})
+        with pytest.raises(ValueError, match="expected citation mean is zero"):
+            impact_ratio(flags, docs, table, k=1)
+
     def test_all_row_style_fixture(self):
         pub_years = {}
         counts = {}

@@ -269,6 +269,25 @@ class TestReport:
                      "impact", "gap", "long"):
             assert (out / f"{name}.csv").exists(), name
 
+    def test_impact_skips_rows_with_zero_expected_mean(self, golden_args, tmp_path):
+        # Every paper is cited once a year up to 2011 and never after, so
+        # the k=3 cohorts expect zero citations and their ratio is undefined.
+        citations = tmp_path / "citations.csv"
+        with open(citations, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("doc_id", "pub_year", "year", "citations"))
+            papers = [("x-zhao-2001", 2001), ("x-kusky-2003", 2003),
+                      ("x-munro-2003", 2003)]
+            papers += [(f"g0{i}", 2008) for i in range(1, 10)]
+            for paper, pub in papers:
+                for year in range(pub, 2018):
+                    writer.writerow((paper, pub, year, int(year <= 2011)))
+        out = tmp_path / "out"
+        assert main(["report", *golden_args, "--out", str(out),
+                     "--which", "impact", "--citations", str(citations)]) == 0
+        rows = read_csv(out / "impact.csv")
+        assert [(r["field"], r["k"]) for r in rows] == [("All", "1"), ("All", "2")]
+
     def test_stats_file_gating(self, golden_args, tmp_path):
         stats = tmp_path / "stats.csv"
         stats.write_text(
@@ -287,6 +306,55 @@ class TestReport:
         # Only controvers.standalone is validated: citances g04s2, g04s4,
         # g04s5, g05s4.
         assert total == 4
+
+
+class TestHostileInput:
+    """Malformed input files exit 2 with the file and line, not a traceback."""
+
+    def test_non_utf8_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.jsonl"
+        good = GOLDEN_CORPUS.read_bytes().splitlines(keepends=True)[0]
+        corpus.write_bytes(good + '{"doc_id": "caf\u00e9"}\n'.encode("latin-1"))
+        assert main(["match", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus) in err and "line 2" in err and "UTF-8" in err
+
+    def test_non_integer_citation_cell(self, golden_args, tmp_path, capsys):
+        citations = tmp_path / "citations.csv"
+        citations.write_text(
+            "# exported\ndoc_id,pub_year,year,citations\n"
+            "g01,2008,2009,3\ng02,2008,2009,three\n"
+        )
+        assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
+                     "--which", "impact", "--citations", str(citations)]) == 2
+        err = capsys.readouterr().err
+        assert str(citations) in err and "line 4" in err
+
+    def test_non_numeric_pct_valid(self, golden_args, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        stats.write_text(
+            "query_id,n,pct_agree,pct_valid,kappa\n"
+            "controvers.standalone,50,1.0,0.9,1.0\n"
+            "challenge.standalone,50,1.0,high,0.1\n"
+        )
+        assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
+                     "--which", "rates", "--stats", str(stats)]) == 2
+        err = capsys.readouterr().err
+        assert str(stats) in err and "line 3" in err
+
+    def test_non_integer_sentence_index_in_gate(self, tmp_path, capsys):
+        paths = []
+        for coder, index in (("ann", "4"), ("bob", "four")):
+            path = tmp_path / f"{coder}.csv"
+            path.write_text(
+                f"# seed 0\n# coder {coder}\n"
+                "doc_id,sentence_index,query_id,text,label\n"
+                f"g04,{index},controvers.standalone,some text,valid\n"
+            )
+            paths.append(str(path))
+        assert main(["gate", "--annotations", *paths, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert paths[1] in err and "line 4" in err
 
 
 class TestReportSpeed:

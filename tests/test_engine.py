@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citequery.catalog import ExclusionRule, Pattern, QuerySpec
+from citequery.catalog import ExclusionRule, Pattern, QuerySpec, parse_query_file
 from citequery.engine import (
     CatalogMatcher,
     Span,
     apply_exclusions,
-    check_proximity,
     match_pattern,
     run_all,
     run_query,
@@ -103,28 +102,57 @@ class TestApplyExclusions:
         assert apply_exclusions(words, spans, query.exclusions) == [Span(5, 5, "debat*")]
 
 
+def proximity_record(words, max_gap=4):
+    """run_query's record for signal ``sig`` and filters ``f``, ``far``,
+    ``near``, ``left`` and ``right``; the batch matcher must agree."""
+    query = QuerySpec(
+        "sig.methods", "sig", (pattern("sig"),), "methods",
+        tuple(pattern(t) for t in ("f", "far", "near", "left", "right")),
+        max_gap=max_gap,
+    )
+    citance = make_citance("d", 0, words)
+    record = run_query(citance, query)
+    assert CatalogMatcher([query]).match_citance(citance) == ([record] if record else [])
+    return record
+
+
+def placed(length, **at):
+    words = ["w"] * length
+    for word, index in at.items():
+        words[index] = word
+    return words
+
+
 class TestCheckProximity:
+    """The signal/filter proximity rule, pinned through ``run_query``."""
+
     def test_adjacent(self):
-        chosen = check_proximity(Span(1, 1, "conflict*"), [Span(2, 2, "reports")])
-        assert chosen == Span(2, 2, "reports")
+        record = proximity_record(placed(3, sig=1, f=2))
+        assert record.filter_span == Span(2, 2, "f")
+
+    def test_gap_four_is_in(self):
+        record = proximity_record(placed(9, sig=2, f=7))
+        assert record.filter_span == Span(7, 7, "f")
 
     def test_gap_five_is_out(self):
-        assert check_proximity(Span(2, 2, "s"), [Span(8, 8, "f")], max_gap=4) is None
+        assert proximity_record(placed(9, sig=2, f=8)) is None
 
     def test_order_agnostic_gap_four(self):
-        assert check_proximity(Span(7, 7, "s"), [Span(2, 2, "f")], max_gap=4) is not None
+        record = proximity_record(placed(9, sig=7, f=2))
+        assert record.filter_span == Span(2, 2, "f")
 
-    def test_nearest_wins(self):
-        chosen = check_proximity(
-            Span(5, 5, "s"), [Span(1, 1, "far"), Span(7, 7, "near")], max_gap=4
-        )
-        assert chosen == Span(7, 7, "near")
+    def test_max_gap_is_per_query(self):
+        assert proximity_record(placed(9, sig=2, f=7), max_gap=3) is None
+        assert proximity_record(placed(9, sig=2, f=8), max_gap=5) is not None
+
+    def test_first_in_span_order_wins(self):
+        # Not the nearest filter: the first qualifying one in span order.
+        record = proximity_record(placed(8, sig=5, far=1, near=7))
+        assert record.filter_span == Span(1, 1, "far")
 
     def test_distance_tie_breaks_leftward(self):
-        chosen = check_proximity(
-            Span(5, 5, "s"), [Span(3, 3, "left"), Span(7, 7, "right")], max_gap=4
-        )
-        assert chosen == Span(3, 3, "left")
+        record = proximity_record(placed(8, sig=5, left=3, right=7))
+        assert record.filter_span == Span(3, 3, "left")
 
     @pytest.mark.parametrize("f_start, f_end, gap", [
         (0, 0, 1), (2, 3, 0), (4, 4, 0), (8, 9, 3), (10, 10, 5),
@@ -207,16 +235,31 @@ class TestRunAll:
             by_citance.setdefault((r.doc_id, r.sentence_index), set()).add(r.query_id)
         assert {"controvers.standalone", "no_consensus.standalone"} <= by_citance[("g04", 5)]
 
-    def test_thread_counts_agree(self, catalog):
-        citances = random_citances(400, seed=5)
-        single = run_all(citances, catalog, threads=1)
-        multi = run_all(citances, catalog, threads=4, chunk_size=37)
-        assert single == multi
-
-    def test_env_var_controls_threads(self, catalog, monkeypatch):
-        citances = random_citances(50, seed=6)
-        monkeypatch.setenv("CITEQUERY_THREADS", "3")
-        assert run_all(citances, catalog) == run_all(citances, catalog, threads=1)
+    def test_signal_sets_sharing_patterns_keep_own_exclusions(self):
+        queries = parse_query_file(
+            "query plain\nsignal debat*\nfilter none\n\n"
+            "query public\nsignal debat*\nfilter none\n"
+            "exclude match_context:public\n\n"
+            "query plain.m\nsignal debat*\nfilter methods\nmaxgap 1\n\n"
+            "query public.m\nsignal debat*\nfilter methods\n"
+            "exclude match_context:public\nmaxgap 1\n"
+        )
+        assert len({q.signal_id for q in queries}) == 1
+        citances = [
+            make_citance("d", 0, ["a", "public", "debate", "on", "the", "model"]),
+            make_citance("d", 1, ["the", "model", "debate", "and", "public", "debate"]),
+        ] + random_citances(300, seed=8)
+        expected = sorted(
+            (r for c in citances for q in queries if (r := run_query(c, q))),
+            key=lambda r: (r.doc_id, r.sentence_index, r.query_id),
+        )
+        records = run_all(citances, queries)
+        assert records == expected
+        first = {r.query_id for r in records if (r.doc_id, r.sentence_index) == ("d", 0)}
+        assert first == {"plain"}
+        second = {r.query_id: r.signal_span.start for r in records
+                  if (r.doc_id, r.sentence_index) == ("d", 1)}
+        assert second == {"plain": 2, "public": 2, "plain.m": 2, "public.m": 2}
 
 
 class TestOracleEquivalence:
