@@ -10,15 +10,15 @@ first disagreement citation, and the issuer citation gap.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .catalog import ValidatedSet
 from .engine import MatchRecord
 from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence, is_self_citation
+from .ingest import numbered_csv_rows
 
 CitanceKey = tuple[str, int]
 
@@ -319,21 +319,6 @@ def top_tables(
     return top(issued), top(received)
 
 
-def numbered_csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """``csv.DictReader`` rows over ``lines`` with ``#`` lines skipped as
-    comments, each row paired with the 1-based number of its last line."""
-    last = 0
-
-    def data() -> Iterator[str]:
-        nonlocal last
-        for last, text in enumerate(lines, start=1):
-            if not text.startswith("#"):
-                yield text
-
-    for row in csv.DictReader(data()):
-        yield last, row
-
-
 class CitationTable:
     """Per-paper yearly citation counts plus publication years.
 
@@ -351,17 +336,16 @@ class CitationTable:
         raises ValueError naming its line."""
         pub_years: dict[str, int] = {}
         counts: dict[tuple[str, int], int] = {}
-        with open(path, newline="", encoding="utf-8") as handle:
-            for line, row in numbered_csv_rows(handle):
-                try:
-                    doc_id = row["doc_id"]
-                    pub_year = int(row["pub_year"])
-                    key = (doc_id, int(row["year"]))
-                    counts[key] = int(row["citations"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"line {line}: bad row ({exc})") from None
-                if pub_years.setdefault(doc_id, pub_year) != pub_year:
-                    raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")
+        for line, row in numbered_csv_rows(path):
+            try:
+                doc_id = row["doc_id"]
+                pub_year = int(row["pub_year"])
+                key = (doc_id, int(row["year"]))
+                counts[key] = int(row["citations"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {line}: bad row ({exc})") from None
+            if pub_years.setdefault(doc_id, pub_year) != pub_year:
+                raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")
         return cls(pub_years, counts)
 
     def citations(self, doc_id: str, year: int) -> int:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .ingest import numbered_lines
+
 NEGATION_TOKENS = frozenset({"no", "not", "cannot", "nor", "neither"})
 
 FILTER_SET_NAMES = ("standalone", "studies", "ideas", "methods", "results")
@@ -248,35 +250,35 @@ _VALIDATED_70_EXTRA = (
 )
 
 
-def _read_id_lines(text: str) -> list[str]:
-    ids = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            ids.append(line)
-    return ids
-
-
 def load_resolution_file(path: str | Path | None = None) -> list[str]:
     """Query ids resolving the ambiguous slots of the 80% validated set.
 
     Without a path the file shipped with the package is used; the file
-    lists one query id per line, ``#`` starts a comment.
+    lists one query id per line, ``#`` starts a comment. An unknown id
+    raises ValueError naming its line.
     """
     if path is None:
-        text = (
-            importlib.resources.files("citequery")
-            .joinpath("data/resolution_80.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    ids = _read_id_lines(text)
+        path = importlib.resources.files("citequery") / "data" / "resolution_80.txt"
     known = catalog_ids()
-    for query_id in ids:
+    ids = []
+    for lineno, raw in numbered_lines(path):
+        query_id = raw.split("#", 1)[0].strip()
+        if not query_id:
+            continue
         if query_id not in known:
-            raise ValueError(f"resolution file names unknown query id: {query_id!r}")
+            raise ValueError(f"line {lineno}: unknown query id {query_id!r}")
+        ids.append(query_id)
     return ids
+
+
+def shipped_threshold(threshold: float) -> float:
+    """The threshold of the shipped validated set equal to ``threshold``."""
+    for shipped in (0.80, 0.70):
+        if abs(threshold - shipped) < 1e-9:
+            return shipped
+    raise ValueError(
+        f"no shipped validated set for threshold {threshold}; gate annotation data instead"
+    )
 
 
 def default_validated_set(
@@ -287,16 +289,12 @@ def default_validated_set(
     Other thresholds have no shipped membership and require gating real
     annotation data instead.
     """
+    threshold = shipped_threshold(threshold)
     ids = set(_VALIDATED_80_FIXED)
     ids.update(load_resolution_file(resolution_path))
-    if abs(threshold - 0.80) < 1e-9:
-        return ValidatedSet(0.80, frozenset(ids))
-    if abs(threshold - 0.70) < 1e-9:
+    if threshold == 0.70:
         ids.update(_VALIDATED_70_EXTRA)
-        return ValidatedSet(0.70, frozenset(ids))
-    raise ValueError(
-        f"no shipped validated set for threshold {threshold}; gate annotation data instead"
-    )
+    return ValidatedSet(threshold, frozenset(ids))
 
 
 def _parse_pattern_or_fail(text: str, line: int) -> Pattern:

@@ -16,33 +16,34 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from . import __version__
 from .analytics import (
-    GROUPINGS,
     CitationTable,
     citation_gap,
     field_slopes,
     flag_citances,
     impact_ratio,
     meso_log_ratio,
-    numbered_csv_rows,
     rate_by,
     self_citation_ratio,
     top_tables,
 )
 from .catalog import (
-    QueryFileError,
     ValidatedSet,
     builtin_catalog,
     default_validated_set,
     parse_query_file,
     serialize_validated_set,
+    shipped_threshold,
 )
 from .engine import run_all
-from .ingest import Document, LoadResult, iter_citances, load_corpus
+from .ingest import (
+    Document, LoadResult, iter_citances, load_corpus, numbered_csv_rows, numbered_lines,
+)
 from .validation import (
     DEFAULT_SAMPLE_SIZE,
     AnnotationRecord,
@@ -54,6 +55,8 @@ from .validation import (
 REPORT_NAMES = (
     "rates", "slopes", "selfcite", "age", "position", "meso", "top", "impact", "gap",
 )
+SAMPLE_COLUMNS = ("doc_id", "sentence_index", "query_id", "text", "label")
+_ANSWERS = {"v": "valid", "i": "invalid", "s": "skip", "q": "quit"}  # annotate keys
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -95,6 +98,10 @@ class OutputWriter:
         handle.write(self.header)
         return handle
 
+    def write_csv(self, name: str, header: Sequence[str], rows) -> None:
+        with self.open(name) as handle:
+            _write_csv(handle, header, rows)
+
 
 def _format(value) -> str:
     if value is None:
@@ -106,18 +113,31 @@ def _format(value) -> str:
 
 def _write_csv(handle: IO[str], header: Sequence[str], rows) -> None:
     writer = csv.writer(handle, lineterminator="\n")
+    # With a "\n" terminator csv leaves a bare "\r" unquoted, and no reader
+    # could tell it from a line break, so such rows are quoted in full.
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_format(v) for v in row])
+        cells = [_format(v) for v in row]
+        (quoted if "\r" in "".join(cells) else writer).writerow(cells)
 
 
-def _load_corpus_or_die(path: str, mode: str) -> LoadResult:
+@contextmanager
+def _reading(kind: str, path) -> Iterator[None]:
+    """Turn a failure to read or parse the ``kind`` input file at ``path``
+    into a DataError naming the file (and the line, which the readers'
+    ValueErrors carry)."""
     try:
-        result = load_corpus(path, mode)
+        yield
     except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}")
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from None
     except ValueError as exc:
-        raise DataError(f"corpus file {path}: {exc}")
+        raise DataError(f"{kind} file {path}: {exc}") from None
+
+
+def _load_corpus(path: str, mode: str) -> LoadResult:
+    with _reading("corpus", path):
+        result = load_corpus(path, mode)
     for error in result.errors:
         print(error.report(), file=sys.stderr)
     return result
@@ -126,37 +146,29 @@ def _load_corpus_or_die(path: str, mode: str) -> LoadResult:
 def _load_queries(spec: str):
     if spec == "builtin":
         return builtin_catalog()
-    try:
-        text = Path(spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read query file {spec}: {exc}")
-    try:
-        return parse_query_file(text)
-    except QueryFileError as exc:
-        raise DataError(f"query file {spec}: {exc}")
+    with _reading("query", spec):
+        return parse_query_file("".join(text for _, text in numbered_lines(spec)))
 
 
-def _validated_set(args, queries) -> ValidatedSet:
-    if getattr(args, "stats", None):
-        try:
-            stats_rows = _read_stats_csv(Path(args.stats))
-        except OSError as exc:
-            raise DataError(f"cannot read stats file {args.stats}: {exc}")
-        return gate_queries(stats_rows, args.threshold)
+def _validated_set(args) -> ValidatedSet:
+    if args.stats:
+        with _reading("stats", args.stats):
+            return gate_queries(_read_stats_csv(args.stats), args.threshold)
     try:
+        shipped_threshold(args.threshold)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    with _reading("resolution", args.resolution):
         return default_validated_set(args.threshold, args.resolution)
-    except (ValueError, OSError) as exc:
-        raise DataError(str(exc))
 
 
-def _read_stats_csv(path: Path) -> dict[str, float]:
+def _read_stats_csv(path: str) -> dict[str, float]:
     stats = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for line, row in numbered_csv_rows(handle):
-            try:
-                stats[row["query_id"]] = float(row["pct_valid"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"stats file {path}: line {line}: bad row ({exc})") from None
+    for line, row in numbered_csv_rows(path):
+        try:
+            stats[row["query_id"]] = float(row["pct_valid"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {line}: bad row ({exc})") from None
     return stats
 
 
@@ -171,8 +183,12 @@ def _config(args, keys: Sequence[str]) -> dict:
     return resolved
 
 
+def _citance_texts(documents: list[Document]) -> dict[tuple[str, int], str]:
+    return {(d.doc_id, s.index): s.text for d in documents for s in d.sentences if s.refs}
+
+
 def _match_records(args):
-    corpus = _load_corpus_or_die(args.corpus, args.mode)
+    corpus = _load_corpus(args.corpus, args.mode)
     queries = _load_queries(args.queries)
     records = run_all(iter_citances(corpus.documents), queries)
     return corpus, queries, records
@@ -182,7 +198,7 @@ def _match_records(args):
 
 
 def cmd_ingest_check(args) -> int:
-    result = _load_corpus_or_die(args.corpus, args.mode)
+    result = _load_corpus(args.corpus, args.mode)
     citances = sum(1 for _ in iter_citances(result.documents))
     print(
         f"documents={len(result.documents)} citances={citances} "
@@ -197,24 +213,20 @@ def cmd_match(args) -> int:
         Path(args.out), _config(args, ("corpus", "mode", "queries")), args.seed
     )
 
-    with writer.open("matches.csv") as handle:
-        _write_csv(
-            handle,
-            ("doc_id", "sentence_index", "query_id",
-             "signal_start", "signal_end", "filter_start", "filter_end"),
-            (
-                (r.doc_id, r.sentence_index, r.query_id,
-                 r.signal_span.start, r.signal_span.end,
-                 r.filter_span.start if r.filter_span else None,
-                 r.filter_span.end if r.filter_span else None)
-                for r in records
-            ),
-        )
+    writer.write_csv(
+        "matches.csv",
+        ("doc_id", "sentence_index", "query_id",
+         "signal_start", "signal_end", "filter_start", "filter_end"),
+        (
+            (r.doc_id, r.sentence_index, r.query_id,
+             r.signal_span.start, r.signal_span.end,
+             r.filter_span.start if r.filter_span else None,
+             r.filter_span.end if r.filter_span else None)
+            for r in records
+        ),
+    )
 
-    texts = {
-        (doc.doc_id, s.index): s.text
-        for doc in corpus.documents for s in doc.sentences if s.refs
-    }
+    texts = _citance_texts(corpus.documents)
     with writer.open("matches.jsonl") as handle:
         for r in records:
             handle.write(json.dumps({
@@ -235,15 +247,12 @@ def cmd_match(args) -> int:
         signals.setdefault(q.signal_id, {})[q.filter_set] = by_query.get(q.query_id, 0)
         if q.filter_set not in filter_sets:
             filter_sets.append(q.filter_set)
-    with writer.open("match_summary.csv") as handle:
-        _write_csv(
-            handle,
-            ["signal"] + filter_sets,
-            (
-                [signal] + [cells.get(f, 0) for f in filter_sets]
-                for signal, cells in signals.items()
-            ),
-        )
+    writer.write_csv(
+        "match_summary.csv",
+        ["signal"] + filter_sets,
+        ([signal] + [cells.get(f, 0) for f in filter_sets]
+         for signal, cells in signals.items()),
+    )
 
     print(f"citances matched: {len({(r.doc_id, r.sentence_index) for r in records})}; "
           f"records: {len(records)}")
@@ -255,10 +264,7 @@ def cmd_sample(args) -> int:
     writer = OutputWriter(
         Path(args.out), _config(args, ("corpus", "mode", "queries", "n")), args.seed
     )
-    texts = {
-        (doc.doc_id, s.index): s.text
-        for doc in corpus.documents for s in doc.sentences if s.refs
-    }
+    texts = _citance_texts(corpus.documents)
     by_query: dict[str, list] = {}
     for record in records:
         by_query.setdefault(record.query_id, []).append(record)
@@ -270,126 +276,103 @@ def cmd_sample(args) -> int:
             rows.append(
                 (doc_id, sentence_index, query_id, texts[(doc_id, sentence_index)], "")
             )
-    with writer.open("sample.csv") as handle:
-        _write_csv(
-            handle, ("doc_id", "sentence_index", "query_id", "text", "label"), rows
-        )
+    writer.write_csv("sample.csv", SAMPLE_COLUMNS, rows)
     print(f"sampled {len(rows)} citances over {len(by_query)} queries")
     return 0
 
 
-def _read_sample_csv(path: Path) -> tuple[list[tuple[int, dict]], str | None, list[str]]:
-    """Numbered rows, the coder named in a ``# coder`` line, and the
-    other comment lines."""
+def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, list[str]]:
+    """Numbered rows, the coder named in a ``# coder`` line of the leading
+    comment block, and the block's other lines."""
     coder = None
-    header: list[str] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for line in lines:
-        if line.startswith("# coder "):
-            coder = line[len("# coder "):].strip()
-        elif line.startswith("#"):
-            header.append(line)
-    return list(numbered_csv_rows(lines)), coder, header
+    provenance: list[str] = []
+    for _, text in numbered_lines(path):
+        if not text.startswith("#"):
+            break
+        if text.startswith("# coder "):
+            coder = text[len("# coder "):].strip()
+        else:
+            provenance.append(text)
+    rows = list(numbered_csv_rows(path))
+    for line, row in rows:
+        for column in SAMPLE_COLUMNS[:-1]:  # the label may be left out
+            if row.get(column) is None:
+                raise ValueError(f"line {line}: bad row (no {column!r})")
+    return rows, coder, provenance
 
 
 def cmd_annotate(args) -> int:
-    try:
-        numbered, _, provenance = _read_sample_csv(Path(args.sample))
-    except OSError as exc:
-        raise DataError(f"cannot read sample file {args.sample}: {exc}")
+    with _reading("sample", args.sample):
+        numbered, _, provenance = _read_sample_csv(args.sample)
     rows = [row for _, row in numbered]
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     labeled = 0
     print(f"annotating {len(rows)} citances as coder {args.coder!r}; "
           "keys: v=valid i=invalid s=skip q=quit", file=sys.stderr)
-    stop = False
     for i, row in enumerate(rows):
-        if stop or row.get("label"):
+        if row.get("label"):
             continue
         print(f"\n[{i + 1}/{len(rows)}] query {row['query_id']}", file=sys.stderr)
         print(row["text"], file=sys.stderr)
-        while True:
+        answer = None
+        while answer not in _ANSWERS.values():
             print("label [v/i/s/q]: ", end="", file=sys.stderr, flush=True)
             key = sys.stdin.readline()
-            if not key:
-                stop = True
-                break
-            key = key.strip().lower()
-            if key in ("v", "valid"):
-                row["label"] = "valid"
-                labeled += 1
-                break
-            if key in ("i", "invalid"):
-                row["label"] = "invalid"
-                labeled += 1
-                break
-            if key in ("s", "skip"):
-                break
-            if key in ("q", "quit"):
-                stop = True
-                break
+            key = key.strip().lower() if key else "quit"  # end of input quits
+            answer = _ANSWERS.get(key, key)
+        if answer == "quit":
+            break
+        if answer != "skip":
+            row["label"] = answer
+            labeled += 1
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         # Sampling provenance (version, config digest, seed) rides along.
         handle.writelines(provenance)
         handle.write(f"# coder {args.coder}\n")
-        _write_csv(
-            handle,
-            ("doc_id", "sentence_index", "query_id", "text", "label"),
-            (
-                (r["doc_id"], r["sentence_index"], r["query_id"], r["text"],
-                 r.get("label", ""))
-                for r in rows
-            ),
-        )
+        _write_csv(handle, SAMPLE_COLUMNS, ([r.get(c) for c in SAMPLE_COLUMNS] for r in rows))
     print(f"\nlabeled {labeled} citances -> {out_path}", file=sys.stderr)
     return 0
 
 
-def _annotations_from_file(path: Path) -> list[AnnotationRecord]:
+def _annotations_from_file(path: str) -> list[AnnotationRecord]:
     rows, coder, _ = _read_sample_csv(path)
-    coder_id = coder or path.stem
+    coder_id = coder or Path(path).stem
     records = []
     for line, row in rows:
         label = (row.get("label") or "").strip().lower()
         if label not in ("valid", "invalid"):
             continue  # unlabeled or skipped rows are left to the metrics to flag
         try:
-            records.append(AnnotationRecord(
-                row["doc_id"], int(row["sentence_index"]), row["query_id"],
-                coder_id, label,
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"annotation file {path}: line {line}: bad row ({exc})") from None
+            index = int(row["sentence_index"])
+        except ValueError as exc:
+            raise ValueError(f"line {line}: bad row ({exc})") from None
+        records.append(
+            AnnotationRecord(row["doc_id"], index, row["query_id"], coder_id, label))
     return records
 
 
 def cmd_gate(args) -> int:
-    path_a, path_b = (Path(p) for p in args.annotations)
-    try:
-        records_a = _annotations_from_file(path_a)
-        records_b = _annotations_from_file(path_b)
-    except OSError as exc:
-        raise DataError(str(exc))
-    coders = (records_a[0].coder_id if records_a else path_a.stem,
-              records_b[0].coder_id if records_b else path_b.stem)
+    records = []
+    for path in args.annotations:
+        with _reading("annotation", path):
+            records.append(_annotations_from_file(path))
+    coders = tuple(r[0].coder_id if r else Path(p).stem
+                   for r, p in zip(records, args.annotations))
     if coders[0] == coders[1]:
         raise DataError("gate requires annotations from two distinct coders")
     try:
-        stats = compute_stats(records_a + records_b, coders)
+        stats = compute_stats(records[0] + records[1], coders)
     except ValueError as exc:
         raise DataError(str(exc))
     validated = gate_queries(stats, args.threshold)
     writer = OutputWriter(
         Path(args.out), _config(args, ("annotations", "threshold")), args.seed
     )
-    with writer.open("stats.csv") as handle:
-        _write_csv(
-            handle,
-            ("query_id", "n", "pct_agree", "pct_valid", "kappa"),
-            ((s.query_id, s.n, s.pct_agree, s.pct_valid, s.kappa) for s in stats),
-        )
+    writer.write_csv(
+        "stats.csv", ("query_id", "n", "pct_agree", "pct_valid", "kappa"),
+        ((s.query_id, s.n, s.pct_agree, s.pct_valid, s.kappa) for s in stats),
+    )
     with writer.open("validated.txt") as handle:
         handle.write(serialize_validated_set(validated))
     print(f"gated {len(stats)} queries at {args.threshold}: "
@@ -399,8 +382,9 @@ def cmd_gate(args) -> int:
 
 def _write_report(
     writer: OutputWriter, name: str, args, corpus_docs: list[Document],
-    flags, long_rows: list,
+    flags, table: CitationTable | None, long_rows: list,
 ) -> None:
+    rate_columns = ("disagreement_count", "citance_count", "rate")
     if name == "rates":
         rows = []
         for grouping in ("main_field", "year", "field_year"):
@@ -412,100 +396,68 @@ def _write_report(
                 rows.append((grouping, group, row.disagreement_count,
                              row.citance_count, row.rate))
                 long_rows.append((group, f"rate_{grouping}", row.rate))
-        with writer.open("rates.csv") as handle:
-            _write_csv(
-                handle,
-                ("grouping", "group", "disagreement_count", "citance_count", "rate"),
-                rows,
-            )
+        writer.write_csv("rates.csv", ("grouping", "group", *rate_columns), rows)
     elif name == "slopes":
-        slopes = field_slopes(flags, corpus_docs)
-        with writer.open("slopes.csv") as handle:
-            _write_csv(handle, ("main_field", "slope"), sorted(slopes.items()))
-        long_rows.extend((field, "slope", value) for field, value in sorted(slopes.items()))
-    elif name == "selfcite":
-        rows = rate_by(flags, corpus_docs, "self_citation")
-        with writer.open("selfcite.csv") as handle:
-            _write_csv(
-                handle,
-                ("group", "disagreement_count", "citance_count", "rate"),
-                ((r.group, r.disagreement_count, r.citance_count, r.rate) for r in rows),
-            )
-        try:
-            ratio = self_citation_ratio(flags, corpus_docs)
-            long_rows.append(("all", "selfcite_ratio", ratio))
-        except ValueError:
-            pass
-    elif name in ("age", "position"):
-        grouping = "age_bin" if name == "age" else "position_bin"
+        slopes = sorted(field_slopes(flags, corpus_docs).items())
+        writer.write_csv("slopes.csv", ("main_field", "slope"), slopes)
+        long_rows.extend((field, "slope", value) for field, value in slopes)
+    elif name in ("selfcite", "age", "position"):
+        grouping = {"selfcite": "self_citation", "age": "age_bin",
+                    "position": "position_bin"}[name]
         rows = rate_by(flags, corpus_docs, grouping)
-        with writer.open(f"{name}.csv") as handle:
-            _write_csv(
-                handle,
-                ("bin", "disagreement_count", "citance_count", "rate"),
-                ((r.group, r.disagreement_count, r.citance_count, r.rate) for r in rows),
-            )
-        long_rows.extend((r.group, f"rate_{grouping}", r.rate) for r in rows)
+        writer.write_csv(
+            f"{name}.csv", ("group" if name == "selfcite" else "bin", *rate_columns),
+            ((r.group, r.disagreement_count, r.citance_count, r.rate) for r in rows),
+        )
+        if name != "selfcite":
+            long_rows.extend((r.group, f"rate_{grouping}", r.rate) for r in rows)
+        else:
+            try:
+                ratio = self_citation_ratio(flags, corpus_docs)
+                long_rows.append(("all", "selfcite_ratio", ratio))
+            except ValueError:
+                pass
     elif name == "meso":
         rows = meso_log_ratio(flags, corpus_docs)
-        with writer.open("meso.csv") as handle:
-            _write_csv(
-                handle,
-                ("meso_field", "rate", "log_ratio", "n_citances"),
-                ((r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in rows),
-            )
+        writer.write_csv(
+            "meso.csv", ("meso_field", "rate", "log_ratio", "n_citances"),
+            ((r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in rows),
+        )
         long_rows.extend((r.meso_field, "meso_log_ratio", r.log_ratio) for r in rows)
     elif name == "top":
         issuers, receivers = top_tables(flags, corpus_docs, args.top_n)
-        with writer.open("top.csv") as handle:
-            _write_csv(
-                handle,
-                ("table", "doc_id", "count"),
-                [("issuers", d, c) for d, c in issuers]
-                + [("receivers", d, c) for d, c in receivers],
-            )
-    elif name in ("impact", "gap"):
-        if not args.citations:
-            raise DataError(f"report {name!r} requires --citations")
+        writer.write_csv(
+            "top.csv", ("table", "doc_id", "count"),
+            [("issuers", d, c) for d, c in issuers]
+            + [("receivers", d, c) for d, c in receivers],
+        )
+    elif name == "impact":
+        fields = sorted({d.main_field for d in corpus_docs if d.main_field})
+        rows = []
+        for k in (1, 2, 3):
+            for field in [None] + fields:
+                try:
+                    report = impact_ratio(flags, corpus_docs, table, k, field)
+                except ValueError:
+                    continue
+                rows.append((field or "All", k, report.records,
+                             report.mean_disagreement, report.mean_expected, report.d))
+                long_rows.append((field or "All", f"impact_d_t+{k}", report.d))
+        writer.write_csv(
+            "impact.csv",
+            ("field", "k", "records", "mean_disagreement", "mean_expected", "d"), rows,
+        )
+    elif name == "gap":
         try:
-            table = CitationTable.from_csv(args.citations)
-        except OSError as exc:
-            raise DataError(f"cannot read citations file {args.citations}: {exc}")
+            rows = citation_gap(flags, corpus_docs, table,
+                                doc_type=args.doc_type, horizon=args.horizon)
         except ValueError as exc:
-            raise DataError(f"citations file {args.citations}: {exc}")
-        if name == "impact":
-            fields = sorted({d.main_field for d in corpus_docs if d.main_field})
-            rows = []
-            for k in (1, 2, 3):
-                for field in [None] + fields:
-                    try:
-                        report = impact_ratio(flags, corpus_docs, table, k, field)
-                    except ValueError:
-                        continue
-                    rows.append((field or "All", k, report.records,
-                                 report.mean_disagreement, report.mean_expected,
-                                 report.d))
-                    long_rows.append((field or "All", f"impact_d_t+{k}", report.d))
-            with writer.open("impact.csv") as handle:
-                _write_csv(
-                    handle,
-                    ("field", "k", "records", "mean_disagreement",
-                     "mean_expected", "d"),
-                    rows,
-                )
-        else:
-            try:
-                rows = citation_gap(flags, corpus_docs, table,
-                                    doc_type=args.doc_type, horizon=args.horizon)
-            except ValueError as exc:
-                raise DataError(str(exc))
-            with writer.open("gap.csv") as handle:
-                _write_csv(
-                    handle,
-                    ("k", "mean_flagged", "mean_unflagged", "gap"),
-                    ((r.k, r.mean_flagged, r.mean_unflagged, r.gap) for r in rows),
-                )
-            long_rows.extend((r.k, "citation_gap", r.gap) for r in rows)
+            raise DataError(str(exc))
+        writer.write_csv(
+            "gap.csv", ("k", "mean_flagged", "mean_unflagged", "gap"),
+            ((r.k, r.mean_flagged, r.mean_unflagged, r.gap) for r in rows),
+        )
+        long_rows.extend((r.k, "citation_gap", r.gap) for r in rows)
 
 
 def cmd_report(args) -> int:
@@ -515,8 +467,8 @@ def cmd_report(args) -> int:
         raise UsageError(
             f"unknown report name(s) {unknown}; valid names: {', '.join(REPORT_NAMES)}"
         )
-    corpus, queries, records = _match_records(args)
-    validated = _validated_set(args, queries)
+    corpus, _, records = _match_records(args)
+    validated = _validated_set(args)
     flags = flag_citances(records, validated)
     writer = OutputWriter(
         Path(args.out),
@@ -524,11 +476,15 @@ def cmd_report(args) -> int:
                        "stats", "which", "citations", "doc_type", "horizon", "top_n")),
         args.seed,
     )
+    needs_table = [name for name in which if name in ("impact", "gap")]
+    if needs_table and not args.citations:
+        raise DataError(f"report {needs_table[0]!r} requires --citations")
+    with _reading("citations", args.citations):
+        table = CitationTable.from_csv(args.citations) if needs_table else None
     long_rows: list = []
     for name in which:
-        _write_report(writer, name, args, corpus.documents, flags, long_rows)
-    with writer.open("long.csv") as handle:
-        _write_csv(handle, ("group", "metric", "value"), long_rows)
+        _write_report(writer, name, args, corpus.documents, flags, table, long_rows)
+    writer.write_csv("long.csv", ("group", "metric", "value"), long_rows)
     print(f"wrote {len(which)} report(s) to {args.out}")
     return 0
 

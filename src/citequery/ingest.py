@@ -9,10 +9,13 @@ sentence carrying at least one reference link.
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import dropwhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -160,11 +163,15 @@ def sentence_spans(
     everything dropped between consecutive spans is whitespace.
     """
     n = len(text)
+    protected = sorted(protected_spans)
+    k = 0  # protected spans before k end at or before the current index
     boundaries: list[int] = []  # index one past the terminator
     for i, c in enumerate(text):
         if c not in _TERMINATORS:
             continue
-        if any(s <= i < e for s, e in protected_spans):
+        while k < len(protected) and protected[k][1] <= i:
+            k += 1
+        if k < len(protected) and protected[k][0] <= i:
             continue
         j = i + 1
         if j >= n or not text[j].isspace():
@@ -198,19 +205,25 @@ def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
     hold the same links rebased to sentence-local offsets. No sentence
     boundary is ever placed inside a marker span.
     """
-    protected = [r.span for r in refs if r.span is not None]
-    sentences = []
-    for index, (start, end) in enumerate(sentence_spans(text, protected)):
-        local = tuple(
-            RefLink(
+    spans = sentence_spans(text, [r.span for r in refs if r.span is not None])
+    starts = [start for start, _ in spans]
+    local: list[list[RefLink]] = [[] for _ in spans]
+    for r in refs:
+        if r.span is None:
+            continue
+        # Sentences are disjoint, so only the last one starting at or
+        # before the marker can hold it.
+        index = bisect_right(starts, r.span[0]) - 1
+        if index >= 0 and r.span[1] <= spans[index][1]:
+            start = starts[index]
+            local[index].append(RefLink(
                 r.ref_id, r.cited_doc_id, r.cited_year, r.cited_authors,
                 (r.span[0] - start, r.span[1] - start),
-            )
-            for r in refs
-            if r.span is not None and start <= r.span[0] and r.span[1] <= end
-        )
-        sentences.append(Sentence(index, text[start:end], local))
-    return sentences
+            ))
+    return [
+        Sentence(index, text[start:end], tuple(local[index]))
+        for index, (start, end) in enumerate(spans)
+    ]
 
 
 def _require_str(obj: dict, key: str, code: str) -> str:
@@ -227,7 +240,8 @@ def _parse_authors(raw, code: str) -> tuple[AuthorName, ...]:
         raise RecordError(code)
     authors = []
     for item in raw:
-        if not isinstance(item, dict) or not isinstance(item.get("family"), str):
+        if (not isinstance(item, dict) or not isinstance(item.get("family"), str)
+                or not isinstance(item.get("given"), (str, type(None)))):
             raise RecordError(code)
         try:
             authors.append(AuthorName.from_parts(item["family"], item.get("given")))
@@ -281,7 +295,10 @@ def _parse_presegmented(raw, seen_ids: set[str]) -> tuple[Sentence, ...]:
         text = item.get("text")
         if not isinstance(text, str):
             raise RecordError("bad_sentences", "missing text")
-        refs = [_parse_ref_obj(o, seen_ids) for o in item.get("refs") or []]
+        raw_refs = item.get("refs") or []
+        if not isinstance(raw_refs, list):
+            raise RecordError("bad_sentences", "refs")
+        refs = [_parse_ref_obj(o, seen_ids) for o in raw_refs]
         # Markers embedded in the text contribute spans; ids absent from
         # the refs array become links of their own.
         markers = parse_ref_markers(text)
@@ -355,33 +372,77 @@ def record_to_document(obj, mode: str) -> Document:
     )
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file, each with its 1-based number.
+
+    The file is streamed and decoded one line at a time, so it is never
+    held in memory whole. Lines end at ``\\n`` and keep their terminator.
+    An unreadable file raises OSError, and a line that is not UTF-8 a
+    ValueError naming it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"line {lineno}: not valid UTF-8") from None
+
+
+def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """``csv.DictReader`` rows of a UTF-8 CSV file, each paired with the
+    1-based number of its last line.
+
+    ``#`` lines before the header row are comments. After the header every
+    line is data, so a quoted field may hold lines that start with ``#``.
+    Malformed CSV raises ValueError naming its line.
+    """
+    # A citance text may pass csv's 128 KiB default field limit; this is
+    # the largest limit every platform accepts.
+    csv.field_size_limit(2**31 - 1)
+    last = 0
+
+    def data() -> Iterator[str]:
+        nonlocal last
+        for last, text in dropwhile(lambda item: item[1].startswith("#"),
+                                    numbered_lines(path)):
+            yield text
+
+    try:
+        for row in csv.DictReader(data()):
+            yield last, row
+    except csv.Error as exc:
+        raise ValueError(f"line {last}: {exc}") from None
+
+
 def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
     """Load a JSON Lines corpus file.
 
-    Malformed records are skipped and collected as LoadErrors carrying
-    their 1-based line numbers; an unreadable file raises OSError, and a
-    line that is not UTF-8 a ValueError naming it.
+    Malformed records, and records repeating an earlier record's
+    ``doc_id``, are skipped and collected as LoadErrors carrying their
+    1-based line numbers; an unreadable file raises OSError, and a line
+    that is not UTF-8 a ValueError naming it.
     """
     if mode not in ("presegmented", "rawtext"):
         raise ValueError(f"unknown mode: {mode!r}")
     result = LoadResult()
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"line {lineno}: not valid UTF-8") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                result.errors.append(LoadError(lineno, "bad_json"))
-                continue
-            try:
-                result.documents.append(record_to_document(obj, mode))
-            except RecordError as exc:
-                result.errors.append(LoadError(lineno, exc.code))
+    loaded: set[str] = set()
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):  # also over-long numbers and deep nesting
+            result.errors.append(LoadError(lineno, "bad_json"))
+            continue
+        try:
+            doc = record_to_document(obj, mode)
+            if doc.doc_id in loaded:
+                raise RecordError("dup_doc_id")
+        except RecordError as exc:
+            result.errors.append(LoadError(lineno, exc.code))
+        else:
+            loaded.add(doc.doc_id)
+            result.documents.append(doc)
     return result
 
 

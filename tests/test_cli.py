@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from citequery.cli import main
+from citequery.cli import (
+    SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv, main,
+)
 from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES
 
 
@@ -244,6 +251,16 @@ class TestReport:
         err = capsys.readouterr().err
         assert "nonsense" in err and "rates" in err
 
+    def test_unshipped_threshold_is_not_blamed_on_the_resolution_file(
+        self, golden_args, tmp_path, capsys
+    ):
+        resolution = tmp_path / "resolution.txt"
+        resolution.write_text("contrary.studies\n")
+        assert main(["report", *golden_args, "--out", str(tmp_path / "o"), "--which", "rates",
+                     "--threshold", "0.5", "--resolution", str(resolution)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no shipped validated set for threshold 0.5")
+
     def test_impact_requires_citations(self, golden_args, tmp_path):
         assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
                      "--which", "impact"]) == 2
@@ -308,53 +325,193 @@ class TestReport:
         assert total == 4
 
 
+SAMPLE_HEAD = "# seed 0\ndoc_id,sentence_index,query_id,text,label\n"
+ANNOTATION_HEAD = "# seed 0\n# coder ann\ndoc_id,sentence_index,query_id,text,label\n"
+STATS_HEAD = "query_id,n,pct_agree,pct_valid,kappa\n"
+CITATIONS_HEAD = "# exported\ndoc_id,pub_year,year,citations\n"
+
+# kind -> (problem -> (file content, or None for no file; the line the
+# message must name)). A malformed corpus record is a load error, not a
+# data error, so the corpus has no bad-row case.
+HOSTILE = {
+    "corpus": {
+        "non_utf8": ('{"doc_id": "a", "year": 2001, "sentences": []}\n{"doc_id": "caf\xe9"}\n', 2),
+    },
+    "query": {
+        "non_utf8": ("query a.standalone\nsignal caf\xe9\nfilter none\n", 2),
+        "bad_row": ("query a.standalone\nsignal cafe\nfilter sometimes\n", 3),
+    },
+    "resolution": {
+        "non_utf8": ("contrary.studies\n# caf\xe9\n", 2),
+        "bad_row": ("# ids\ncontrary.studies\nnonsense.standalone\n", 3),
+    },
+    "stats": {
+        "non_utf8": (STATS_HEAD + "caf\xe9.standalone,50,1.0,0.9,1.0\n", 2),
+        "bad_row": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
+                    "challenge.standalone,50,1.0,high,0.1\n", 3),
+        "csv_error": (STATS_HEAD + "controvers.standalone,50,1.0,0.9\r1.0\n", 2),
+    },
+    "sample": {
+        "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
+        "bad_row": (SAMPLE_HEAD + 'g04,4,controvers.standalone,"two\nlines",\n'
+                    "g05,4,controvers.standalone\n", 5),
+    },
+    "annotation": {
+        "non_utf8": (ANNOTATION_HEAD + "g04,4,controvers.standalone,caf\xe9,valid\n", 4),
+        "bad_row": (ANNOTATION_HEAD + "g04,four,controvers.standalone,some text,valid\n", 4),
+    },
+    "citations": {
+        "non_utf8": (CITATIONS_HEAD + "g01,2008,2009,3\ncaf\xe9,2008,2009,3\n", 4),
+        "bad_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,three\n", 4),
+        "csv_error": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008\r,2009,3\n", 4),
+    },
+}
+HOSTILE_CASES = [
+    pytest.param(kind, problem, content, line, id=f"{kind}-{problem}")
+    for kind, problems in HOSTILE.items()
+    for problem, (content, line) in {"missing": (None, None), **problems}.items()
+]
+
+
+def reader_argv(kind, path, tmp_dir, corpus=GOLDEN_CORPUS):
+    """A command line that hands ``path`` to the reader of ``kind``."""
+    out = str(Path(tmp_dir) / "out")
+    other = Path(tmp_dir) / "bob.csv"  # the second coder for gate
+    other.write_text("# coder bob\ndoc_id,sentence_index,query_id,text,label\n"
+                     "g04,4,controvers.standalone,some text,valid\n", encoding="utf-8")
+    with_corpus = ["--corpus", str(corpus), "--out", out]
+    return {
+        "corpus": ["match", "--corpus", str(path), "--out", out],
+        "query": ["match", *with_corpus, "--queries", str(path)],
+        "resolution": ["report", *with_corpus, "--which", "rates", "--resolution", str(path)],
+        "stats": ["report", *with_corpus, "--which", "rates", "--stats", str(path)],
+        "sample": ["annotate", "--sample", str(path), "--coder", "c", "--out", out + ".csv"],
+        "annotation": ["gate", "--annotations", str(path), str(other), "--out", out],
+        "citations": ["report", *with_corpus, "--which", "impact", "--citations", str(path)],
+    }[kind]
+
+
+def run_quietly(argv, stdin=""):
+    """main() with stdin fed from ``stdin``; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), mock.patch("sys.stderr", err), \
+            mock.patch("sys.stdout", io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestHostileInput:
-    """Malformed input files exit 2 with the file and line, not a traceback."""
+    """Every input file that is missing, not UTF-8 or malformed exits 2
+    with a message naming the file and, where one applies, the line."""
 
-    def test_non_utf8_corpus(self, tmp_path, capsys):
-        corpus = tmp_path / "latin1.jsonl"
-        good = GOLDEN_CORPUS.read_bytes().splitlines(keepends=True)[0]
-        corpus.write_bytes(good + '{"doc_id": "caf\u00e9"}\n'.encode("latin-1"))
-        assert main(["match", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("kind, problem, content, line", HOSTILE_CASES)
+    def test_located_exit_2(self, tmp_path, capsys, kind, problem, content, line):
+        path = tmp_path / f"{kind}.input"
+        if content is not None:
+            path.write_bytes(content.encode("latin-1"))
+        assert main(reader_argv(kind, path, tmp_path)) == 2
         err = capsys.readouterr().err
-        assert str(corpus) in err and "line 2" in err and "UTF-8" in err
+        if line is None:
+            assert f"error: cannot read {kind} file {path}: " in err
+        else:
+            assert f"error: {kind} file {path}: line {line}: " in err
+        if problem == "non_utf8":
+            assert "not valid UTF-8" in err
 
-    def test_non_integer_citation_cell(self, golden_args, tmp_path, capsys):
-        citations = tmp_path / "citations.csv"
-        citations.write_text(
-            "# exported\ndoc_id,pub_year,year,citations\n"
-            "g01,2008,2009,3\ng02,2008,2009,three\n"
-        )
-        assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
-                     "--which", "impact", "--citations", str(citations)]) == 2
-        err = capsys.readouterr().err
-        assert str(citations) in err and "line 4" in err
 
-    def test_non_numeric_pct_valid(self, golden_args, tmp_path, capsys):
-        stats = tmp_path / "stats.csv"
-        stats.write_text(
-            "query_id,n,pct_agree,pct_valid,kappa\n"
-            "controvers.standalone,50,1.0,0.9,1.0\n"
-            "challenge.standalone,50,1.0,high,0.1\n"
-        )
-        assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
-                     "--which", "rates", "--stats", str(stats)]) == 2
-        err = capsys.readouterr().err
-        assert str(stats) in err and "line 3" in err
+TINY_CORPUS = json.dumps({
+    "doc_id": "g04", "year": 2010, "main_field": "SocHum",
+    "sentences": [{"text": "It remains controversial <ref id=r1/>.",
+                   "refs": [{"ref_id": "r1", "cited_doc_id": "g01"}]}],
+}) + "\n"
+FUZZ_HEADS = {
+    "corpus": "", "query": "query a.standalone\n", "resolution": "",
+    "stats": STATS_HEAD, "sample": SAMPLE_HEAD, "annotation": ANNOTATION_HEAD,
+    "citations": CITATIONS_HEAD,
+}
+fuzz_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet=st.sampled_from(list('ab1,."#\n\r\t\x00\xe9<>{}[]:\u2028')),
+            max_size=120).map(lambda t: t.encode("utf-8")),
+)
 
-    def test_non_integer_sentence_index_in_gate(self, tmp_path, capsys):
-        paths = []
-        for coder, index in (("ann", "4"), ("bob", "four")):
-            path = tmp_path / f"{coder}.csv"
-            path.write_text(
-                f"# seed 0\n# coder {coder}\n"
-                "doc_id,sentence_index,query_id,text,label\n"
-                f"g04,{index},controvers.standalone,some text,valid\n"
-            )
-            paths.append(str(path))
-        assert main(["gate", "--annotations", *paths, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert paths[1] in err and "line 4" in err
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_HEADS)), st.booleans(), fuzz_bytes)
+def test_readers_exit_0_or_2_on_arbitrary_bytes(kind, with_head, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "tiny.jsonl"
+        corpus.write_text(TINY_CORPUS, encoding="utf-8")
+        path = Path(tmp) / "input"
+        path.write_bytes((FUZZ_HEADS[kind] if with_head else "").encode("utf-8") + payload)
+        code, err = run_quietly(reader_argv(kind, path, tmp, corpus))
+    assert code in (0, 2), err  # any other failure propagates out of main()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 3000) | st.floats(allow_nan=False)
+    | st.text(alphabet="ab <ref id=r1/>.", max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["doc_id", "year", "doc_type", "main_field", "meso_field",
+                         "authors", "family", "given", "sentences", "body", "text",
+                         "refs", "ref_id", "cited_year", "cited_authors", "cited_doc_id"]),
+        inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(json_values, max_size=4), st.sampled_from(["presegmented", "rawtext"]))
+def test_corpus_records_of_any_shape_load_or_are_load_errors(records, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code, err = run_quietly(["ingest-check", "--corpus", str(path), "--mode", mode])
+    assert code == 0, err
+
+
+LONG_TEXT = "x" * 131_072 + "\n# coder mallory\n#\n" + "y" * 10
+sample_text = st.lists(
+    st.sampled_from(list('ab #,"\n\r\t\x00\u2028\xe9') + ["\n#", "\n# coder x\n", "\r\n"]),
+    max_size=20,
+).map("".join)
+sample_rows = st.lists(
+    st.tuples(sample_text, st.integers(0, 10**6), sample_text, sample_text),
+    min_size=1, max_size=6,
+)
+coder_names = st.text(alphabet="abcxyz-_.", min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sample_rows, coder_names)
+@example([("#g01", 3, "controvers.standalone", LONG_TEXT)], "mallory-2")
+def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
+    columns = SAMPLE_COLUMNS
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = OutputWriter(Path(tmp), {"corpus": "c"}, 9)  # as `sample` writes
+        writer.write_csv("sample.csv", columns, [(*row, "") for row in rows])
+        sample, annotated = Path(tmp) / "sample.csv", Path(tmp) / "annotated.csv"
+
+        numbered, sample_coder, provenance = _read_sample_csv(sample)
+        assert [tuple(r[c] for c in columns) for _, r in numbered] == [
+            (d, str(i), q, t, "") for d, i, q, t in rows
+        ]
+        assert sample_coder is None
+        assert "".join(provenance) == writer.header
+
+        code, err = run_quietly(["annotate", "--sample", str(sample), f"--coder={coder}",
+                                 "--out", str(annotated)], stdin="v\n" * len(rows))
+        assert code == 0, err
+        numbered, annotated_coder, provenance = _read_sample_csv(annotated)
+        assert [tuple(r[c] for c in columns) for _, r in numbered] == [
+            (d, str(i), q, t, "valid") for d, i, q, t in rows
+        ]
+        assert annotated_coder == coder
+        assert "".join(provenance) == writer.header
+        records = _annotations_from_file(str(annotated))
+    assert [(r.doc_id, r.sentence_index, r.query_id, r.coder_id) for r in records] == [
+        (d, i, q, coder) for d, i, q, _ in rows
+    ]
 
 
 class TestReportSpeed:

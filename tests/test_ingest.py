@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citequery.ingest import (
@@ -16,6 +16,8 @@ from citequery.ingest import (
     extract_citances,
     is_self_citation,
     load_corpus,
+    numbered_csv_rows,
+    numbered_lines,
     parse_ref_markers,
     record_to_document,
     relative_age,
@@ -110,6 +112,80 @@ class TestLoadCorpus:
         with pytest.raises(OSError):
             load_corpus(tmp_path / "absent.jsonl")
 
+    def test_duplicate_doc_id_keeps_the_first_record(self, tmp_path):
+        lines = [json.dumps(record("a", 2001)), json.dumps(record("b")),
+                 json.dumps(record("a", 2002))]
+        result = load_corpus(write_lines(tmp_path, lines))
+        assert [(d.doc_id, d.year) for d in result.documents] == [("a", 2001), ("b", 2010)]
+        assert [e.report() for e in result.errors] == ["line=3 error=dup_doc_id"]
+
+    def test_malformed_record_does_not_claim_its_doc_id(self, tmp_path):
+        lines = [json.dumps(record("a", year=1492)), json.dumps(record("a"))]
+        result = load_corpus(write_lines(tmp_path, lines))
+        assert [d.doc_id for d in result.documents] == ["a"]
+        assert [(e.line, e.code) for e in result.errors] == [(1, "bad_year")]
+
+    @pytest.mark.parametrize(
+        "mutation, code",
+        [
+            ({"authors": [{"family": "Zhao", "given": 7}]}, "bad_authors"),
+            ({"sentences": [{"text": "T <ref id=r1/>.", "refs": 5}]}, "bad_sentences"),
+            ({"sentences": [{"text": "T.", "refs": [
+                {"ref_id": "r1", "cited_authors": [{"family": "x", "given": ["g"]}]},
+            ]}]}, "bad_ref"),
+        ],
+    )
+    def test_wrongly_typed_fields_are_load_errors(self, tmp_path, mutation, code):
+        result = load_corpus(write_lines(tmp_path, [json.dumps(record(**mutation))]))
+        assert [(e.line, e.code) for e in result.errors] == [(1, code)]
+
+    @pytest.mark.parametrize(
+        "line", ['{"doc_id": "a", "year": 1' + "0" * 5000 + "}", "[" * 100_000],
+        ids=["over_long_integer", "deep_nesting"],
+    )
+    def test_json_the_decoder_refuses_is_bad_json(self, tmp_path, line):
+        result = load_corpus(write_lines(tmp_path, [line, json.dumps(record())]))
+        assert [(e.line, e.code) for e in result.errors] == [(1, "bad_json")]
+        assert len(result.documents) == 1
+
+
+class TestNumberedReaders:
+    def test_lines_keep_terminators_and_split_only_at_newline(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("a\r\nb\u2028c\n\nd".encode("utf-8"))
+        assert list(numbered_lines(path)) == [
+            (1, "a\r\n"), (2, "b\u2028c\n"), (3, "\n"), (4, "d"),
+        ]
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"fine\nstill fine\ncaf\xe9\n")
+        with pytest.raises(ValueError, match="^line 3: not valid UTF-8$"):
+            list(numbered_lines(path))
+
+    def test_only_leading_hash_lines_are_comments(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(
+            '# one\n# two\nkey,text\n#k,plain\nk2,"first\n# coder mallory\nlast"\n',
+            encoding="utf-8",
+        )
+        assert list(numbered_csv_rows(path)) == [
+            (4, {"key": "#k", "text": "plain"}),
+            (7, {"key": "k2", "text": "first\n# coder mallory\nlast"}),
+        ]
+
+    def test_field_over_csv_default_limit_reads_back(self, tmp_path):
+        path = tmp_path / "f.csv"
+        text = "x" * 200_000
+        path.write_text(f"key,text\nk,{text}\n", encoding="utf-8")
+        assert list(numbered_csv_rows(path)) == [(2, {"key": "k", "text": text})]
+
+    def test_malformed_csv_is_named(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"key,text\nk,fine\nk,bare\rreturn\n")
+        with pytest.raises(ValueError, match="^line 3: new-line character"):
+            list(numbered_csv_rows(path))
+
 
 class TestSplitSentences:
     def test_two_sentences(self):
@@ -179,6 +255,54 @@ def test_split_never_inside_marker(words, n_refs):
     for cut in cuts:
         for start, end in marker_spans:
             assert not (start < cut < end)
+
+
+marker_texts = st.sampled_from(['<ref id="r{}"/>', '<ref id="r{}. X"/>', "<ref id=r{} cited_year=2001/>"])
+split_parts = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(["alpha.", "Beta", "G.", "see fig.", "done!", "why?", "7.4", "Q."]),
+            marker_texts,
+        ),
+        st.sampled_from([" ", "  ", "\n", " \t"]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_parts)
+def test_each_ref_lands_in_the_sentence_holding_its_marker(parts):
+    text = "".join(part.format(i) + sep for i, (part, sep) in enumerate(parts))
+    refs = [RefLink(attrs["id"], span=span) for span, attrs in parse_ref_markers(text)]
+    spans = sentence_spans(text, [r.span for r in refs])
+    sentences = split_sentences(text, refs)
+    assert [s.text for s in sentences] == [text[start:end] for start, end in spans]
+    for start, end in spans:  # no boundary inside a marker
+        for r in refs:
+            assert not (r.span[0] < start < r.span[1]) and not (r.span[0] < end < r.span[1])
+    for r in refs:
+        (index,) = [i for i, (start, end) in enumerate(spans)
+                    if start <= r.span[0] and r.span[1] <= end]
+        start = spans[index][0]
+        assert [(x.span[0] + start, x.span[1] + start)
+                for x in sentences[index].refs if x.ref_id == r.ref_id] == [r.span]
+    assert sum(len(s.refs) for s in sentences) == len(refs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="a.A!?1 \n", max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), max_size=6),
+)
+@example("a. A? B! 1", [(1, 1), (4, 4), (0, 4)])  # spans starting and ending at terminators
+def test_protected_spans_only_remove_the_boundaries_they_cover(text, starts_and_widths):
+    protected = [(start, start + width) for start, width in starts_and_widths]
+    plain = [end for _, end in sentence_spans(text)]
+    guarded = [end for _, end in sentence_spans(text, protected)]
+    # Every span but the last ends one past a boundary's terminator.
+    covered = [end for end in plain[:-1] if any(s <= end - 1 < e for s, e in protected)]
+    assert guarded == [end for end in plain[:-1] if end not in covered] + plain[-1:]
 
 
 class TestExtractCitances:
