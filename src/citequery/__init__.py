@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .analytics import (  # noqa: F401
     CitationTable,
-    DisagreementFlag,
     citation_gap,
     flag_citances,
     impact_ratio,

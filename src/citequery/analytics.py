@@ -1,11 +1,12 @@
-"""Corpus analytics over disagreement flags.
+"""Corpus analytics over flagged citances.
 
 A citance is flagged when at least one validated query matched it;
 every aggregate here is a deterministic fold over the corpus and the
-flag set: rates by field/year/meso-field/self-citation/age/position,
-per-year trend slopes, log-ratio data for the meso-field map, top
-issuer and receiver tables, the expected-citation ratio around the
-first disagreement citation, and the issuer citation gap.
+set of flagged ``(doc_id, sentence_index)`` keys: rates by
+field/year/meso-field/self-citation/age/position, per-year trend
+slopes, log-ratio data for the meso-field map, top issuer and receiver
+tables, the expected-citation ratio around the first disagreement
+citation, and the issuer citation gap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .catalog import ValidatedSet
 from .engine import MatchRecord
@@ -21,26 +22,11 @@ from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence, is_self_citatio
 from .ingest import numbered_csv_rows
 
 CitanceKey = tuple[str, int]
-
-GROUPINGS = (
-    "main_field", "year", "field_year", "meso_field",
-    "self_citation", "age_bin", "position_bin",
-)
+Flags = AbstractSet[CitanceKey]
 
 AGE_BIN_WIDTH = 5
 POSITION_BINS = 20
 LOG_RATIO_CLAMP = 2.0  # log2 of the 4x truncation
-
-
-@dataclass(frozen=True)
-class DisagreementFlag:
-    doc_id: str
-    sentence_index: int
-    flagged: bool
-
-    @property
-    def key(self) -> CitanceKey:
-        return (self.doc_id, self.sentence_index)
 
 
 @dataclass(frozen=True)
@@ -62,15 +48,6 @@ class MesoRow:
     log_ratio: float
     n_citances: int
     zero_rate: bool = False
-
-
-@dataclass(frozen=True)
-class CitationCohort:
-    c: int
-    t: int
-    p: int
-    mean_next_disagreement: float
-    mean_next_expected: float
 
 
 @dataclass(frozen=True)
@@ -98,25 +75,12 @@ class GapRow:
 
 def flag_citances(
     matches: Iterable[MatchRecord], validated: ValidatedSet
-) -> list[DisagreementFlag]:
-    """One flag per citance appearing in the matches.
-
-    A citance matched by several validated queries is flagged once; one
-    matched only by non-validated queries yields an unflagged entry.
-    """
-    flagged: dict[CitanceKey, bool] = {}
-    for record in matches:
-        key = (record.doc_id, record.sentence_index)
-        hit = record.query_id in validated.query_ids
-        flagged[key] = flagged.get(key, False) or hit
-    return [
-        DisagreementFlag(doc_id, sentence_index, hit)
-        for (doc_id, sentence_index), hit in sorted(flagged.items())
-    ]
-
-
-def flagged_keys(flags: Iterable[DisagreementFlag]) -> frozenset[CitanceKey]:
-    return frozenset(f.key for f in flags if f.flagged)
+) -> frozenset[CitanceKey]:
+    """Keys of the citances matched by at least one validated query."""
+    return frozenset(
+        (record.doc_id, record.sentence_index)
+        for record in matches if record.query_id in validated.query_ids
+    )
 
 
 def age_bin(age: int) -> str:
@@ -160,16 +124,40 @@ def _iter_citing_sentences(documents: Iterable[Document]):
                 yield doc, sentence, sentence.index / denominator
 
 
-def _group_sort_key(grouping: str):
-    if grouping == "age_bin":
-        return lambda g: (1, "") if g == UNKNOWN else (0, age_bin_sort_key(g))
-    if grouping == "position_bin":
-        return lambda g: position_bin_sort_key(g)
-    return lambda g: (1, "") if g == UNKNOWN else (0, str(g))
+def _known(value):
+    return UNKNOWN if value is None else value
+
+
+# The groups one citing sentence counts in, per grouping, given its
+# document and its position fraction within the document.
+_GROUPS = {
+    "main_field": lambda doc, sentence, fraction: (_known(doc.main_field),),
+    "year": lambda doc, sentence, fraction: (doc.year,),
+    "field_year": lambda doc, sentence, fraction: ((_known(doc.main_field), doc.year),),
+    "meso_field": lambda doc, sentence, fraction: (_known(doc.meso_field),),
+    "self_citation": lambda doc, sentence, fraction: (citance_self_class(doc, sentence),),
+    "age_bin": lambda doc, sentence, fraction: tuple(
+        UNKNOWN if ref.cited_year is None else age_bin(doc.year - ref.cited_year)
+        for ref in sentence.refs
+    ),
+    "position_bin": lambda doc, sentence, fraction: (position_bin(fraction),),
+}
+GROUPINGS = tuple(_GROUPS)
+
+
+def _label_sort_key(group) -> tuple:
+    return (1, "") if group == UNKNOWN else (0, str(group))
+
+
+# Groupings whose groups do not sort by their label, ``unknown`` last.
+_SORT_KEYS = {
+    "age_bin": lambda g: (1, "") if g == UNKNOWN else (0, age_bin_sort_key(g)),
+    "position_bin": position_bin_sort_key,
+}
 
 
 def rate_by(
-    flags: Iterable[DisagreementFlag],
+    flags: Flags,
     documents: Sequence[Document],
     grouping: str,
 ) -> list[RateRow]:
@@ -182,43 +170,21 @@ def rate_by(
     bins plus ``<0`` for citations of younger papers; position bins are
     twenty 5%-wide bins over the citance's position in its document.
     """
-    if grouping not in GROUPINGS:
+    if grouping not in _GROUPS:
         raise ValueError(f"unknown grouping {grouping!r}; one of {GROUPINGS}")
-    hits = flagged_keys(flags)
+    groups_of = _GROUPS[grouping]
     totals: dict[object, int] = {}
     positives: dict[object, int] = {}
-
-    def count(group: object, flagged: bool, weight: int = 1):
-        totals[group] = totals.get(group, 0) + weight
-        if flagged:
-            positives[group] = positives.get(group, 0) + weight
-
     for doc, sentence, fraction in _iter_citing_sentences(documents):
-        flagged = (doc.doc_id, sentence.index) in hits
-        if grouping == "main_field":
-            count(doc.main_field if doc.main_field is not None else UNKNOWN, flagged)
-        elif grouping == "year":
-            count(doc.year, flagged)
-        elif grouping == "field_year":
-            field = doc.main_field if doc.main_field is not None else UNKNOWN
-            count((field, doc.year), flagged)
-        elif grouping == "meso_field":
-            count(doc.meso_field if doc.meso_field is not None else UNKNOWN, flagged)
-        elif grouping == "self_citation":
-            count(citance_self_class(doc, sentence), flagged)
-        elif grouping == "position_bin":
-            count(position_bin(fraction), flagged)
-        elif grouping == "age_bin":
-            for ref in sentence.refs:
-                if ref.cited_year is None:
-                    count(UNKNOWN, flagged)
-                else:
-                    count(age_bin(doc.year - ref.cited_year), flagged)
+        flagged = (doc.doc_id, sentence.index) in flags
+        for group in groups_of(doc, sentence, fraction):
+            totals[group] = totals.get(group, 0) + 1
+            if flagged:
+                positives[group] = positives.get(group, 0) + 1
 
-    sort_key = _group_sort_key(grouping)
     return [
         RateRow(group, positives.get(group, 0), totals[group])
-        for group in sorted(totals, key=sort_key)
+        for group in sorted(totals, key=_SORT_KEYS.get(grouping, _label_sort_key))
     ]
 
 
@@ -236,10 +202,10 @@ def yearly_slope(rates_by_year: Mapping[int, float]) -> float:
 
 
 def field_slopes(
-    flags: Iterable[DisagreementFlag], documents: Sequence[Document]
+    flags: Flags, documents: Sequence[Document]
 ) -> dict[object, float]:
     """Per-field OLS slope of the yearly disagreement rate."""
-    rows = rate_by(list(flags), documents, "field_year")
+    rows = rate_by(flags, documents, "field_year")
     by_field: dict[object, dict[int, float]] = {}
     for row in rows:
         field, year = row.group
@@ -252,10 +218,10 @@ def field_slopes(
 
 
 def self_citation_ratio(
-    flags: Iterable[DisagreementFlag], documents: Sequence[Document]
+    flags: Flags, documents: Sequence[Document]
 ) -> float:
     """Disagreement rate of non-self citances over that of self citances."""
-    rows = {row.group: row for row in rate_by(list(flags), documents, "self_citation")}
+    rows = {row.group: row for row in rate_by(flags, documents, "self_citation")}
     if SELF not in rows or rows[SELF].disagreement_count == 0:
         raise ValueError("self-citation ratio undefined: no flagged self citances")
     if NON_SELF not in rows:
@@ -264,7 +230,7 @@ def self_citation_ratio(
 
 
 def meso_log_ratio(
-    flags: Iterable[DisagreementFlag], documents: Sequence[Document]
+    flags: Flags, documents: Sequence[Document]
 ) -> list[MesoRow]:
     """Per-meso-field log2 rate ratio against the unweighted mean rate.
 
@@ -272,7 +238,7 @@ def meso_log_ratio(
     emit the lower clamp with an explicit marker.
     """
     rows = [
-        row for row in rate_by(list(flags), documents, "meso_field")
+        row for row in rate_by(flags, documents, "meso_field")
         if row.group != UNKNOWN
     ]
     if not rows:
@@ -291,7 +257,7 @@ def meso_log_ratio(
 
 
 def top_tables(
-    flags: Iterable[DisagreementFlag],
+    flags: Flags,
     documents: Sequence[Document],
     n: int = 10,
 ) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
@@ -301,11 +267,10 @@ def top_tables(
     flagged citances whose references include the document, counting a
     citance once per cited document. Ties break by doc_id.
     """
-    hits = flagged_keys(flags)
     issued: dict[str, int] = {}
     received: dict[str, int] = {}
     for doc, sentence, _ in _iter_citing_sentences(documents):
-        if (doc.doc_id, sentence.index) not in hits:
+        if (doc.doc_id, sentence.index) not in flags:
             continue
         issued[doc.doc_id] = issued.get(doc.doc_id, 0) + 1
         cited = {r.cited_doc_id for r in sentence.refs if r.cited_doc_id}
@@ -351,18 +316,14 @@ class CitationTable:
     def citations(self, doc_id: str, year: int) -> int:
         return self._counts.get((doc_id, year), 0)
 
-    def citations_at_offset(self, doc_id: str, offset: int) -> int:
-        return self.citations(doc_id, self.pub_years[doc_id] + offset)
-
 
 def first_disagreement_years(
-    flags: Iterable[DisagreementFlag], documents: Sequence[Document]
+    flags: Flags, documents: Sequence[Document]
 ) -> dict[str, int]:
     """Earliest citing-paper year per cited paper over flagged citances."""
-    hits = flagged_keys(flags)
     first: dict[str, int] = {}
     for doc, sentence, _ in _iter_citing_sentences(documents):
-        if (doc.doc_id, sentence.index) not in hits:
+        if (doc.doc_id, sentence.index) not in flags:
             continue
         for ref in sentence.refs:
             if not ref.cited_doc_id:
@@ -373,59 +334,8 @@ def first_disagreement_years(
     return first
 
 
-def citation_cohorts(
-    flags: Iterable[DisagreementFlag],
-    documents: Sequence[Document],
-    table: CitationTable,
-    k: int,
-    field: str | None = None,
-) -> list[CitationCohort]:
-    """Cohort cells for the expected-citation comparison at horizon ``k``.
-
-    Papers are grouped by (citations received in the year of their first
-    disagreement citation, years since publication at that point); the
-    expected mean is taken over every tabulated paper of the same field
-    at the same cell, whether or not it was ever flagged.
-    """
-    doc_fields = {d.doc_id: d.main_field for d in documents}
-
-    def in_field(doc_id: str) -> bool:
-        return field is None or doc_fields.get(doc_id) == field
-
-    first = {
-        doc_id: year
-        for doc_id, year in first_disagreement_years(list(flags), documents).items()
-        if doc_id in table.pub_years and in_field(doc_id)
-    }
-    population = [doc_id for doc_id in sorted(table.pub_years) if in_field(doc_id)]
-
-    events: dict[tuple[int, int], list[str]] = {}
-    for doc_id in sorted(first):
-        year = first[doc_id]
-        t = year - table.pub_years[doc_id]
-        c = table.citations(doc_id, year)
-        events.setdefault((c, t), []).append(doc_id)
-
-    cohorts = []
-    for (c, t) in sorted(events):
-        members = events[(c, t)]
-        next_disagreement = [table.citations_at_offset(d, t + k) for d in members]
-        cohort = [d for d in population if table.citations_at_offset(d, t) == c]
-        next_expected = [table.citations_at_offset(d, t + k) for d in cohort]
-        cohorts.append(
-            CitationCohort(
-                c=c,
-                t=t,
-                p=len(members),
-                mean_next_disagreement=sum(next_disagreement) / len(members),
-                mean_next_expected=sum(next_expected) / len(cohort),
-            )
-        )
-    return cohorts
-
-
 def impact_ratio(
-    flags: Iterable[DisagreementFlag],
+    flags: Flags,
     documents: Sequence[Document],
     table: CitationTable,
     k: int,
@@ -433,23 +343,49 @@ def impact_ratio(
 ) -> ImpactReport:
     """Cohort-weighted citation ratio at ``k`` years after first disagreement.
 
-    Both the disagreement mean and the expected mean are weighted by the
-    number of first-disagreement papers in each cohort cell; their ratio
+    Papers are grouped into cells by (citations received in the year of
+    their first disagreement citation, years since publication at that
+    point). A cell's disagreement mean is taken over its first-flagged
+    papers, its expected mean over every tabulated paper of the same
+    field at the same cell, whether or not it was ever flagged. Both are
+    weighted by the cell's number of first-flagged papers; their ratio
     exceeds one when disagreement-cited papers outperform expectation.
     """
-    cohorts = citation_cohorts(flags, documents, table, k, field)
-    if not cohorts:
+    doc_fields = {d.doc_id: d.main_field for d in documents}
+
+    def in_field(doc_id: str) -> bool:
+        return field is None or doc_fields.get(doc_id) == field
+
+    # (c, t) -> [citations at t + k summed over first-flagged papers, their
+    # number, the same sum over the cell's whole population, its size]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for doc_id, year in first_disagreement_years(flags, documents).items():
+        if doc_id in table.pub_years and in_field(doc_id):
+            t = year - table.pub_years[doc_id]
+            cell = cells.setdefault((table.citations(doc_id, year), t), [0, 0, 0, 0])
+            cell[0] += table.citations(doc_id, year + k)
+            cell[1] += 1
+    if not cells:
         raise ValueError("impact ratio undefined: no disagreement-cited papers in table")
-    weight = sum(cohort.p for cohort in cohorts)
-    mean_disagreement = sum(c.p * c.mean_next_disagreement for c in cohorts) / weight
-    mean_expected = sum(c.p * c.mean_next_expected for c in cohorts) / weight
+    population = [(d, pub) for d, pub in table.pub_years.items() if in_field(d)]
+    for t in {t for _, t in cells}:
+        for doc_id, pub in population:
+            cell = cells.get((table.citations(doc_id, pub + t), t))
+            if cell is not None:
+                cell[2] += table.citations(doc_id, pub + t + k)
+                cell[3] += 1
+
+    ordered = [cells[key] for key in sorted(cells)]
+    weight = sum(p for _, p, _, _ in ordered)
+    mean_disagreement = sum(p * (flagged / p) for flagged, p, _, _ in ordered) / weight
+    mean_expected = sum(p * (total / n) for _, p, total, n in ordered) / weight
     if mean_expected == 0:
         raise ValueError("impact ratio undefined: expected citation mean is zero")
     return ImpactReport(k, weight, mean_disagreement, mean_expected)
 
 
 def citation_gap(
-    flags: Iterable[DisagreementFlag],
+    flags: Flags,
     documents: Sequence[Document],
     table: CitationTable,
     doc_type: str | None = None,
@@ -460,8 +396,7 @@ def citation_gap(
     Optionally restricted to one document type (e.g. full research
     articles). Papers absent from the citation table count zero.
     """
-    hits = flagged_keys(flags)
-    issuers = {doc_id for doc_id, _ in hits}
+    issuers = {doc_id for doc_id, _ in flags}
     rows = []
     flagged_docs = []
     other_docs = []

@@ -335,7 +335,7 @@ def parse_query_file(text: str) -> list[QuerySpec]:
     seen_ids: set[str] = set()
     block_line = 0
 
-    def close(line: int):
+    def close():
         nonlocal fields
         if fields:
             query = _finish_block(fields, block_line)
@@ -345,15 +345,16 @@ def parse_query_file(text: str) -> list[QuerySpec]:
             queries.append(query)
             fields = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as in ingest.numbered_lines and in editors.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            close(lineno)
+            close()
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "query":
-            close(lineno)
+            close()
             if not rest:
                 raise QueryFileError("query line missing id", lineno)
             fields["id"] = rest
@@ -401,7 +402,7 @@ def parse_query_file(text: str) -> list[QuerySpec]:
                 raise QueryFileError(f"bad maxgap value {rest!r}", lineno)
         else:
             raise QueryFileError(f"unknown keyword {keyword!r}", lineno)
-    close(len(text.splitlines()) + 1)
+    close()
     return queries
 
 

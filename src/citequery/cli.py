@@ -199,7 +199,7 @@ def _match_records(args):
 
 def cmd_ingest_check(args) -> int:
     result = _load_corpus(args.corpus, args.mode)
-    citances = sum(1 for _ in iter_citances(result.documents))
+    citances = sum(1 for d in result.documents for s in d.sentences if s.refs)
     print(
         f"documents={len(result.documents)} citances={citances} "
         f"errors={len(result.errors)}"
@@ -302,6 +302,11 @@ def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, lis
 
 
 def cmd_annotate(args) -> int:
+    # The coder is written on one "# coder" line that gate reads back stripped.
+    coder = args.coder
+    if not coder or coder != coder.strip() or "\n" in coder or "\r" in coder:
+        raise UsageError(f"--coder {coder!r}: must be non-empty, on one line, "
+                         "with no leading or trailing whitespace")
     with _reading("sample", args.sample):
         numbered, _, provenance = _read_sample_csv(args.sample)
     rows = [row for _, row in numbered]
@@ -467,8 +472,14 @@ def cmd_report(args) -> int:
         raise UsageError(
             f"unknown report name(s) {unknown}; valid names: {', '.join(REPORT_NAMES)}"
         )
-    corpus, _, records = _match_records(args)
+    # Cheap inputs are checked before the corpus is loaded and matched.
     validated = _validated_set(args)
+    needs_table = [name for name in which if name in ("impact", "gap")]
+    if needs_table and not args.citations:
+        raise DataError(f"report {needs_table[0]!r} requires --citations")
+    with _reading("citations", args.citations):
+        table = CitationTable.from_csv(args.citations) if needs_table else None
+    corpus, _, records = _match_records(args)
     flags = flag_citances(records, validated)
     writer = OutputWriter(
         Path(args.out),
@@ -476,11 +487,6 @@ def cmd_report(args) -> int:
                        "stats", "which", "citations", "doc_type", "horizon", "top_n")),
         args.seed,
     )
-    needs_table = [name for name in which if name in ("impact", "gap")]
-    if needs_table and not args.citations:
-        raise DataError(f"report {needs_table[0]!r} requires --citations")
-    with _reading("citations", args.citations):
-        table = CitationTable.from_csv(args.citations) if needs_table else None
     long_rows: list = []
     for name in which:
         _write_report(writer, name, args, corpus.documents, flags, table, long_rows)

@@ -95,13 +95,11 @@ class Document:
 
 @dataclass(frozen=True)
 class Citance:
-    """A citing sentence: position metadata plus its words."""
+    """A citing sentence: its key plus its words."""
 
     doc_id: str
     sentence_index: int
     words: tuple[str, ...]
-    refs: tuple[RefLink, ...]
-    position_fraction: float
 
 
 class RecordError(ValueError):
@@ -489,8 +487,6 @@ def write_corpus(documents: Iterable[Document], handle: IO[str]) -> int:
 
 def extract_citances(doc: Document) -> list[Citance]:
     """Citances of a document: its ref-bearing sentences, tokenized."""
-    total = len(doc.sentences)
-    denominator = max(1, total - 1)
     citances = []
     for sentence in doc.sentences:
         if not sentence.refs:
@@ -501,8 +497,6 @@ def extract_citances(doc: Document) -> list[Citance]:
                 doc_id=doc.doc_id,
                 sentence_index=sentence.index,
                 words=tokenize(sentence.text, spans),
-                refs=sentence.refs,
-                position_fraction=sentence.index / denominator,
             )
         )
     return citances

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 
-from citequery.ingest import Citance, RefLink
+from citequery.ingest import Citance
 
 # Vocabulary mixing signal stems and inflections, filter terms, negation,
 # exclusion triggers and neutral filler, so random sentences exercise
@@ -48,11 +48,9 @@ FILLER = (
     "paper", "authors", "value", "measurement",
 )
 
-_SHARED_REF = (RefLink("r0"),)
-
 
 def make_citance(doc_id: str, sentence_index: int, words: list[str]) -> Citance:
-    return Citance(doc_id, sentence_index, tuple(words), _SHARED_REF, 0.0)
+    return Citance(doc_id, sentence_index, tuple(words))
 
 
 def random_citances(count: int, seed: int, min_len: int = 1, max_len: int = 40):

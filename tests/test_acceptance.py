@@ -36,7 +36,7 @@ from synth import (
     random_citances,
     write_jsonl,
 )
-from test_analytics import citing_doc, flags_for
+from test_analytics import citing_doc
 from test_validation import CODERS, annotations, pair_counts
 
 
@@ -178,13 +178,12 @@ def test_criterion_5_impact_formula():
         for offset in range(0, 7):
             counts[(paper, pub + offset)] = rng.randrange(6)
     flagged_papers = rng.sample(sorted(pub_years), 1500)
-    docs, keys = [], set()
+    docs, flags = [], set()
     for i, paper in enumerate(flagged_papers):
         year = pub_years[paper] + rng.randrange(1, 5)
         doc = citing_doc(f"c{i:05d}", year, [paper])
         docs.append(doc)
-        keys.add((doc.doc_id, 0))
-    flags = flags_for(docs, keys)
+        flags.add((doc.doc_id, 0))
 
     from citequery.analytics import CitationTable
 

@@ -5,7 +5,6 @@ import pytest
 
 from citequery.analytics import (
     CitationTable,
-    DisagreementFlag,
     citation_gap,
     first_disagreement_years,
     flag_citances,
@@ -36,32 +35,20 @@ def make_doc(doc_id, n_citances, year=2010, field="BioHealth", meso=None,
                     tuple(sentences))
 
 
-def flags_for(documents, flagged_keys):
-    out = []
-    for doc in documents:
-        for sentence in doc.sentences:
-            if sentence.refs:
-                key = (doc.doc_id, sentence.index)
-                out.append(DisagreementFlag(doc.doc_id, sentence.index,
-                                            key in flagged_keys))
-    return out
-
-
 class TestFlagCitances:
     VALIDATED = ValidatedSet(0.8, frozenset({"controvers.standalone", "no_consensus.standalone"}))
 
     def test_multiple_validated_queries_flag_once(self):
         matches = [match("d", 3, "controvers.standalone"),
                    match("d", 3, "no_consensus.standalone")]
-        flags = flag_citances(matches, self.VALIDATED)
-        assert flags == [DisagreementFlag("d", 3, True)]
+        assert flag_citances(matches, self.VALIDATED) == frozenset({("d", 3)})
 
     def test_only_nonvalidated_matches_not_flagged(self):
-        flags = flag_citances([match("d", 1, "differ.standalone")], self.VALIDATED)
-        assert flags == [DisagreementFlag("d", 1, False)]
+        matches = [match("d", 1, "differ.standalone"), match("d", 2, "controvers.standalone")]
+        assert flag_citances(matches, self.VALIDATED) == frozenset({("d", 2)})
 
     def test_no_matches(self):
-        assert flag_citances([], self.VALIDATED) == []
+        assert flag_citances([], self.VALIDATED) == frozenset()
 
 
 class TestRateBy:
@@ -74,7 +61,7 @@ class TestRateBy:
             doc = make_doc(f"d{i}", total, field=field)
             docs.append(doc)
             keys.update((doc.doc_id, j) for j in range(flagged))
-        rows = {r.group: r for r in rate_by(flags_for(docs, keys), docs, "main_field")}
+        rows = {r.group: r for r in rate_by(keys, docs, "main_field")}
         rates = {field: rows[field].rate for field in planted}
         assert rates["SocHum"] > rates["BioHealth"] > rates["LifeEarth"] \
             > rates["PhysEngr"] > rates["MathComp"]
@@ -84,12 +71,12 @@ class TestRateBy:
     def test_all_flagged_rate_100(self):
         docs = [make_doc("d", 5)]
         keys = {("d", i) for i in range(5)}
-        (row,) = rate_by(flags_for(docs, keys), docs, "main_field")
+        (row,) = rate_by(keys, docs, "main_field")
         assert row.rate == 100.0
 
     def test_position_mass_in_first_bin(self):
         doc = make_doc("d", 40)
-        rows = rate_by(flags_for([doc], {("d", 0), ("d", 1)}), [doc], "position_bin")
+        rows = rate_by({("d", 0), ("d", 1)}, [doc], "position_bin")
         by_bin = {r.group: r for r in rows}
         assert by_bin["0-5"].disagreement_count == 2
         assert sum(r.disagreement_count for r in rows) == 2
@@ -100,8 +87,7 @@ class TestRateBy:
             make_doc("b", 20, year=2002, field="SocHum"),
             make_doc("c", 10, year=2001, field="MathComp"),
         ]
-        keys = {("a", 0), ("a", 1), ("b", 0), ("c", 0)}
-        flags = flags_for(docs, keys)
+        flags = {("a", 0), ("a", 1), ("b", 0), ("c", 0)}
         cells = rate_by(flags, docs, "field_year")
         by_field = {}
         by_year = {}
@@ -121,8 +107,7 @@ class TestRateBy:
             make_doc("a", 10, field="SocHum"),
             make_doc("b", 10, field=None),
         ]
-        keys = {("a", 2), ("a", 3), ("b", 9)}
-        flags = flags_for(docs, keys)
+        flags = {("a", 2), ("a", 3), ("b", 9)}
         for grouping in ("main_field", "year", "field_year", "position_bin",
                          "self_citation", "meso_field"):
             rows = rate_by(flags, docs, grouping)
@@ -131,7 +116,7 @@ class TestRateBy:
 
     def test_absent_metadata_goes_to_unknown(self):
         docs = [make_doc("a", 4, field=None)]
-        (row,) = rate_by(flags_for(docs, set()), docs, "main_field")
+        (row,) = rate_by(set(), docs, "main_field")
         assert row.group == "unknown"
 
     def test_age_bins_count_reference_pairs(self):
@@ -140,14 +125,42 @@ class TestRateBy:
             return RefLink(f"{doc_id}r{i}", cited_year=years[i])
 
         doc = make_doc("d", 3, year=2010, make_ref=ref)
-        rows = {r.group: r for r in rate_by(flags_for([doc], {("d", 1)}), [doc], "age_bin")}
+        rows = {r.group: r for r in rate_by({("d", 1)}, [doc], "age_bin")}
         assert rows["0-4"].citance_count == 1       # age 2
         assert rows["<0"].disagreement_count == 1   # age -2, flagged
         assert rows["unknown"].citance_count == 1
 
+    @staticmethod
+    def position_doc(n, ref_indexes):
+        sentences = tuple(
+            Sentence(i, f"Sentence {i}.", (RefLink(f"r{i}"),) if i in ref_indexes else ())
+            for i in range(n)
+        )
+        return Document("d", 2010, sentences=sentences)
+
+    def test_position_fractions(self):
+        # Citances 0 and 9 of ten sentences sit at fractions 0.0 and 1.0.
+        rows = rate_by({("d", 9)}, [self.position_doc(10, {0, 9})], "position_bin")
+        assert [(r.group, r.disagreement_count, r.citance_count) for r in rows] == [
+            ("0-5", 0, 1), ("95-100", 1, 1),
+        ]
+
+    def test_single_sentence_clamp(self):
+        rows = rate_by({("d", 0)}, [self.position_doc(1, {0})], "position_bin")
+        assert [(r.group, r.citance_count) for r in rows] == [("0-5", 1)]
+
+    def test_positions_monotone(self):
+        # Fractions 1/13, 5/13, 6/13 and 13/13 fall in increasing bins.
+        doc = self.position_doc(14, {1, 5, 6, 13})
+        bins = []
+        for index in (1, 5, 6, 13):
+            rows = rate_by({("d", index)}, [doc], "position_bin")
+            bins.extend(r.group for r in rows if r.disagreement_count)
+        assert bins == ["5-10", "35-40", "45-50", "95-100"]
+
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
-            rate_by([], [], "made_up")
+            rate_by(frozenset(), [], "made_up")
 
 
 class TestYearlySlope:
@@ -182,7 +195,7 @@ class TestSelfCitationRatio:
         doc = make_doc("d", n_self + n_non_self, authors=(author,), make_ref=ref)
         keys = {("d", i) for i in range(flagged_self)}
         keys.update(("d", n_self + i) for i in range(flagged_non_self))
-        return [doc], flags_for([doc], keys)
+        return [doc], keys
 
     def test_planted_ratio(self):
         docs, flags = self.docs_with_self_split(500, 2500, 1, 12)
@@ -209,7 +222,7 @@ class TestSelfCitationRatio:
         keys = {("d", i) for i in range(30) if i % 3 == 2}
         keys.add(("d", 0))   # one self flagged of 10
         keys.add(("d", 1))   # one non-self flagged of 10
-        ratio = self_citation_ratio(flags_for([doc], keys), [doc])
+        ratio = self_citation_ratio(keys, [doc])
         assert ratio == pytest.approx(1.0)
 
 
@@ -223,7 +236,7 @@ class TestMesoLogRatio:
             make_doc("c", 100, meso=3),
         ]
         keys = {("a", 0), ("b", 0), ("b", 1), ("c", 0), ("c", 1), ("c", 2)}
-        return docs, flags_for(docs, keys)
+        return docs, keys
 
     def test_hand_arithmetic(self):
         docs, flags = self.three_field_fixture()
@@ -234,20 +247,20 @@ class TestMesoLogRatio:
 
     def test_rate_equal_to_mean_is_zero(self):
         docs = [make_doc("a", 50, meso=1), make_doc("b", 50, meso=2)]
-        flags = flags_for(docs, {("a", 0), ("b", 0)})
+        flags = {("a", 0), ("b", 0)}
         assert all(r.log_ratio == 0.0 for r in meso_log_ratio(flags, docs))
 
     def test_clamped_at_two(self):
         # 8x the mean exceeds the 4x truncation.
         docs = [make_doc(f"d{i}", 1000, meso=i) for i in range(16)]
         keys = {("d0", j) for j in range(80)}
-        rows = {r.meso_field: r for r in meso_log_ratio(flags_for(docs, keys), docs)}
+        rows = {r.meso_field: r for r in meso_log_ratio(keys, docs)}
         assert rows[0].log_ratio == 2.0
 
     def test_zero_rate_marker(self):
         docs = [make_doc("a", 100, meso=1), make_doc("b", 100, meso=2)]
         rows = {r.meso_field: r
-                for r in meso_log_ratio(flags_for(docs, {("b", 0)}), docs)}
+                for r in meso_log_ratio({("b", 0)}, docs)}
         assert rows[1].zero_rate and rows[1].log_ratio == -2.0
         assert not rows[2].zero_rate
 
@@ -260,7 +273,7 @@ class TestTopTables:
     def test_issuer_ranking(self):
         docs = [make_doc("a", 8), make_doc("b", 8)]
         keys = {("a", i) for i in range(5)} | {("b", i) for i in range(3)}
-        issuers, _ = top_tables(flags_for(docs, keys), docs)
+        issuers, _ = top_tables(keys, docs)
         assert issuers == [("a", 5), ("b", 3)]
 
     def test_receiver_counts_citances_not_links(self):
@@ -277,18 +290,18 @@ class TestTopTables:
             )),
         ]
         keys = {("a", i) for i in range(4)}
-        _, receivers = top_tables(flags_for(docs, keys), docs)
+        _, receivers = top_tables(keys, docs)
         assert receivers == [("R", 4)]
 
     def test_empty_flags(self):
         docs = [make_doc("a", 3)]
-        issuers, receivers = top_tables(flags_for(docs, set()), docs)
+        issuers, receivers = top_tables(set(), docs)
         assert issuers == [] and receivers == []
 
     def test_ties_break_by_doc_id(self):
         docs = [make_doc("b", 2), make_doc("a", 2)]
         keys = {("a", 0), ("b", 0)}
-        issuers, _ = top_tables(flags_for(docs, keys), docs)
+        issuers, _ = top_tables(keys, docs)
         assert issuers == [("a", 1), ("b", 1)]
 
 
@@ -310,7 +323,7 @@ class TestImpactRatio:
         }
         table = CitationTable(pub_years, counts)
         docs = [citing_doc("c1", 2002, ["P1", "P2"])]
-        flags = flags_for(docs, {("c1", 0), ("c1", 1)})
+        flags = {("c1", 0), ("c1", 1)}
         report = impact_ratio(flags, docs, table, k=1)
         assert report.mean_disagreement == pytest.approx(3.0)
         assert report.mean_expected == pytest.approx(2.5)
@@ -326,14 +339,14 @@ class TestImpactRatio:
             counts[(f"P{i}", 2002)] = 3
         table = CitationTable(pub_years, counts)
         docs = [citing_doc("c1", 2001, [f"P{i}" for i in range(0, 20, 2)])]
-        flags = flags_for(docs, {("c1", i) for i in range(10)})
+        flags = {("c1", i) for i in range(10)}
         assert impact_ratio(flags, docs, table, k=1).d == pytest.approx(1.0)
 
     def test_zero_expected_mean_is_undefined(self):
         pub_years = {p: 2000 for p in ("P1", "Q2")}
         table = CitationTable(pub_years, {("P1", 2002): 0})
         docs = [citing_doc("c1", 2002, ["P1"])]
-        flags = flags_for(docs, {("c1", 0)})
+        flags = {("c1", 0)}
         with pytest.raises(ValueError, match="expected citation mean is zero"):
             impact_ratio(flags, docs, table, k=1)
 
@@ -366,8 +379,7 @@ class TestImpactRatio:
         doc_b = citing_doc("cB", 2003, citing_b)
 
         docs = [doc_a, doc_b]
-        keys = {("cA", i) for i in range(60)} | {("cB", i) for i in range(40)}
-        flags = flags_for(docs, keys)
+        flags = {("cA", i) for i in range(60)} | {("cB", i) for i in range(40)}
         table = CitationTable(pub_years, counts)
         report = impact_ratio(flags, docs, table, k=1)
         assert report.mean_disagreement == pytest.approx(3.03)
@@ -383,13 +395,12 @@ class TestImpactRatio:
                 counts[(paper, pub + offset)] = rng.randrange(6)
         flagged_papers = rng.sample(sorted(pub_years), 120)
         docs = []
-        keys = set()
+        flags = set()
         for i, paper in enumerate(flagged_papers):
             year = pub_years[paper] + rng.randrange(1, 5)
             doc = citing_doc(f"c{i:04d}", year, [paper])
             docs.append(doc)
-            keys.add((doc.doc_id, 0))
-        flags = flags_for(docs, keys)
+            flags.add((doc.doc_id, 0))
         table = CitationTable(pub_years, counts)
         for k in (1, 2, 3):
             report = impact_ratio(flags, docs, table, k=k)
@@ -399,11 +410,43 @@ class TestImpactRatio:
             assert report.mean_expected == pytest.approx(expected[1], rel=1e-12)
             assert report.d == pytest.approx(expected[2], rel=1e-12)
 
+    def test_field_restricted_matches_brute_force(self):
+        rng = random.Random(2024)
+        fields = ("BioHealth", "MathComp", "SocHum")
+        pub_years = {f"P{i:04d}": 2000 + rng.randrange(4) for i in range(900)}
+        paper_fields = {paper: rng.choice(fields) for paper in pub_years}
+        counts = {
+            (paper, pub + offset): rng.randrange(8)
+            for paper, pub in pub_years.items() for offset in range(10)
+        }
+        docs = [Document(paper, pub, main_field=paper_fields[paper])
+                for paper, pub in pub_years.items()]
+        flags = set()
+        for i, paper in enumerate(rng.sample(sorted(pub_years), 300)):
+            doc = citing_doc(f"c{i:04d}", pub_years[paper] + rng.randrange(1, 7), [paper])
+            docs.append(doc)
+            flags.add((doc.doc_id, 0))
+        table = CitationTable(pub_years, counts)
+        first = first_disagreement_years(flags, docs)
+        for field in fields:
+            field_pub = {p: y for p, y in pub_years.items() if paper_fields[p] == field}
+            field_first = {p: y for p, y in first.items() if p in field_pub}
+            cells = {(counts[(p, y)], y - pub_years[p]) for p, y in field_first.items()}
+            assert len(cells) >= 20, field
+            for k in (1, 2, 3):
+                report = impact_ratio(flags, docs, table, k=k, field=field)
+                expected = brute_impact(field_first, field_pub, counts, k)
+                assert report.records == len(field_first)
+                for got, want in zip(
+                    (report.mean_disagreement, report.mean_expected, report.d), expected
+                ):
+                    assert abs(got - want) <= 1e-12 * abs(want), (field, k)
+
     def test_empty_undefined(self):
         table = CitationTable({"P": 2000}, {("P", 2001): 1})
         docs = [citing_doc("c", 2001, ["P"])]
         with pytest.raises(ValueError):
-            impact_ratio(flags_for(docs, set()), docs, table, k=1)
+            impact_ratio(set(), docs, table, k=1)
 
 
 class TestCitationGap:
@@ -424,7 +467,7 @@ class TestCitationGap:
             pub_years[doc_id] = 2000
             for k in range(1, 5):
                 counts[(doc_id, 2000 + k)] = 3
-        flags = flags_for(docs, {(f"f{i}", 0) for i in range(10)})
+        flags = {(f"f{i}", 0) for i in range(10)}
         return docs, flags, CitationTable(pub_years, counts)
 
     def test_identical_series_zero_gap(self):
@@ -451,4 +494,4 @@ class TestCitationGap:
     def test_no_flagged_papers_error(self):
         docs, _, table = self.build(0)
         with pytest.raises(ValueError):
-            citation_gap(flags_for(docs, set()), docs, table)
+            citation_gap(set(), docs, table)

@@ -156,6 +156,16 @@ class TestQueryFile:
         with pytest.raises(QueryFileError, match="line 3"):
             parse_query_file(text)
 
+    def test_form_feed_does_not_end_a_line(self):
+        # Lines end at "\n" only: a form feed neither closes the block nor
+        # shifts the numbers of the lines after it.
+        (query,) = parse_query_file("query a\f\nsignal conflict*\nfilter none\n")
+        assert query.query_id == "a"
+        assert [p.text for p in query.signal_patterns] == ["conflict*"]
+        text = "query a\nsignal foo\f|bar\nfilter nonsense\n"
+        with pytest.raises(QueryFileError, match="line 3"):
+            parse_query_file(text)
+
     def test_cooccurrence_needs_window(self):
         text = "query a\nsignal foo\nfilter none\nexclude cooccurrence_window:x,y\n"
         with pytest.raises(QueryFileError, match="window"):

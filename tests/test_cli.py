@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citequery.cli import (
-    SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv, main,
+    REPORT_NAMES, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
+    main,
 )
 from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES
 
@@ -33,6 +36,21 @@ def header_lines(path):
 @pytest.fixture()
 def golden_args():
     return ["--corpus", str(GOLDEN_CORPUS), "--mode", "presegmented"]
+
+
+def write_golden_citations(path):
+    """A citation table covering the papers the golden corpus cites."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("doc_id", "pub_year", "year", "citations"))
+        for paper, pub in (("x-zhao-2001", 2001), ("x-kusky-2003", 2003),
+                           ("x-munro-2003", 2003)):
+            for year in range(pub, 2016):
+                writer.writerow((paper, pub, year, 2))
+        for doc in ("g01", "g02", "g03", "g04", "g05", "g06", "g07", "g08", "g09"):
+            for year in range(2009, 2018):
+                writer.writerow((doc, 2008, year, 1))
+    return path
 
 
 class TestIngestCheck:
@@ -220,6 +238,15 @@ class TestSampleAnnotateGate:
         assert rows[0]["label"] == ""
         assert all(r["label"] == "valid" for r in rows[1:])
 
+    @pytest.mark.parametrize("coder", ["ann\nbob", "ann\r", "ann\rbob", " ann", "ann\t", ""])
+    def test_annotate_rejects_a_coder_gate_cannot_read_back(self, tmp_path, capsys, coder):
+        # Rejected before the sample is read: a missing sample would exit 2.
+        out = tmp_path / "a.csv"
+        assert main(["annotate", "--sample", str(tmp_path / "missing.csv"),
+                     "--coder", coder, "--out", str(out)]) == 1
+        assert "--coder" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_annotation_file_keeps_sampling_provenance(self, golden_args, tmp_path,
                                                        monkeypatch):
         out = tmp_path / "out"
@@ -264,23 +291,13 @@ class TestReport:
     def test_impact_requires_citations(self, golden_args, tmp_path):
         assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
                      "--which", "impact"]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_full_report_with_citations(self, golden_args, tmp_path):
-        citations = tmp_path / "citations.csv"
-        with open(citations, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("doc_id", "pub_year", "year", "citations"))
-            for paper, pub in (("x-zhao-2001", 2001), ("x-kusky-2003", 2003),
-                               ("x-munro-2003", 2003)):
-                for year in range(pub, 2016):
-                    writer.writerow((paper, pub, year, 2))
-            for doc in ("g01", "g02", "g03", "g04", "g05", "g06", "g07", "g08", "g09"):
-                for year in range(2009, 2018):
-                    writer.writerow((doc, 2008, year, 1))
+        citations = write_golden_citations(tmp_path / "citations.csv")
         out = tmp_path / "out"
         code = main(["report", *golden_args, "--out", str(out),
-                     "--which", "rates,slopes,selfcite,age,position,meso,top,impact,gap",
-                     "--citations", str(citations)])
+                     "--which", ",".join(REPORT_NAMES), "--citations", str(citations)])
         assert code == 0
         for name in ("rates", "selfcite", "age", "position", "meso", "top",
                      "impact", "gap", "long"):
@@ -568,3 +585,22 @@ class TestDeterminism:
                 for path in sorted(out.iterdir())
             })
         assert outputs[0] == outputs[1]
+
+
+def test_traced_harness_runs_a_full_report(tmp_path):
+    """The benchmark's per-layer harness still finds every analytics entry
+    point it wraps on ``citequery.cli``."""
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    citations = write_golden_citations(tmp_path / "citations.csv")
+    result = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), str(root / "src"),
+         "report", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"),
+         "--which", ",".join(REPORT_NAMES), "--citations", str(citations)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    for name in ("analytics.flag", "analytics.rate_by", "analytics.impact",
+                 "analytics.gap", "analytics.other"):
+        assert name in names, name

@@ -314,24 +314,8 @@ class TestExtractCitances:
         )
         return Document("d", 2010, sentences=sentences)
 
-    def test_position_fractions(self):
-        citances = extract_citances(self.make_doc(10, {0, 9}))
-        assert [(c.sentence_index, c.position_fraction) for c in citances] == [
-            (0, 0.0), (9, 1.0),
-        ]
-
-    def test_single_sentence_clamp(self):
-        citances = extract_citances(self.make_doc(1, {0}))
-        assert citances[0].position_fraction == 0.0
-
     def test_no_refs_no_citances(self):
         assert extract_citances(self.make_doc(5, set())) == []
-
-    def test_positions_monotone(self):
-        citances = extract_citances(self.make_doc(14, {1, 5, 6, 13}))
-        fractions = [c.position_fraction for c in citances]
-        assert fractions == sorted(fractions)
-        assert all(0.0 <= f <= 1.0 for f in fractions)
 
 
 class TestSelfCitation:
