@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -83,6 +84,7 @@ def flag_citances(
     )
 
 
+@cache  # ages are differences of publication years: a few hundred values
 def age_bin(age: int) -> str:
     if age < 0:
         return "<0"
@@ -94,14 +96,12 @@ def age_bin_sort_key(label: str) -> int:
     return -1 if label == "<0" else int(label.split("-")[0])
 
 
+_POSITION_LABELS = tuple(f"{low}-{low + 100 // POSITION_BINS}"
+                         for low in range(0, 100, 100 // POSITION_BINS))
+
+
 def position_bin(fraction: float) -> str:
-    index = min(POSITION_BINS - 1, int(fraction * POSITION_BINS))
-    width = 100 // POSITION_BINS
-    return f"{index * width}-{(index + 1) * width}"
-
-
-def position_bin_sort_key(label: str) -> int:
-    return int(label.split("-")[0])
+    return _POSITION_LABELS[min(POSITION_BINS - 1, int(fraction * POSITION_BINS))]
 
 
 def citance_self_class(doc: Document, sentence: Sentence) -> str:
@@ -117,24 +117,24 @@ def citance_self_class(doc: Document, sentence: Sentence) -> str:
 
 def _iter_citing_sentences(documents: Iterable[Document]):
     for doc in documents:
-        total = len(doc.sentences)
-        denominator = max(1, total - 1)
         for sentence in doc.sentences:
             if sentence.refs:
-                yield doc, sentence, sentence.index / denominator
+                yield doc, sentence
 
 
 def _known(value):
     return UNKNOWN if value is None else value
 
 
-# The groups one citing sentence counts in, per grouping, given its
-# document and its position fraction within the document.
-_GROUPS = {
-    "main_field": lambda doc, sentence, fraction: (_known(doc.main_field),),
-    "year": lambda doc, sentence, fraction: (doc.year,),
-    "field_year": lambda doc, sentence, fraction: ((_known(doc.main_field), doc.year),),
-    "meso_field": lambda doc, sentence, fraction: (_known(doc.meso_field),),
+# Per grouping, the group all citances of a document count in, or else the
+# groups one citance counts in, given its position fraction in its document.
+_DOC_GROUPS = {
+    "main_field": lambda doc: _known(doc.main_field),
+    "year": lambda doc: doc.year,
+    "field_year": lambda doc: (_known(doc.main_field), doc.year),
+    "meso_field": lambda doc: _known(doc.meso_field),
+}
+_CITANCE_GROUPS = {
     "self_citation": lambda doc, sentence, fraction: (citance_self_class(doc, sentence),),
     "age_bin": lambda doc, sentence, fraction: tuple(
         UNKNOWN if ref.cited_year is None else age_bin(doc.year - ref.cited_year)
@@ -142,7 +142,7 @@ _GROUPS = {
     ),
     "position_bin": lambda doc, sentence, fraction: (position_bin(fraction),),
 }
-GROUPINGS = tuple(_GROUPS)
+GROUPINGS = (*_DOC_GROUPS, *_CITANCE_GROUPS)
 
 
 def _label_sort_key(group) -> tuple:
@@ -152,16 +152,16 @@ def _label_sort_key(group) -> tuple:
 # Groupings whose groups do not sort by their label, ``unknown`` last.
 _SORT_KEYS = {
     "age_bin": lambda g: (1, "") if g == UNKNOWN else (0, age_bin_sort_key(g)),
-    "position_bin": position_bin_sort_key,
+    "position_bin": _POSITION_LABELS.index,
 }
 
 
 def rate_by(
     flags: Flags,
     documents: Sequence[Document],
-    grouping: str,
-) -> list[RateRow]:
-    """Disagreement rate per group.
+    groupings: Iterable[str],
+) -> dict[str, list[RateRow]]:
+    """Disagreement rate per group of each of ``groupings``, in one pass.
 
     Groups with absent metadata are reported as ``unknown``. For
     ``age_bin`` the counted unit is the citance-reference pair (a
@@ -170,22 +170,33 @@ def rate_by(
     bins plus ``<0`` for citations of younger papers; position bins are
     twenty 5%-wide bins over the citance's position in its document.
     """
-    if grouping not in _GROUPS:
-        raise ValueError(f"unknown grouping {grouping!r}; one of {GROUPINGS}")
-    groups_of = _GROUPS[grouping]
-    totals: dict[object, int] = {}
-    positives: dict[object, int] = {}
-    for doc, sentence, fraction in _iter_citing_sentences(documents):
-        flagged = (doc.doc_id, sentence.index) in flags
-        for group in groups_of(doc, sentence, fraction):
-            totals[group] = totals.get(group, 0) + 1
-            if flagged:
-                positives[group] = positives.get(group, 0) + 1
+    tallies = {grouping: ({}, {}) for grouping in groupings}  # (citances, flagged) per group
+    unknown = tallies.keys() - set(GROUPINGS)
+    if unknown:
+        raise ValueError(f"unknown groupings {sorted(unknown)}; one of {GROUPINGS}")
+    per_doc = [(_DOC_GROUPS[g], *tallies[g]) for g in tallies if g in _DOC_GROUPS]
+    per_citance = [(_CITANCE_GROUPS[g], *tallies[g]) for g in tallies if g in _CITANCE_GROUPS]
+    for doc in documents:
+        denominator = max(1, len(doc.sentences) - 1)
+        citing = [sentence for sentence in doc.sentences if sentence.refs]
+        marks = [(doc.doc_id, sentence.index) in flags for sentence in citing]
+        for group_of, totals, positives in per_doc if citing else ():
+            group = group_of(doc)
+            totals[group] = totals.get(group, 0) + len(citing)
+            positives[group] = positives.get(group, 0) + sum(marks)
+        for groups_of, totals, positives in per_citance:
+            for sentence, flagged in zip(citing, marks):
+                for group in groups_of(doc, sentence, sentence.index / denominator):
+                    totals[group] = totals.get(group, 0) + 1
+                    positives[group] = positives.get(group, 0) + flagged
 
-    return [
-        RateRow(group, positives.get(group, 0), totals[group])
-        for group in sorted(totals, key=_SORT_KEYS.get(grouping, _label_sort_key))
-    ]
+    return {
+        grouping: [
+            RateRow(group, positives[group], totals[group])
+            for group in sorted(totals, key=_SORT_KEYS.get(grouping, _label_sort_key))
+        ]
+        for grouping, (totals, positives) in tallies.items()
+    }
 
 
 def yearly_slope(rates_by_year: Mapping[int, float]) -> float:
@@ -201,11 +212,8 @@ def yearly_slope(rates_by_year: Mapping[int, float]) -> float:
     return sxy / sxx
 
 
-def field_slopes(
-    flags: Flags, documents: Sequence[Document]
-) -> dict[object, float]:
-    """Per-field OLS slope of the yearly disagreement rate."""
-    rows = rate_by(flags, documents, "field_year")
+def field_slopes(rows: Iterable[RateRow]) -> dict[object, float]:
+    """Per-field OLS slope of the yearly rate, from ``field_year`` rows."""
     by_field: dict[object, dict[int, float]] = {}
     for row in rows:
         field, year = row.group
@@ -217,11 +225,9 @@ def field_slopes(
     }
 
 
-def self_citation_ratio(
-    flags: Flags, documents: Sequence[Document]
-) -> float:
-    """Disagreement rate of non-self citances over that of self citances."""
-    rows = {row.group: row for row in rate_by(flags, documents, "self_citation")}
+def self_citation_ratio(rows: Iterable[RateRow]) -> float:
+    """Non-self over self disagreement rate, from ``self_citation`` rows."""
+    rows = {row.group: row for row in rows}
     if SELF not in rows or rows[SELF].disagreement_count == 0:
         raise ValueError("self-citation ratio undefined: no flagged self citances")
     if NON_SELF not in rows:
@@ -229,18 +235,13 @@ def self_citation_ratio(
     return rows[NON_SELF].rate / rows[SELF].rate
 
 
-def meso_log_ratio(
-    flags: Flags, documents: Sequence[Document]
-) -> list[MesoRow]:
-    """Per-meso-field log2 rate ratio against the unweighted mean rate.
+def meso_log_ratio(rows: Iterable[RateRow]) -> list[MesoRow]:
+    """Per-meso-field log2 rate ratio to the unweighted mean, from ``meso_field`` rows.
 
     Truncated to [-2, +2] (4x above or below the mean); zero-rate fields
     emit the lower clamp with an explicit marker.
     """
-    rows = [
-        row for row in rate_by(flags, documents, "meso_field")
-        if row.group != UNKNOWN
-    ]
+    rows = [row for row in rows if row.group != UNKNOWN]
     if not rows:
         raise ValueError("no meso-field citances")
     mean_rate = sum(row.rate for row in rows) / len(rows)
@@ -269,7 +270,7 @@ def top_tables(
     """
     issued: dict[str, int] = {}
     received: dict[str, int] = {}
-    for doc, sentence, _ in _iter_citing_sentences(documents):
+    for doc, sentence in _iter_citing_sentences(documents):
         if (doc.doc_id, sentence.index) not in flags:
             continue
         issued[doc.doc_id] = issued.get(doc.doc_id, 0) + 1
@@ -293,28 +294,32 @@ class CitationTable:
     def __init__(self, pub_years: Mapping[str, int],
                  counts: Mapping[tuple[str, int], int]):
         self.pub_years = dict(pub_years)
-        self._counts = dict(counts)
+        self.yearly: dict[str, dict[int, int]] = {}  # doc_id -> {year: citations}
+        for (doc_id, year), citations in counts.items():
+            self.yearly.setdefault(doc_id, {})[year] = citations
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CitationTable":
-        """Read ``doc_id,pub_year,year,citations`` rows; a malformed row
-        raises ValueError naming its line."""
-        pub_years: dict[str, int] = {}
-        counts: dict[tuple[str, int], int] = {}
+        """Read ``doc_id,pub_year,year,citations`` rows; a malformed or
+        repeated row raises ValueError naming its line."""
+        table = cls({}, {})
         for line, row in numbered_csv_rows(path):
             try:
                 doc_id = row["doc_id"]
-                pub_year = int(row["pub_year"])
-                key = (doc_id, int(row["year"]))
-                counts[key] = int(row["citations"])
+                pub_year, year = int(row["pub_year"]), int(row["year"])
+                citations = int(row["citations"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {line}: bad row ({exc})") from None
-            if pub_years.setdefault(doc_id, pub_year) != pub_year:
+            if table.pub_years.setdefault(doc_id, pub_year) != pub_year:
                 raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")
-        return cls(pub_years, counts)
+            years = table.yearly.setdefault(doc_id, {})
+            if year in years:
+                raise ValueError(f"line {line}: repeated row for {(doc_id, year)!r}")
+            years[year] = citations
+        return table
 
     def citations(self, doc_id: str, year: int) -> int:
-        return self._counts.get((doc_id, year), 0)
+        return self.yearly.get(doc_id, {}).get(year, 0)
 
 
 def first_disagreement_years(
@@ -322,7 +327,7 @@ def first_disagreement_years(
 ) -> dict[str, int]:
     """Earliest citing-paper year per cited paper over flagged citances."""
     first: dict[str, int] = {}
-    for doc, sentence, _ in _iter_citing_sentences(documents):
+    for doc, sentence in _iter_citing_sentences(documents):
         if (doc.doc_id, sentence.index) not in flags:
             continue
         for ref in sentence.refs:
@@ -338,10 +343,10 @@ def impact_ratio(
     flags: Flags,
     documents: Sequence[Document],
     table: CitationTable,
-    k: int,
-    field: str | None = None,
-) -> ImpactReport:
-    """Cohort-weighted citation ratio at ``k`` years after first disagreement.
+    ks: Sequence[int],
+) -> dict[tuple[str | None, int], ImpactReport]:
+    """Cohort-weighted citation ratio at each ``k`` years after first
+    disagreement, over all papers (field ``None``) and per main field.
 
     Papers are grouped into cells by (citations received in the year of
     their first disagreement citation, years since publication at that
@@ -350,38 +355,45 @@ def impact_ratio(
     field at the same cell, whether or not it was ever flagged. Both are
     weighted by the cell's number of first-flagged papers; their ratio
     exceeds one when disagreement-cited papers outperform expectation.
+    A (field, k) without first-flagged papers or expected citations is left out.
     """
-    doc_fields = {d.doc_id: d.main_field for d in documents}
-
-    def in_field(doc_id: str) -> bool:
-        return field is None or doc_fields.get(doc_id) == field
-
-    # (c, t) -> [citations at t + k summed over first-flagged papers, their
-    # number, the same sum over the cell's whole population, its size]
-    cells: dict[tuple[int, int], list[int]] = {}
+    fields = {d.doc_id: (None, d.main_field) if d.main_field else (None,) for d in documents}
+    # doc_id -> (pub year, {year: citations}, the fields it counts in)
+    papers = {doc_id: (pub, table.yearly.get(doc_id, {}), fields.get(doc_id, (None,)))
+              for doc_id, pub in table.pub_years.items()}
+    # (c, t) -> field -> [p first-flagged papers, n papers in the cell, and per
+    # k the citations at t + k summed over the p (sums_p) and the n (sums_n)]
+    cells: dict[tuple[int, int], dict] = {}
     for doc_id, year in first_disagreement_years(flags, documents).items():
-        if doc_id in table.pub_years and in_field(doc_id):
-            t = year - table.pub_years[doc_id]
-            cell = cells.setdefault((table.citations(doc_id, year), t), [0, 0, 0, 0])
-            cell[0] += table.citations(doc_id, year + k)
-            cell[1] += 1
-    if not cells:
-        raise ValueError("impact ratio undefined: no disagreement-cited papers in table")
-    population = [(d, pub) for d, pub in table.pub_years.items() if in_field(d)]
+        if doc_id in papers:
+            pub, counts, in_fields = papers[doc_id]
+            by_field = cells.setdefault((counts.get(year, 0), year - pub), {})
+            for field in in_fields:
+                cell = by_field.setdefault(field, [0, 0, [0] * len(ks), [0] * len(ks)])
+                cell[0] += 1
+                cell[2] = [s + counts.get(year + k, 0) for s, k in zip(cell[2], ks)]
     for t in {t for _, t in cells}:
-        for doc_id, pub in population:
-            cell = cells.get((table.citations(doc_id, pub + t), t))
-            if cell is not None:
-                cell[2] += table.citations(doc_id, pub + t + k)
-                cell[3] += 1
+        for pub, counts, in_fields in papers.values():
+            by_field = cells.get((counts.get(pub + t, 0), t))
+            if by_field is not None:
+                ahead = [counts.get(pub + t + k, 0) for k in ks]
+                for cell in filter(None, map(by_field.get, in_fields)):
+                    cell[1] += 1
+                    cell[3] = [s + a for s, a in zip(cell[3], ahead)]
 
-    ordered = [cells[key] for key in sorted(cells)]
-    weight = sum(p for _, p, _, _ in ordered)
-    mean_disagreement = sum(p * (flagged / p) for flagged, p, _, _ in ordered) / weight
-    mean_expected = sum(p * (total / n) for _, p, total, n in ordered) / weight
-    if mean_expected == 0:
-        raise ValueError("impact ratio undefined: expected citation mean is zero")
-    return ImpactReport(k, weight, mean_disagreement, mean_expected)
+    ordered: dict[str | None, list] = {}
+    for key in sorted(cells):
+        for field, cell in cells[key].items():
+            ordered.setdefault(field, []).append(cell)
+    reports = {}
+    for field, group in ordered.items():
+        weight = sum(p for p, _, _, _ in group)
+        for i, k in enumerate(ks):
+            mean_disagreement = sum(p * (sums_p[i] / p) for p, _, sums_p, _ in group) / weight
+            mean_expected = sum(p * (sums_n[i] / n) for p, n, _, sums_n in group) / weight
+            if mean_expected != 0:
+                reports[field, k] = ImpactReport(k, weight, mean_disagreement, mean_expected)
+    return reports
 
 
 def citation_gap(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import sys
@@ -55,6 +56,11 @@ from .validation import (
 REPORT_NAMES = (
     "rates", "slopes", "selfcite", "age", "position", "meso", "top", "impact", "gap",
 )
+REPORT_GROUPINGS = {  # the rate_by groupings each report reads
+    "rates": ("main_field", "year", "field_year"), "slopes": ("field_year",),
+    "selfcite": ("self_citation",), "age": ("age_bin",), "position": ("position_bin",),
+    "meso": ("meso_field",),
+}
 SAMPLE_COLUMNS = ("doc_id", "sentence_index", "query_id", "text", "label")
 _ANSWERS = {"v": "valid", "i": "invalid", "s": "skip", "q": "quit"}  # annotate keys
 
@@ -140,6 +146,7 @@ def _load_corpus(path: str, mode: str) -> LoadResult:
         result = load_corpus(path, mode)
     for error in result.errors:
         print(error.report(), file=sys.stderr)
+    gc.freeze()  # the corpus lives until the command ends: full collections skip it
     return result
 
 
@@ -387,13 +394,13 @@ def cmd_gate(args) -> int:
 
 def _write_report(
     writer: OutputWriter, name: str, args, corpus_docs: list[Document],
-    flags, table: CitationTable | None, long_rows: list,
+    flags, table: CitationTable | None, rates: dict, long_rows: list,
 ) -> None:
     rate_columns = ("disagreement_count", "citance_count", "rate")
     if name == "rates":
         rows = []
-        for grouping in ("main_field", "year", "field_year"):
-            for row in rate_by(flags, corpus_docs, grouping):
+        for grouping in REPORT_GROUPINGS["rates"]:
+            for row in rates[grouping]:
                 group = (
                     f"{row.group[0]}:{row.group[1]}"
                     if grouping == "field_year" else row.group
@@ -403,13 +410,12 @@ def _write_report(
                 long_rows.append((group, f"rate_{grouping}", row.rate))
         writer.write_csv("rates.csv", ("grouping", "group", *rate_columns), rows)
     elif name == "slopes":
-        slopes = sorted(field_slopes(flags, corpus_docs).items())
+        slopes = sorted(field_slopes(rates["field_year"]).items())
         writer.write_csv("slopes.csv", ("main_field", "slope"), slopes)
         long_rows.extend((field, "slope", value) for field, value in slopes)
     elif name in ("selfcite", "age", "position"):
-        grouping = {"selfcite": "self_citation", "age": "age_bin",
-                    "position": "position_bin"}[name]
-        rows = rate_by(flags, corpus_docs, grouping)
+        (grouping,) = REPORT_GROUPINGS[name]
+        rows = rates[grouping]
         writer.write_csv(
             f"{name}.csv", ("group" if name == "selfcite" else "bin", *rate_columns),
             ((r.group, r.disagreement_count, r.citance_count, r.rate) for r in rows),
@@ -418,12 +424,12 @@ def _write_report(
             long_rows.extend((r.group, f"rate_{grouping}", r.rate) for r in rows)
         else:
             try:
-                ratio = self_citation_ratio(flags, corpus_docs)
+                ratio = self_citation_ratio(rows)
                 long_rows.append(("all", "selfcite_ratio", ratio))
             except ValueError:
                 pass
     elif name == "meso":
-        rows = meso_log_ratio(flags, corpus_docs)
+        rows = meso_log_ratio(rates["meso_field"])
         writer.write_csv(
             "meso.csv", ("meso_field", "rate", "log_ratio", "n_citances"),
             ((r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in rows),
@@ -438,16 +444,15 @@ def _write_report(
         )
     elif name == "impact":
         fields = sorted({d.main_field for d in corpus_docs if d.main_field})
+        reports = impact_ratio(flags, corpus_docs, table, (1, 2, 3))
         rows = []
         for k in (1, 2, 3):
             for field in [None] + fields:
-                try:
-                    report = impact_ratio(flags, corpus_docs, table, k, field)
-                except ValueError:
-                    continue
-                rows.append((field or "All", k, report.records,
-                             report.mean_disagreement, report.mean_expected, report.d))
-                long_rows.append((field or "All", f"impact_d_t+{k}", report.d))
+                if (field, k) in reports:
+                    report = reports[field, k]
+                    rows.append((field or "All", k, report.records,
+                                 report.mean_disagreement, report.mean_expected, report.d))
+                    long_rows.append((field or "All", f"impact_d_t+{k}", report.d))
         writer.write_csv(
             "impact.csv",
             ("field", "k", "records", "mean_disagreement", "mean_expected", "d"), rows,
@@ -487,9 +492,11 @@ def cmd_report(args) -> int:
                        "stats", "which", "citations", "doc_type", "horizon", "top_n")),
         args.seed,
     )
+    groupings = dict.fromkeys(g for name in which for g in REPORT_GROUPINGS.get(name, ()))
+    rates = rate_by(flags, corpus.documents, groupings) if groupings else {}
     long_rows: list = []
     for name in which:
-        _write_report(writer, name, args, corpus.documents, flags, table, long_rows)
+        _write_report(writer, name, args, corpus.documents, flags, table, rates, long_rows)
     writer.write_csv("long.csv", ("group", "metric", "value"), long_rows)
     print(f"wrote {len(which)} report(s) to {args.out}")
     return 0

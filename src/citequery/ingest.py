@@ -387,8 +387,8 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """``csv.DictReader`` rows of a UTF-8 CSV file, each paired with the
-    1-based number of its last line.
+    """The rows of a UTF-8 CSV file as ``csv.DictReader`` gives them, each
+    paired with the 1-based number of its last line.
 
     ``#`` lines before the header row are comments. After the header every
     line is data, so a quoted field may hold lines that start with ``#``.
@@ -406,8 +406,14 @@ def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
             yield text
 
     try:
-        for row in csv.DictReader(data()):
-            yield last, row
+        rows = csv.reader(data())
+        header = next(rows, [])
+        # As DictReader: blank rows skipped, short ones padded, extra cells under None.
+        for row in filter(None, rows):
+            record = dict(zip(header, row + [None] * (len(header) - len(row))))
+            if len(row) > len(header):
+                record[None] = row[len(header):]
+            yield last, record
     except csv.Error as exc:
         raise ValueError(f"line {last}: {exc}") from None
 

@@ -156,14 +156,15 @@ def test_criterion_4_planted_rate_recovery(tmp_path):
 
     matches = run_all(iter_citances(result.documents), builtin_catalog())
     flags = flag_citances(matches, default_validated_set(0.80))
-    rows = {r.group: r for r in rate_by(flags, result.documents, "main_field")}
+    by_grouping = rate_by(flags, result.documents, ("main_field", "self_citation"))
+    rows = {r.group: r for r in by_grouping["main_field"]}
     for field, (_, target) in per_field.items():
         assert abs(rows[field].rate - target) <= 0.02, field
     rates = [rows[f].rate for f in ("SocHum", "BioHealth", "LifeEarth",
                                     "PhysEngr", "MathComp")]
     assert all(a > b for a, b in zip(rates, rates[1:]))  # strict ordering
 
-    ratio = self_citation_ratio(flags, result.documents)
+    ratio = self_citation_ratio(by_grouping["self_citation"])
     assert abs(ratio - 2.4) <= 0.1
     recovered = ", ".join(f"{rows[f].rate:.3f}" for f in per_field)
     report(4, f"({total_citances} citances; rates {recovered}; ratio {ratio:.2f})")
@@ -188,9 +189,10 @@ def test_criterion_5_impact_formula():
     from citequery.analytics import CitationTable
 
     table = CitationTable(pub_years, counts)
+    reports = impact_ratio(flags, docs, table, (1, 2, 3))
+    first = first_disagreement_years(flags, docs)
     for k in (1, 2, 3):
-        engine = impact_ratio(flags, docs, table, k=k)
-        first = first_disagreement_years(flags, docs)
+        engine = reports[None, k]
         expected = brute_impact(first, pub_years, counts, k)
         assert abs(engine.d - expected[2]) <= 1e-12 * abs(expected[2])
         assert abs(engine.mean_disagreement - expected[0]) \

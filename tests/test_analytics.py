@@ -4,6 +4,7 @@ import random
 import pytest
 
 from citequery.analytics import (
+    GROUPINGS,
     CitationTable,
     citation_gap,
     first_disagreement_years,
@@ -15,14 +16,19 @@ from citequery.analytics import (
     top_tables,
     yearly_slope,
 )
-from citequery.catalog import ValidatedSet
-from citequery.engine import MatchRecord, Span
+from citequery.catalog import ValidatedSet, default_validated_set
+from citequery.engine import MatchRecord, Span, run_all
 from citequery.ingest import AuthorName, Document, RefLink, Sentence
 from brute import brute_impact
 
 
 def match(doc_id, index, query_id):
     return MatchRecord(doc_id, index, query_id, Span(0, 0, "x"))
+
+
+def rows_of(flags, docs, grouping):
+    """The rate rows of one grouping."""
+    return rate_by(flags, docs, [grouping])[grouping]
 
 
 def make_doc(doc_id, n_citances, year=2010, field="BioHealth", meso=None,
@@ -61,7 +67,7 @@ class TestRateBy:
             doc = make_doc(f"d{i}", total, field=field)
             docs.append(doc)
             keys.update((doc.doc_id, j) for j in range(flagged))
-        rows = {r.group: r for r in rate_by(keys, docs, "main_field")}
+        rows = {r.group: r for r in rows_of(keys, docs, "main_field")}
         rates = {field: rows[field].rate for field in planted}
         assert rates["SocHum"] > rates["BioHealth"] > rates["LifeEarth"] \
             > rates["PhysEngr"] > rates["MathComp"]
@@ -71,12 +77,12 @@ class TestRateBy:
     def test_all_flagged_rate_100(self):
         docs = [make_doc("d", 5)]
         keys = {("d", i) for i in range(5)}
-        (row,) = rate_by(keys, docs, "main_field")
+        (row,) = rows_of(keys, docs, "main_field")
         assert row.rate == 100.0
 
     def test_position_mass_in_first_bin(self):
         doc = make_doc("d", 40)
-        rows = rate_by({("d", 0), ("d", 1)}, [doc], "position_bin")
+        rows = rows_of({("d", 0), ("d", 1)}, [doc], "position_bin")
         by_bin = {r.group: r for r in rows}
         assert by_bin["0-5"].disagreement_count == 2
         assert sum(r.disagreement_count for r in rows) == 2
@@ -88,7 +94,7 @@ class TestRateBy:
             make_doc("c", 10, year=2001, field="MathComp"),
         ]
         flags = {("a", 0), ("a", 1), ("b", 0), ("c", 0)}
-        cells = rate_by(flags, docs, "field_year")
+        cells = rows_of(flags, docs, "field_year")
         by_field = {}
         by_year = {}
         for row in cells:
@@ -96,10 +102,10 @@ class TestRateBy:
             by_field[field] = by_field.get(field, 0) + row.disagreement_count
             by_year[year] = by_year.get(year, 0) + row.disagreement_count
         assert by_field == {
-            r.group: r.disagreement_count for r in rate_by(flags, docs, "main_field")
+            r.group: r.disagreement_count for r in rows_of(flags, docs, "main_field")
         }
         assert by_year == {
-            r.group: r.disagreement_count for r in rate_by(flags, docs, "year")
+            r.group: r.disagreement_count for r in rows_of(flags, docs, "year")
         }
 
     def test_partition_totals_match_flag_count(self):
@@ -108,15 +114,15 @@ class TestRateBy:
             make_doc("b", 10, field=None),
         ]
         flags = {("a", 2), ("a", 3), ("b", 9)}
-        for grouping in ("main_field", "year", "field_year", "position_bin",
-                         "self_citation", "meso_field"):
-            rows = rate_by(flags, docs, grouping)
+        groupings = ("main_field", "year", "field_year", "position_bin",
+                     "self_citation", "meso_field")
+        for grouping, rows in rate_by(flags, docs, groupings).items():
             assert sum(r.disagreement_count for r in rows) == 3, grouping
             assert sum(r.citance_count for r in rows) == 20
 
     def test_absent_metadata_goes_to_unknown(self):
         docs = [make_doc("a", 4, field=None)]
-        (row,) = rate_by(set(), docs, "main_field")
+        (row,) = rows_of(set(), docs, "main_field")
         assert row.group == "unknown"
 
     def test_age_bins_count_reference_pairs(self):
@@ -125,7 +131,7 @@ class TestRateBy:
             return RefLink(f"{doc_id}r{i}", cited_year=years[i])
 
         doc = make_doc("d", 3, year=2010, make_ref=ref)
-        rows = {r.group: r for r in rate_by({("d", 1)}, [doc], "age_bin")}
+        rows = {r.group: r for r in rows_of({("d", 1)}, [doc], "age_bin")}
         assert rows["0-4"].citance_count == 1       # age 2
         assert rows["<0"].disagreement_count == 1   # age -2, flagged
         assert rows["unknown"].citance_count == 1
@@ -140,13 +146,13 @@ class TestRateBy:
 
     def test_position_fractions(self):
         # Citances 0 and 9 of ten sentences sit at fractions 0.0 and 1.0.
-        rows = rate_by({("d", 9)}, [self.position_doc(10, {0, 9})], "position_bin")
+        rows = rows_of({("d", 9)}, [self.position_doc(10, {0, 9})], "position_bin")
         assert [(r.group, r.disagreement_count, r.citance_count) for r in rows] == [
             ("0-5", 0, 1), ("95-100", 1, 1),
         ]
 
     def test_single_sentence_clamp(self):
-        rows = rate_by({("d", 0)}, [self.position_doc(1, {0})], "position_bin")
+        rows = rows_of({("d", 0)}, [self.position_doc(1, {0})], "position_bin")
         assert [(r.group, r.citance_count) for r in rows] == [("0-5", 1)]
 
     def test_positions_monotone(self):
@@ -154,13 +160,22 @@ class TestRateBy:
         doc = self.position_doc(14, {1, 5, 6, 13})
         bins = []
         for index in (1, 5, 6, 13):
-            rows = rate_by({("d", index)}, [doc], "position_bin")
+            rows = rows_of({("d", index)}, [doc], "position_bin")
             bins.extend(r.group for r in rows if r.disagreement_count)
         assert bins == ["5-10", "35-40", "45-50", "95-100"]
 
+    def test_one_pass_equals_each_grouping_alone(self, golden_documents, golden_citances,
+                                                 catalog):
+        flags = flag_citances(run_all(golden_citances, catalog), default_validated_set(0.80))
+        assert flags
+        together = rate_by(flags, golden_documents, GROUPINGS)
+        assert list(together) == list(GROUPINGS)
+        for grouping in GROUPINGS:
+            assert together[grouping] == rows_of(flags, golden_documents, grouping), grouping
+
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
-            rate_by(frozenset(), [], "made_up")
+            rate_by(frozenset(), [], ["main_field", "made_up"])
 
 
 class TestYearlySlope:
@@ -199,16 +214,16 @@ class TestSelfCitationRatio:
 
     def test_planted_ratio(self):
         docs, flags = self.docs_with_self_split(500, 2500, 1, 12)
-        assert self_citation_ratio(flags, docs) == pytest.approx(2.4)
+        assert self_citation_ratio(rows_of(flags, docs, "self_citation")) == pytest.approx(2.4)
 
     def test_identical_rates(self):
         docs, flags = self.docs_with_self_split(100, 100, 5, 5)
-        assert self_citation_ratio(flags, docs) == pytest.approx(1.0)
+        assert self_citation_ratio(rows_of(flags, docs, "self_citation")) == pytest.approx(1.0)
 
     def test_no_self_citances_undefined(self):
         docs, flags = self.docs_with_self_split(0, 100, 0, 5)
         with pytest.raises(ValueError):
-            self_citation_ratio(flags, docs)
+            self_citation_ratio(rows_of(flags, docs, "self_citation"))
 
     def test_unknown_class_excluded(self):
         author = AuthorName("zhao", "g")
@@ -222,7 +237,7 @@ class TestSelfCitationRatio:
         keys = {("d", i) for i in range(30) if i % 3 == 2}
         keys.add(("d", 0))   # one self flagged of 10
         keys.add(("d", 1))   # one non-self flagged of 10
-        ratio = self_citation_ratio(keys, [doc])
+        ratio = self_citation_ratio(rows_of(keys, [doc], "self_citation"))
         assert ratio == pytest.approx(1.0)
 
 
@@ -240,7 +255,7 @@ class TestMesoLogRatio:
 
     def test_hand_arithmetic(self):
         docs, flags = self.three_field_fixture()
-        rows = {r.meso_field: r for r in meso_log_ratio(flags, docs)}
+        rows = {r.meso_field: r for r in meso_log_ratio(rows_of(flags, docs, "meso_field"))}
         assert rows[1].log_ratio == pytest.approx(-1.0)
         assert rows[2].log_ratio == pytest.approx(0.0)
         assert rows[3].log_ratio == pytest.approx(math.log2(1.5))
@@ -248,25 +263,27 @@ class TestMesoLogRatio:
     def test_rate_equal_to_mean_is_zero(self):
         docs = [make_doc("a", 50, meso=1), make_doc("b", 50, meso=2)]
         flags = {("a", 0), ("b", 0)}
-        assert all(r.log_ratio == 0.0 for r in meso_log_ratio(flags, docs))
+        rows = meso_log_ratio(rows_of(flags, docs, "meso_field"))
+        assert all(r.log_ratio == 0.0 for r in rows)
 
     def test_clamped_at_two(self):
         # 8x the mean exceeds the 4x truncation.
         docs = [make_doc(f"d{i}", 1000, meso=i) for i in range(16)]
         keys = {("d0", j) for j in range(80)}
-        rows = {r.meso_field: r for r in meso_log_ratio(keys, docs)}
+        rows = {r.meso_field: r for r in meso_log_ratio(rows_of(keys, docs, "meso_field"))}
         assert rows[0].log_ratio == 2.0
 
     def test_zero_rate_marker(self):
         docs = [make_doc("a", 100, meso=1), make_doc("b", 100, meso=2)]
         rows = {r.meso_field: r
-                for r in meso_log_ratio({("b", 0)}, docs)}
+                for r in meso_log_ratio(rows_of({("b", 0)}, docs, "meso_field"))}
         assert rows[1].zero_rate and rows[1].log_ratio == -2.0
         assert not rows[2].zero_rate
 
     def test_log_ratios_bounded(self):
         docs, flags = self.three_field_fixture()
-        assert all(-2.0 <= r.log_ratio <= 2.0 for r in meso_log_ratio(flags, docs))
+        rows = meso_log_ratio(rows_of(flags, docs, "meso_field"))
+        assert all(-2.0 <= r.log_ratio <= 2.0 for r in rows)
 
 
 class TestTopTables:
@@ -324,7 +341,7 @@ class TestImpactRatio:
         table = CitationTable(pub_years, counts)
         docs = [citing_doc("c1", 2002, ["P1", "P2"])]
         flags = {("c1", 0), ("c1", 1)}
-        report = impact_ratio(flags, docs, table, k=1)
+        report = impact_ratio(flags, docs, table, [1])[None, 1]
         assert report.mean_disagreement == pytest.approx(3.0)
         assert report.mean_expected == pytest.approx(2.5)
         assert report.d == pytest.approx(1.2)
@@ -340,15 +357,17 @@ class TestImpactRatio:
         table = CitationTable(pub_years, counts)
         docs = [citing_doc("c1", 2001, [f"P{i}" for i in range(0, 20, 2)])]
         flags = {("c1", i) for i in range(10)}
-        assert impact_ratio(flags, docs, table, k=1).d == pytest.approx(1.0)
+        assert impact_ratio(flags, docs, table, [1])[None, 1].d == pytest.approx(1.0)
 
     def test_zero_expected_mean_is_undefined(self):
         pub_years = {p: 2000 for p in ("P1", "Q2")}
         table = CitationTable(pub_years, {("P1", 2002): 0})
         docs = [citing_doc("c1", 2002, ["P1"])]
         flags = {("c1", 0)}
-        with pytest.raises(ValueError, match="expected citation mean is zero"):
-            impact_ratio(flags, docs, table, k=1)
+        assert impact_ratio(flags, docs, table, [1]) == {}
+        # The same cell is reported once its population expects a citation.
+        table = CitationTable(pub_years, {("P1", 2002): 0, ("Q2", 2003): 1})
+        assert impact_ratio(flags, docs, table, [1])[None, 1].mean_expected == 0.5
 
     def test_all_row_style_fixture(self):
         pub_years = {}
@@ -381,7 +400,7 @@ class TestImpactRatio:
         docs = [doc_a, doc_b]
         flags = {("cA", i) for i in range(60)} | {("cB", i) for i in range(40)}
         table = CitationTable(pub_years, counts)
-        report = impact_ratio(flags, docs, table, k=1)
+        report = impact_ratio(flags, docs, table, [1])[None, 1]
         assert report.mean_disagreement == pytest.approx(3.03)
         assert report.mean_expected == pytest.approx(3.08)
         assert abs(report.d - 0.983) <= 0.001
@@ -402,9 +421,10 @@ class TestImpactRatio:
             docs.append(doc)
             flags.add((doc.doc_id, 0))
         table = CitationTable(pub_years, counts)
+        reports = impact_ratio(flags, docs, table, (1, 2, 3))
+        first = first_disagreement_years(flags, docs)
         for k in (1, 2, 3):
-            report = impact_ratio(flags, docs, table, k=k)
-            first = first_disagreement_years(flags, docs)
+            report = reports[None, k]
             expected = brute_impact(first, pub_years, counts, k)
             assert report.mean_disagreement == pytest.approx(expected[0], rel=1e-12)
             assert report.mean_expected == pytest.approx(expected[1], rel=1e-12)
@@ -428,13 +448,14 @@ class TestImpactRatio:
             flags.add((doc.doc_id, 0))
         table = CitationTable(pub_years, counts)
         first = first_disagreement_years(flags, docs)
+        reports = impact_ratio(flags, docs, table, (1, 2, 3))
         for field in fields:
             field_pub = {p: y for p, y in pub_years.items() if paper_fields[p] == field}
             field_first = {p: y for p, y in first.items() if p in field_pub}
             cells = {(counts[(p, y)], y - pub_years[p]) for p, y in field_first.items()}
             assert len(cells) >= 20, field
             for k in (1, 2, 3):
-                report = impact_ratio(flags, docs, table, k=k, field=field)
+                report = reports[field, k]
                 expected = brute_impact(field_first, field_pub, counts, k)
                 assert report.records == len(field_first)
                 for got, want in zip(
@@ -442,11 +463,57 @@ class TestImpactRatio:
                 ):
                     assert abs(got - want) <= 1e-12 * abs(want), (field, k)
 
+    def test_every_entry_matches_brute_force(self):
+        # A table with gaps, rows dated before publication, first
+        # disagreement before publication (t < 0), external papers with no
+        # field, and a field whose papers are never flagged.
+        rng = random.Random(77)
+        fields = ("BioHealth", "MathComp", "SocHum", "PhysEngr")
+        pub_years = {f"P{i:04d}": 2000 + rng.randrange(5) for i in range(1200)}
+        paper_fields = {p: rng.choice(fields) for p in pub_years if rng.random() < 0.8}
+        counts = {
+            (paper, pub + offset): rng.randrange(5)
+            for paper, pub in pub_years.items() for offset in range(-2, 9)
+            if rng.random() < 0.7
+        }
+        docs = [Document(p, pub_years[p], main_field=f) for p, f in paper_fields.items()
+                if f != "PhysEngr" or rng.random() < 0.5]
+        flags = set()
+        unflagged = {p for p, f in paper_fields.items() if f == "PhysEngr"}
+        candidates = sorted(set(pub_years) - unflagged)
+        for i, paper in enumerate(rng.sample(candidates, 400)):
+            doc = citing_doc(f"c{i:04d}", pub_years[paper] + rng.randrange(-2, 6), [paper])
+            docs.append(doc)
+            flags.add((doc.doc_id, 0))
+        table = CitationTable(pub_years, counts)
+        first = first_disagreement_years(flags, docs)
+        assert any(year < pub_years[p] for p, year in first.items())
+        assert any(p not in paper_fields for p in first)
+        doc_fields = {d.doc_id: d.main_field for d in docs}
+
+        reports = impact_ratio(flags, docs, table, (1, 2, 3))
+        expected_keys = set()
+        for field in (None, *fields):
+            field_pub = {p: y for p, y in pub_years.items()
+                         if field is None or doc_fields.get(p) == field}
+            field_first = {p: y for p, y in first.items() if p in field_pub}
+            for k in (1, 2, 3):
+                if not field_first:
+                    continue
+                expected_keys.add((field, k))
+                report = reports[field, k]
+                want = brute_impact(field_first, field_pub, counts, k)
+                assert report.records == len(field_first)
+                got = (report.mean_disagreement, report.mean_expected, report.d)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b), (field, k)
+        assert set(reports) == expected_keys
+        assert ("PhysEngr", 1) not in reports and ("SocHum", 1) in reports
+
     def test_empty_undefined(self):
         table = CitationTable({"P": 2000}, {("P", 2001): 1})
         docs = [citing_doc("c", 2001, ["P"])]
-        with pytest.raises(ValueError):
-            impact_ratio(set(), docs, table, k=1)
+        assert impact_ratio(set(), docs, table, [1]) == {}
 
 
 class TestCitationGap:

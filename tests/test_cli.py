@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citequery import cli
+from citequery.catalog import parse_validated_set
 from citequery.cli import (
     REPORT_NAMES, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
     main,
@@ -210,6 +212,41 @@ class TestSampleAnnotateGate:
         validated = (gate_out / "validated.txt").read_text()
         assert "threshold 0.8" in validated
 
+    def test_gated_set_goes_back_into_report_through_stats(
+        self, golden_args, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        assert main(["sample", *golden_args, "--out", str(out), "--n", "3"]) == 0
+        sample_path = out / "sample.csv"
+        n_rows = len(read_csv(sample_path))
+        paths = []
+        for coder, keys in (("alice", ["v"] * n_rows),
+                            ("bob", ["v" if i % 2 == 0 else "i" for i in range(n_rows)])):
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(keys) + "\n"))
+            paths.append(out / f"{coder}.csv")
+            assert main(["annotate", "--sample", str(sample_path),
+                         "--coder", coder, "--out", str(paths[-1])]) == 0
+        gate_out = tmp_path / "gate"
+        assert main(["gate", "--annotations", *map(str, paths), "--threshold", "0.6",
+                     "--out", str(gate_out)]) == 0
+        recorded = parse_validated_set((gate_out / "validated.txt").read_text())
+
+        flagged_by = []
+
+        def flag_citances(records, validated):
+            flagged_by.append(validated)
+            return real_flag_citances(records, validated)
+
+        real_flag_citances = cli.flag_citances
+        monkeypatch.setattr(cli, "flag_citances", flag_citances)
+        assert main(["report", *golden_args, "--out", str(tmp_path / "report"),
+                     "--which", "rates", "--stats", str(gate_out / "stats.csv"),
+                     "--threshold", "0.6"]) == 0
+        (used,) = flagged_by
+        assert used == recorded
+        sampled = {row["query_id"] for row in read_csv(sample_path)}
+        assert recorded.query_ids and recorded.query_ids < sampled
+
     def test_gate_requires_two_files(self, tmp_path, capsys):
         assert main(["gate", "--annotations", "only_one.csv",
                      "--out", str(tmp_path)]) == 1
@@ -381,6 +418,7 @@ HOSTILE = {
         "non_utf8": (CITATIONS_HEAD + "g01,2008,2009,3\ncaf\xe9,2008,2009,3\n", 4),
         "bad_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,three\n", 4),
         "csv_error": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008\r,2009,3\n", 4),
+        "repeated_row": (CITATIONS_HEAD + "p1,2000,2001,3\np1,2000,2001,7\n", 4),
     },
 }
 HOSTILE_CASES = [
@@ -434,6 +472,8 @@ class TestHostileInput:
             assert f"error: {kind} file {path}: line {line}: " in err
         if problem == "non_utf8":
             assert "not valid UTF-8" in err
+        if problem == "repeated_row":
+            assert "repeated row for ('p1', 2001)" in err
 
 
 TINY_CORPUS = json.dumps({
@@ -600,7 +640,12 @@ def test_traced_harness_runs_a_full_report(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    traced = json.loads(spans.read_text())
+    names = {span[0] for span in traced["spans"]}
     for name in ("analytics.flag", "analytics.rate_by", "analytics.impact",
                  "analytics.gap", "analytics.other"):
         assert name in names, name
+    # Every rate grouping comes from one pass, every impact entry from one fold.
+    counts = traced["counts"]
+    assert counts["analytics.impact.calls"] == 1
+    assert counts["analytics.rate_by.calls"] == 1

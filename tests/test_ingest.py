@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -185,6 +186,42 @@ class TestNumberedReaders:
         path.write_bytes(b"key,text\nk,fine\nk,bare\rreturn\n")
         with pytest.raises(ValueError, match="^line 3: new-line character"):
             list(numbered_csv_rows(path))
+
+
+csv_cells = st.text(alphabet=st.one_of(st.sampled_from(list(',"#\n\r x')),
+                                     st.characters(blacklist_categories=("Cs",))),
+                   max_size=8)
+csv_header = st.lists(st.text(alphabet="abc", min_size=1, max_size=2), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_header, st.lists(st.lists(csv_cells, max_size=6), max_size=8),
+       st.sampled_from(["", 'x,"open\n', "k,bare\rreturn\n"]))
+@example(["a", "a", "b"], [["1"], [], ["1", "2", "3", "4"]], "")
+def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail):
+    """Rows and line numbers equal ``csv.DictReader``'s over CSV text with
+    short rows, long rows, blank lines and quoted line breaks."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)  # an empty row is a blank line
+    text = buffer.getvalue() + tail
+    lines = [raw.decode("utf-8") for raw in io.BytesIO(text.encode("utf-8"))]
+    reader = csv.DictReader(iter(lines))
+    expected = []
+    try:
+        for row in reader:
+            expected.append((reader.reader.line_num, row))
+    except csv.Error:
+        expected = None
+    path = tmp_path_factory.getbasetemp() / "dict_reader.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if expected is None:
+        with pytest.raises(ValueError, match=r"^line \d+: new-line character"):
+            list(numbered_csv_rows(path))
+    else:
+        assert list(numbered_csv_rows(path)) == expected
 
 
 class TestSplitSentences:
