@@ -12,6 +12,7 @@ citation, and the issuer citation gap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 from .catalog import ValidatedSet
 from .engine import MatchRecord
 from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence, is_self_citation
-from .ingest import numbered_csv_rows
+from .ingest import numbered_csv_lists
 
 CitanceKey = tuple[str, int]
 Flags = AbstractSet[CitanceKey]
@@ -303,12 +304,21 @@ class CitationTable:
         """Read ``doc_id,pub_year,year,citations`` rows; a malformed or
         repeated row raises ValueError naming its line."""
         table = cls({}, {})
-        for line, row in numbered_csv_rows(path):
+        rows = numbered_csv_lists(path)
+        _, header = next(rows)
+        columns = ("doc_id", "pub_year", "year", "citations")
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        d, p, y, c = (at.get(name, sys.maxsize) for name in columns)  # absent: past every row
+        for line, row in rows:
+            row += [None] * (len(header) - len(row))  # short rows read None, as in DictReader
             try:
-                doc_id = row["doc_id"]
-                pub_year, year = int(row["pub_year"]), int(row["year"])
-                citations = int(row["citations"])
-            except (KeyError, TypeError, ValueError) as exc:
+                doc_id = row[d]
+                pub_year, year = int(row[p]), int(row[y])
+                citations = int(row[c])
+            except IndexError:  # the first column the header lacks, as DictReader's KeyError
+                absent = next(name for name in columns if name not in at)
+                raise ValueError(f"line {line}: bad row ({KeyError(absent)})") from None
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {line}: bad row ({exc})") from None
             if table.pub_years.setdefault(doc_id, pub_year) != pub_year:
                 raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")

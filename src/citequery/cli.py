@@ -63,6 +63,7 @@ REPORT_GROUPINGS = {  # the rate_by groupings each report reads
 }
 SAMPLE_COLUMNS = ("doc_id", "sentence_index", "query_id", "text", "label")
 _ANSWERS = {"v": "valid", "i": "invalid", "s": "skip", "q": "quit"}  # annotate keys
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps builds one a call
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -236,14 +237,14 @@ def cmd_match(args) -> int:
     texts = _citance_texts(corpus.documents)
     with writer.open("matches.jsonl") as handle:
         for r in records:
-            handle.write(json.dumps({
+            handle.write(_encode_json({
                 "doc_id": r.doc_id,
                 "sentence_index": r.sentence_index,
                 "query_id": r.query_id,
                 "signal": [r.signal_span.start, r.signal_span.end],
                 "filter": [r.filter_span.start, r.filter_span.end] if r.filter_span else None,
                 "text": texts[(r.doc_id, r.sentence_index)],
-            }, ensure_ascii=False) + "\n")
+            }) + "\n")
 
     by_query: dict[str, int] = {}
     for r in records:
@@ -310,9 +311,10 @@ def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, lis
 
 def cmd_annotate(args) -> int:
     # The coder is written on one "# coder" line that gate reads back stripped.
-    coder = args.coder
-    if not coder or coder != coder.strip() or "\n" in coder or "\r" in coder:
-        raise UsageError(f"--coder {coder!r}: must be non-empty, on one line, "
+    # "--" ends the options, and Python 3.11's argparse reads "--coder=--" as [].
+    coder = "--" if args.coder == [] else args.coder
+    if coder in ("", "--") or coder != coder.strip() or "\n" in coder or "\r" in coder:
+        raise UsageError(f"--coder {coder!r}: must be non-empty, not '--', on one line, "
                          "with no leading or trailing whitespace")
     with _reading("sample", args.sample):
         numbered, _, provenance = _read_sample_csv(args.sample)
@@ -484,8 +486,11 @@ def cmd_report(args) -> int:
         raise DataError(f"report {needs_table[0]!r} requires --citations")
     with _reading("citations", args.citations):
         table = CitationTable.from_csv(args.citations) if needs_table else None
-    corpus, _, records = _match_records(args)
-    flags = flag_citances(records, validated)
+    corpus = _load_corpus(args.corpus, args.mode)
+    # Only a validated query can flag a citance, and no query's records
+    # depend on the others, so the rest are never matched.
+    queries = [q for q in _load_queries(args.queries) if q.query_id in validated.query_ids]
+    flags = flag_citances(run_all(iter_citances(corpus.documents), queries), validated)
     writer = OutputWriter(
         Path(args.out),
         _config(args, ("corpus", "mode", "queries", "threshold", "resolution",
@@ -590,3 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

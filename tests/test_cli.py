@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citequery import cli
-from citequery.catalog import parse_validated_set
+from citequery.catalog import builtin_catalog, parse_validated_set
 from citequery.cli import (
     REPORT_NAMES, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
     main,
 )
+from citequery.engine import run_all
 from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES
 
 
@@ -284,6 +286,19 @@ class TestSampleAnnotateGate:
         assert "--coder" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_annotate_refuses_the_coder_double_dash(self, tmp_path, capsys):
+        # Python 3.11's argparse reads "--coder=--" as [], later ones as "--".
+        out = tmp_path / "a.csv"
+        assert main(["annotate", "--sample", str(tmp_path / "missing.csv"),
+                     "--coder=--", "--out", str(out)]) == 1
+        assert "--coder '--'" in capsys.readouterr().err
+        args = cli.build_parser().parse_args(
+            ["annotate", "--sample", "s.csv", "--coder", "c", "--out", str(out)])
+        args.coder = "--"
+        with pytest.raises(cli.UsageError, match="--coder '--'"):
+            cli.cmd_annotate(args)
+        assert not out.exists()
+
     def test_annotation_file_keeps_sampling_provenance(self, golden_args, tmp_path,
                                                        monkeypatch):
         out = tmp_path / "out"
@@ -359,6 +374,35 @@ class TestReport:
         rows = read_csv(out / "impact.csv")
         assert [(r["field"], r["k"]) for r in rows] == [("All", "1"), ("All", "2")]
 
+    def test_validated_only_matching_flags_as_the_full_catalog(
+        self, golden_args, tmp_path, monkeypatch
+    ):
+        # Every other catalog query is validated; report then matches only those.
+        catalog = builtin_catalog()
+        stats = tmp_path / "stats.csv"
+        stats.write_text("query_id,n,pct_agree,pct_valid,kappa\n" + "".join(
+            f"{q.query_id},50,1.0,{0.9 if i % 2 else 0.5},1.0\n" for i, q in enumerate(catalog)))
+        argv = ["report", *golden_args, "--stats", str(stats),
+                "--which", "rates,selfcite,age,position,meso,top"]
+        assert main([*argv, "--out", str(tmp_path / "validated")]) == 0
+        seen = {}
+
+        def run_full_catalog(citances, queries):
+            seen["asked"] = {q.query_id for q in queries}
+            records = run_all(citances, catalog)
+            seen["matched"] = {r.query_id for r in records}
+            return records
+
+        monkeypatch.setattr(cli, "run_all", run_full_catalog)
+        assert main([*argv, "--out", str(tmp_path / "full")]) == 0
+        validated = {q.query_id for q in catalog[1::2]}
+        assert seen["asked"] == validated
+        assert seen["matched"] & validated and seen["matched"] - validated  # both kinds matched
+        rates = read_csv(tmp_path / "full" / "rates.csv")
+        assert sum(int(r["disagreement_count"]) for r in rates) > 0
+        for path in sorted((tmp_path / "full").iterdir()):
+            assert path.read_bytes() == (tmp_path / "validated" / path.name).read_bytes()
+
     def test_stats_file_gating(self, golden_args, tmp_path):
         stats = tmp_path / "stats.csv"
         stats.write_text(
@@ -419,6 +463,8 @@ HOSTILE = {
         "bad_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,three\n", 4),
         "csv_error": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008\r,2009,3\n", 4),
         "repeated_row": (CITATIONS_HEAD + "p1,2000,2001,3\np1,2000,2001,7\n", 4),
+        "missing_column": ("doc_id,pub_year,year\ng01,2008,2009\n", 2),
+        "short_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009\n", 4),
     },
 }
 HOSTILE_CASES = [
@@ -474,6 +520,8 @@ class TestHostileInput:
             assert "not valid UTF-8" in err
         if problem == "repeated_row":
             assert "repeated row for ('p1', 2001)" in err
+        if problem == "missing_column":
+            assert "bad row ('citations')" in err
 
 
 TINY_CORPUS = json.dumps({
@@ -536,7 +584,8 @@ sample_rows = st.lists(
     st.tuples(sample_text, st.integers(0, 10**6), sample_text, sample_text),
     min_size=1, max_size=6,
 )
-coder_names = st.text(alphabet="abcxyz-_.", min_size=1, max_size=8)
+# "--" is refused as a coder (see test_annotate_refuses_the_coder_double_dash).
+coder_names = st.text(alphabet="abcxyz-_.", min_size=1, max_size=8).filter(lambda c: c != "--")
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,10 +659,9 @@ class TestDeterminism:
         assert lines[1].startswith("# config ")
         assert lines[2] == "# seed 7"
 
-    def test_byte_identical_runs_and_threads(self, golden_args, tmp_path, monkeypatch):
+    def test_byte_identical_runs(self, golden_args, tmp_path):
         outputs = []
-        for name, threads in (("a", "1"), ("b", "4")):
-            monkeypatch.setenv("CITEQUERY_THREADS", threads)
+        for name in ("a", "b"):
             out = tmp_path / name
             for command in ("match", "report"):
                 assert main([command, *golden_args, "--out", str(out),
@@ -625,6 +673,24 @@ class TestDeterminism:
                 for path in sorted(out.iterdir())
             })
         assert outputs[0] == outputs[1]
+
+
+def test_python_dash_m_runs_the_cli(golden_args, tmp_path):
+    """``python -m citequery.cli`` is the CLI: same files, same exit code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "citequery.cli", "match", *golden_args,
+         "--out", str(tmp_path / "module")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == main(["match", *golden_args, "--out", str(tmp_path / "main")])
+    assert result.returncode == 0, result.stderr
+    files = sorted(path.name for path in (tmp_path / "main").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "module").iterdir())
+    for name in files:
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
 
 def test_traced_harness_runs_a_full_report(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from citequery.ingest import (
     relative_age,
     sentence_spans,
     split_sentences,
+    _fold,
     write_corpus,
 )
 
@@ -108,6 +110,30 @@ class TestLoadCorpus:
         path = write_lines(tmp_path, [json.dumps(bad)])
         result = load_corpus(path)
         assert [e.code for e in result.errors] == ["dup_ref_id"]
+
+    def test_last_marker_of_a_listed_ref_gives_its_span(self):
+        text = 'A <ref id="r1"/> and again <ref id="r1"/>.'
+        doc = record_to_document(record(sentences=[
+            {"text": text, "refs": [{"ref_id": "r1", "cited_year": 2001}]}]), "presegmented")
+        (ref,) = doc.sentences[0].refs
+        assert ref == RefLink("r1", None, 2001, None, (27, 41))
+        assert text[27:41] == '<ref id="r1"/>'
+
+    def test_listed_ref_without_a_marker_has_no_span(self):
+        doc = record_to_document(record(sentences=[
+            {"text": "No marker here.", "refs": [{"ref_id": "r1", "cited_doc_id": "p"}]}]),
+            "presegmented")
+        assert doc.sentences[0].refs == (RefLink("r1", "p"),)
+
+    def test_marker_only_ids_follow_the_listed_refs_in_marker_order(self):
+        text = "See <ref id=m2/>, <ref id=r1/> and <ref id=m1 cited_year=1999/>."
+        doc = record_to_document(record(sentences=[
+            {"text": text, "refs": [{"ref_id": "r1"}]}]), "presegmented")
+        refs = doc.sentences[0].refs
+        assert [r.ref_id for r in refs] == ["r1", "m2", "m1"]
+        assert [text[slice(*r.span)] for r in refs] == [
+            "<ref id=r1/>", "<ref id=m2/>", "<ref id=m1 cited_year=1999/>"]
+        assert refs[2].cited_year == 1999
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -380,6 +406,20 @@ class TestSelfCitation:
         author = AuthorName.from_parts("Lariviѐre", "Vincent")
         assert author.given_initial == "v"
         assert "̀" not in author.family
+
+
+def nfkd_fold(value):
+    """Name folding by its definition: NFKD, marks dropped, casefolded, stripped."""
+    decomposed = unicodedata.normalize("NFKD", value)
+    return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold().strip()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(st.characters(max_codepoint=127)), st.text()))
+@example(" Zhao\t")
+@example("Lariviѐre ÅNGSTRÖM ﬁsher İnan ß")
+def test_fold_equals_the_nfkd_route(value):
+    assert _fold(value) == nfkd_fold(value)
 
 
 @pytest.mark.parametrize(

@@ -64,12 +64,12 @@ def test_underscore_and_soft_hyphen_dropped():
 # per-character one: joiners, the underscore (``\w`` but not
 # alphanumeric), the soft hyphen, combining marks, characters whose
 # lowercase form grows (dotted capital I, ligatures stay alphanumeric),
-# the final-sigma rule, non-ASCII digits and numerals, and non-ASCII
-# whitespace.
+# the final-sigma rule, non-ASCII digits, numerals and whitespace, and a
+# lone surrogate, which JSON can deliver.
 _TRICKY = (
     "a", "b", "Z", "0", "9", " ", "\t", "\n", "'", "’", "-", "_", ".", ",",
     "(", "<", "/", "­", "́", "̇", "İ", "ß", "ﬁ", "ﬀ", "Σ", "σ",
-    "٣", "²", "Ⅻ", "½", " ", " ", "　", "ж", "漢",
+    "٣", "²", "Ⅻ", "½", " ", " ", "　", "ж", "漢", "\ud800",
 )
 _text = st.text(
     alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=60
