@@ -29,7 +29,6 @@ from .engine import (  # noqa: F401
     MatchRecord,
     Span,
     run_all,
-    run_query,
 )
 from .ingest import (  # noqa: F401
     AuthorName,

@@ -83,6 +83,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 def _digest(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, ensure_ascii=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -431,7 +442,10 @@ def _write_report(
             except ValueError:
                 pass
     elif name == "meso":
-        rows = meso_log_ratio(rates["meso_field"])
+        try:
+            rows = meso_log_ratio(rates["meso_field"])
+        except ValueError as exc:
+            raise DataError(f"meso report undefined: {exc}")
         writer.write_csv(
             "meso.csv", ("meso_field", "rate", "log_ratio", "n_citances"),
             ((r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in rows),
@@ -544,7 +558,7 @@ def build_parser() -> _Parser:
     _add_corpus_args(p)
     _add_query_args(p)
     _add_common_out(p)
-    p.add_argument("--n", type=int, default=DEFAULT_SAMPLE_SIZE,
+    p.add_argument("--n", type=_count, default=DEFAULT_SAMPLE_SIZE,
                    help="sample size per query")
     p.set_defaults(func=cmd_sample)
 
@@ -573,8 +587,8 @@ def build_parser() -> _Parser:
     p.add_argument("--citations", help="per-paper yearly citation counts CSV")
     p.add_argument("--doc-type", dest="doc_type",
                    help="restrict the gap report to one document type")
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--top-n", dest="top_n", type=int, default=10)
+    p.add_argument("--horizon", type=_count, default=10)
+    p.add_argument("--top-n", dest="top_n", type=_count, default=10)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -1,22 +1,18 @@
 """Query execution over citances.
 
-Two implementations live here and must stay exactly equivalent:
+``CatalogMatcher`` / ``run_all`` compile a whole catalog into a shared
+word classifier so each citance is scanned once for all queries. The
+classifier memoizes, per distinct word, the set of pattern tokens
+(literal or prefix) it satisfies, so steady-state cost per word is one
+dictionary lookup. Queries sharing a signal definition form one signal
+group, and queries sharing filter patterns one filter set; per citance
+each candidate group's surviving signal spans, and each needed filter
+set's spans, are computed once and every query's record is composed
+from them. Groups whose signal terms never occur in a citance are
+skipped outright.
 
-* the definitional path (``match_pattern``, ``suppress_negation``,
-  ``apply_exclusions``, composed by ``run_query``), which evaluates one
-  query against one citance by direct scanning, and
-* ``CatalogMatcher`` / ``run_all``, which compiles a whole catalog into
-  a shared word classifier so each citance is scanned once for all
-  queries. The classifier memoizes, per distinct word, the set of
-  pattern tokens (literal or prefix) it satisfies, so steady-state cost
-  per word is one dictionary lookup. Queries sharing a signal definition
-  form one signal group, and queries sharing filter patterns one filter
-  set; per citance each candidate group's surviving signal spans, and
-  each needed filter set's spans, are computed once and every query's
-  record is composed from them. Groups whose signal terms never occur in
-  a citance are skipped outright.
-
-Matching conventions, shared by both paths (and by any external oracle):
+Matching conventions. They are the specification, pinned by the
+independent oracle in ``tests/naive_scanner.py``:
 
 * All indices are word indices: positions in ``Citance.words``, where
   ref markers and punctuation leave no trace. Span ends are inclusive.
@@ -68,9 +64,6 @@ class Span:
         if self.start > self.end:
             raise ValueError("span start must not exceed end")
 
-    def sort_key(self) -> tuple[int, int, str]:
-        return (self.start, self.end, self.pattern_id)
-
 
 @dataclass(frozen=True)
 class MatchRecord:
@@ -79,133 +72,6 @@ class MatchRecord:
     query_id: str
     signal_span: Span
     filter_span: Span | None = None
-
-
-def _token_matches(pattern_token: str, word: str) -> bool:
-    if pattern_token.endswith("*"):
-        return word.startswith(pattern_token[:-1])
-    return word == pattern_token
-
-
-def _occurrences(words: Sequence[str], pattern: Pattern) -> list[int]:
-    """Start positions of every occurrence of ``pattern`` in ``words``."""
-    length = len(pattern.tokens)
-    starts = []
-    for i in range(len(words) - length + 1):
-        if all(_token_matches(t, words[i + j]) for j, t in enumerate(pattern.tokens)):
-            starts.append(i)
-    return starts
-
-
-def match_pattern(
-    words: Sequence[str],
-    pattern: Pattern,
-    carveouts: Sequence[Pattern] = (),
-) -> list[Span]:
-    """All spans of ``pattern`` over the words, carve-outs applied.
-
-    A carve-out (single-token pattern of the owning signal) voids an
-    occurrence whose matched words include a word the carve-out matches;
-    the same word elsewhere in the citance does not.
-    """
-    length = len(pattern.tokens)
-    spans = []
-    for start in _occurrences(words, pattern):
-        if carveouts and any(
-            _token_matches(c.tokens[0], words[start + j])
-            for c in carveouts
-            for j in range(length)
-        ):
-            continue
-        spans.append(Span(start, start + length - 1, pattern.text))
-    return spans
-
-
-def suppress_negation(words: Sequence[str], span: Span, exempt: bool) -> bool:
-    """Whether to keep a signal span given the preceding negation window."""
-    if exempt:
-        return True
-    window = words[max(0, span.start - NEGATION_WINDOW):span.start]
-    return not any(w in NEGATION_TOKENS for w in window)
-
-
-def apply_exclusions(
-    words: Sequence[str],
-    spans: Sequence[Span],
-    rules: Sequence[ExclusionRule],
-) -> list[Span] | None:
-    """Apply a query's exclusion rules; ``None`` means the citance is rejected."""
-    surviving = list(spans)
-    for rule in rules:
-        if rule.kind == TOKEN_CARVEOUT:
-            continue  # applied during match_pattern
-        if rule.kind == CITANCE_PHRASE:
-            if any(_occurrences(words, p) for p in rule.patterns):
-                return None
-        elif rule.kind == COOCCURRENCE_WINDOW:
-            first, second = rule.patterns
-            starts_a = _occurrences(words, first)
-            starts_b = _occurrences(words, second)
-            if any(abs(a - b) <= rule.window for a in starts_a for b in starts_b):
-                return None
-        elif rule.kind == MATCH_CONTEXT:
-            context_ends = {
-                start + len(p.tokens) - 1
-                for p in rule.patterns
-                for start in _occurrences(words, p)
-            }
-            surviving = [s for s in surviving if s.start - 1 not in context_ends]
-    return surviving
-
-
-def span_gap(a: Span, b: Span) -> int:
-    """Words strictly between two spans; 0 when they touch or overlap."""
-    if a.start > b.end:
-        return a.start - b.end - 1
-    if b.start > a.end:
-        return b.start - a.end - 1
-    return 0
-
-
-def _signal_spans(words: Sequence[str], query: QuerySpec) -> list[Span] | None:
-    """Surviving signal spans for a query, or None when the citance is rejected."""
-    carveouts = tuple(
-        p for rule in query.exclusions if rule.kind == TOKEN_CARVEOUT
-        for p in rule.patterns
-    )
-    spans = []
-    for pattern in query.signal_patterns:
-        exempt = query.negation_exempt or pattern.contains_negation_token
-        for span in match_pattern(words, pattern, carveouts):
-            if suppress_negation(words, span, exempt):
-                spans.append(span)
-    spans.sort(key=Span.sort_key)
-    return apply_exclusions(words, spans, query.exclusions)
-
-
-def run_query(citance: Citance, query: QuerySpec) -> MatchRecord | None:
-    """Evaluate one query against one citance."""
-    words = citance.words
-    spans = _signal_spans(words, query)
-    if not spans:
-        return None
-    if query.filter_set == "standalone":
-        return MatchRecord(citance.doc_id, citance.sentence_index, query.query_id, spans[0])
-    filter_spans = sorted(
-        (s for p in query.filter_patterns for s in match_pattern(words, p)),
-        key=Span.sort_key,
-    )
-    for signal in spans:
-        qualifying = [f for f in filter_spans if span_gap(signal, f) <= query.max_gap]
-        if qualifying:
-            return MatchRecord(
-                citance.doc_id, citance.sentence_index, query.query_id,
-                signal, qualifying[0],
-            )
-    return None
-
-
-# --- shared-pass matcher -------------------------------------------------
 
 
 class _TokenClassifier:
@@ -241,7 +107,7 @@ class _TokenClassifier:
 
 
 # A span inside the matcher: (start, inclusive end, pattern text). Plain
-# tuples order exactly as Span.sort_key does.
+# tuples sort in the span order the matching conventions define.
 _RawSpan = tuple[int, int, str]
 
 
@@ -385,8 +251,7 @@ class CatalogMatcher:
     patterns. Matching a citance classifies each word once into a
     token -> positions index, evaluates each signal group whose lead
     tokens occurred and each filter set a surviving group needs once,
-    and composes every query's record from those spans. Results are
-    identical to running ``run_query`` per query.
+    and composes every query's record from those spans.
     """
 
     def __init__(self, queries: Sequence[QuerySpec]):

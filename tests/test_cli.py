@@ -340,6 +340,15 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: no shipped validated set for threshold 0.5")
 
+    def test_empty_corpus_stops_at_the_meso_report(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        code = main(["report", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--which", "rates,slopes,selfcite,age,position,meso,top"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: meso report undefined: no meso-field citances\n"
+
     def test_impact_requires_citations(self, golden_args, tmp_path):
         assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
                      "--which", "impact"]) == 2
@@ -572,7 +581,12 @@ def test_corpus_records_of_any_shape_load_or_are_load_errors(records, mode):
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         code, err = run_quietly(["ingest-check", "--corpus", str(path), "--mode", mode])
-    assert code == 0, err
+        assert code == 0, err
+        code, err = run_quietly([
+            "report", "--corpus", str(path), "--mode", mode, "--out", str(Path(tmp) / "out"),
+            "--which", "rates,slopes,selfcite,age,position,meso,top",
+        ])
+    assert code in (0, 2), err
 
 
 LONG_TEXT = "x" * 131_072 + "\n# coder mallory\n#\n" + "y" * 10
@@ -618,6 +632,25 @@ def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
     assert [(r.doc_id, r.sentence_index, r.query_id, r.coder_id) for r in records] == [
         (d, i, q, coder) for d, i, q, _ in rows
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "0"],
+    ["sample", "--n", "-2"],
+    ["report", "--which", "top", "--top-n", "-1"],
+    ["report", "--which", "top", "--top-n", "0"],
+    ["report", "--which", "gap", "--horizon", "-3"],
+    ["report", "--which", "gap", "--horizon", "0"],
+    ["report", "--which", "gap", "--horizon", "ten"],
+], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
+def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
+    # The corpus does not exist: a count is refused before any file is read.
+    command, *options = argv
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
+                 *options]) == 1
+    assert "is not an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReportSpeed:

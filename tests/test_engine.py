@@ -1,22 +1,16 @@
 import csv
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citequery.catalog import ExclusionRule, Pattern, QuerySpec, parse_query_file
-from citequery.engine import (
-    CatalogMatcher,
-    Span,
-    apply_exclusions,
-    match_pattern,
-    run_all,
-    run_query,
-    span_gap,
-    suppress_negation,
+from citequery.catalog import (
+    FILTER_SET_NAMES, FILTER_SETS, ExclusionRule, Pattern, QuerySpec, parse_query_file,
 )
+from citequery.engine import CatalogMatcher, Span, run_all
 from conftest import GOLDEN_MATCHES
-from naive_scanner import scan_all, scan_query
+from naive_scanner import scan_all, scan_citance
 from synth import make_citance, random_citances
 
 
@@ -24,96 +18,126 @@ def pattern(text):
     return Pattern.parse(text)
 
 
+def match_words(words, query):
+    """The matcher's record for ``query`` over a citance of ``words``, or
+    None; the oracle must give the same."""
+    citance = make_citance("d", 0, words)
+    records = CatalogMatcher([query]).match_citance(citance)
+    assert records == scan_citance(citance, [query])
+    return records[0] if records else None
+
+
+def standalone(*signals, exclusions=()):
+    """A standalone query on the given signal patterns."""
+    patterns = tuple(pattern(s) for s in signals)
+    return QuerySpec(
+        "q.standalone", signals[0], patterns, "standalone", exclusions=exclusions,
+        negation_exempt=patterns[0].contains_negation_token,
+    )
+
+
+def signal_span(words, query):
+    record = match_words(words, query)
+    return record.signal_span if record else None
+
+
 class TestMatchPattern:
     def test_prefix(self):
-        spans = match_pattern(["results", "differ", "markedly"], pattern("differ*"))
-        assert spans == [Span(1, 1, "differ*")]
+        assert signal_span(["results", "differ", "markedly"], standalone("differ*")) \
+            == Span(1, 1, "differ*")
 
     def test_carveout_blocks_own_token(self):
-        spans = match_pattern(
-            ["a", "different", "model"], pattern("differ*"), [pattern("different*")]
-        )
-        assert spans == []
+        carve = (ExclusionRule("token_carveout", (pattern("different*"),)),)
+        assert signal_span(["a", "different", "model"],
+                           standalone("differ*", exclusions=carve)) is None
 
     def test_carveout_only_applies_to_matched_token(self):
-        spans = match_pattern(
-            ["results", "differ", "from", "different", "models"],
-            pattern("differ*"),
-            [pattern("different*")],
+        query = standalone(
+            "differ*", exclusions=(ExclusionRule("token_carveout", (pattern("different*"),)),)
         )
-        assert spans == [Span(1, 1, "differ*")]
+        assert signal_span(["results", "differ", "from", "different", "models"], query) \
+            == Span(1, 1, "differ*")
+        # With the words swapped the carved occurrence comes first and is skipped.
+        assert signal_span(["results", "different", "from", "differ", "models"], query) \
+            == Span(3, 3, "differ*")
 
     def test_multi_token(self):
-        spans = match_pattern(
-            ["there", "is", "no", "consensus", "on"], pattern("no consensus")
-        )
-        assert spans == [Span(2, 3, "no consensus")]
+        assert signal_span(["there", "is", "no", "consensus", "on"],
+                           standalone("no consensus")) == Span(2, 3, "no consensus")
 
     def test_all_occurrences(self):
-        spans = match_pattern(["conflict", "and", "conflicts"], pattern("conflict*"))
-        assert [s.start for s in spans] == [0, 2]
+        # A negated first occurrence leaves the second.
+        assert signal_span(["no", "conflict", "and", "conflicts"], standalone("conflict*")) \
+            == Span(3, 3, "conflict*")
 
 
 class TestSuppressNegation:
     def test_no_conflict(self):
         words = ["there", "was", "no", "conflict", "of", "interest"]
-        assert suppress_negation(words, Span(3, 3, "conflict*"), exempt=False) is False
+        assert signal_span(words, standalone("conflict*")) is None
 
     def test_window_of_two(self):
         words = ["results", "do", "not", "contradict", "this"]
-        assert suppress_negation(words, Span(3, 3, "contradict*"), exempt=False) is False
+        assert signal_span(words, standalone("contradict*")) is None
 
     def test_negation_outside_window(self):
         words = ["not", "only", "results", "contradict", "this"]
-        assert suppress_negation(words, Span(3, 3, "contradict*"), exempt=False) is True
+        assert signal_span(words, standalone("contradict*")) == Span(3, 3, "contradict*")
 
     def test_exempt_kept(self):
         words = ["there", "is", "no", "consensus"]
-        assert suppress_negation(words, Span(2, 3, "no consensus"), exempt=True) is True
+        assert signal_span(words, standalone("no consensus")) == Span(2, 3, "no consensus")
+        # Exempt by its own negation token, and every pattern of a query
+        # whose main signal carries one.
+        assert signal_span(["not", "no", "consensus"], standalone("no consensus")) \
+            == Span(1, 2, "no consensus")
+        assert signal_span(["we", "not", "disagree"], standalone("no consensus", "disagree*")) \
+            == Span(2, 2, "disagree*")
+        assert signal_span(["we", "not", "disagree"], standalone("disagree*")) is None
 
     def test_tokens_inside_span_never_count(self):
         words = ["could", "not", "agree", "on"]
-        assert suppress_negation(words, Span(1, 2, "not agree*"), exempt=False) is True
+        assert signal_span(words, standalone("not agree*")) == Span(1, 2, "not agree*")
+        # "n*" is no negation token, so only the window could suppress this span.
+        assert signal_span(words, standalone("n* agree*")) == Span(1, 2, "n* agree*")
 
 
 class TestApplyExclusions:
+    """Each case also runs without the query's exclusions, which must match."""
+
+    def check(self, query, words, expected, unexcluded):
+        assert signal_span(words, query) == expected
+        assert signal_span(words, replace(query, exclusions=())) == unexcluded
+
     def test_citance_phrase_rejects(self, catalog_by_id):
-        query = catalog_by_id["disagree.standalone"]
-        words = ["inter-rater", "disagreement", "on", "a", "likert", "scale"]
-        spans = [Span(1, 1, "disagree*")]
-        assert apply_exclusions(words, spans, query.exclusions) is None
+        self.check(catalog_by_id["disagree.standalone"],
+                   ["inter-rater", "disagreement", "on", "a", "likert", "scale"],
+                   None, Span(1, 1, "disagree*"))
 
     def test_cooccurrence_rejects(self, catalog_by_id):
-        query = catalog_by_id["disprov.standalone"]
-        words = ["to", "prove", "or", "disprove", "the", "theorem"]
-        spans = [Span(3, 3, "disprov*")]
-        assert apply_exclusions(words, spans, query.exclusions) is None
+        self.check(catalog_by_id["disprov.standalone"],
+                   ["to", "prove", "or", "disprove", "the", "theorem"],
+                   None, Span(3, 3, "disprov*"))
 
     def test_cooccurrence_beyond_window_kept(self, catalog_by_id):
-        query = catalog_by_id["disprov.standalone"]
-        words = ["proved"] + ["w"] * 10 + ["disproved"]
-        spans = [Span(11, 11, "disprov*")]
-        assert apply_exclusions(words, spans, query.exclusions) == spans
+        self.check(catalog_by_id["disprov.standalone"], ["proved"] + ["w"] * 10 + ["disproved"],
+                   Span(11, 11, "disprov*"), Span(11, 11, "disprov*"))
 
     def test_match_context_drops_only_modified_span(self, catalog_by_id):
-        query = catalog_by_id["debat.standalone"]
-        words = ["the", "public", "debate", "and", "a", "debate", "persists"]
-        spans = [Span(2, 2, "debat*"), Span(5, 5, "debat*")]
-        assert apply_exclusions(words, spans, query.exclusions) == [Span(5, 5, "debat*")]
+        self.check(catalog_by_id["debat.standalone"],
+                   ["the", "public", "debate", "and", "a", "debate", "persists"],
+                   Span(5, 5, "debat*"), Span(2, 2, "debat*"))
 
 
 def proximity_record(words, max_gap=4):
-    """run_query's record for signal ``sig`` and filters ``f``, ``far``,
-    ``near``, ``left`` and ``right``; the batch matcher must agree."""
+    """The record for signal ``sig`` and filters ``f``, ``far``, ``near``,
+    ``left`` and ``right``."""
     query = QuerySpec(
         "sig.methods", "sig", (pattern("sig"),), "methods",
         tuple(pattern(t) for t in ("f", "far", "near", "left", "right")),
         max_gap=max_gap,
     )
-    citance = make_citance("d", 0, words)
-    record = run_query(citance, query)
-    assert CatalogMatcher([query]).match_citance(citance) == ([record] if record else [])
-    return record
+    return match_words(words, query)
 
 
 def placed(length, **at):
@@ -124,7 +148,7 @@ def placed(length, **at):
 
 
 class TestCheckProximity:
-    """The signal/filter proximity rule, pinned through ``run_query``."""
+    """The signal/filter proximity rule, pinned through ``CatalogMatcher``."""
 
     def test_adjacent(self):
         record = proximity_record(placed(3, sig=1, f=2))
@@ -158,41 +182,58 @@ class TestCheckProximity:
         (0, 0, 1), (2, 3, 0), (4, 4, 0), (8, 9, 3), (10, 10, 5),
     ])
     def test_gap_arithmetic_brute(self, f_start, f_end, gap):
-        assert span_gap(Span(2, 4, "s"), Span(f_start, f_end, "f")) == gap
+        # A 3-word signal on words 2-4; the filter pattern is the words at
+        # its own span, which may overlap the signal's.
+        words = ["w"] * 11
+        words[2:5] = ["sa", "sb", "sc"]
+        for i in range(f_start, f_end + 1):
+            if words[i] == "w":
+                words[i] = f"f{i}"
+        filter_pattern = Pattern(tuple(words[f_start:f_end + 1]))
+
+        def record(max_gap):
+            query = QuerySpec("s.methods", "sa sb sc", (pattern("sa sb sc"),), "methods",
+                              (filter_pattern,), max_gap=max_gap)
+            return match_words(words, query)
+
+        found = record(gap)
+        assert found.signal_span == Span(2, 4, "sa sb sc")
+        assert found.filter_span == Span(f_start, f_end, filter_pattern.text)
+        if gap > 0:
+            assert record(gap - 1) is None
 
 
 class TestRunQuery:
+    """Builtin queries on hand-checked citances."""
+
     def test_paper_positive_example(self, catalog_by_id):
-        citance = make_citance("d", 0, [
+        record = match_words([
             "however", "recent", "studies", "have", "challenged",
             "this", "survival", "benefit",
-        ])
-        record = run_query(citance, catalog_by_id["challenge.studies"])
+        ], catalog_by_id["challenge.studies"])
         assert record.signal_span == Span(4, 4, "challenge*")
         assert record.filter_span == Span(2, 2, "studies")
 
     def test_engine_matches_human_invalid_case(self, catalog_by_id):
-        citance = make_citance("d", 0, [
+        record = match_words([
             "to", "facilitate", "conflict", "management", "and", "analysis",
             "in", "mcr", "the", "graph", "model", "for", "conflict",
             "resolution", "gmcr", "was", "used",
-        ])
-        record = run_query(citance, catalog_by_id["conflict.standalone"])
+        ], catalog_by_id["conflict.standalone"])
         assert record is not None
         assert record.signal_span.start == 2
 
     def test_absent(self, catalog_by_id):
-        citance = make_citance("d", 0, ["the", "model", "performs", "well"])
-        assert run_query(citance, catalog_by_id["controvers.standalone"]) is None
+        assert match_words(["the", "model", "performs", "well"],
+                           catalog_by_id["controvers.standalone"]) is None
 
     def test_signal_chosen_by_qualifying_filter(self, catalog_by_id):
         # First conflict span has no methods filter within reach; second does.
-        citance = make_citance("d", 0, [
+        record = match_words([
             "to", "facilitate", "conflict", "management", "and", "analysis",
             "in", "mcr", "the", "graph", "model", "for", "conflict",
             "resolution", "gmcr", "was", "used",
-        ])
-        record = run_query(citance, catalog_by_id["conflict.methods"])
+        ], catalog_by_id["conflict.methods"])
         assert record.signal_span == Span(12, 12, "conflict*")
         assert record.filter_span == Span(10, 10, "model*")
 
@@ -249,12 +290,8 @@ class TestRunAll:
             make_citance("d", 0, ["a", "public", "debate", "on", "the", "model"]),
             make_citance("d", 1, ["the", "model", "debate", "and", "public", "debate"]),
         ] + random_citances(300, seed=8)
-        expected = sorted(
-            (r for c in citances for q in queries if (r := run_query(c, q))),
-            key=lambda r: (r.doc_id, r.sentence_index, r.query_id),
-        )
         records = run_all(citances, queries)
-        assert records == expected
+        assert records == scan_all(citances, queries)
         first = {r.query_id for r in records if (r.doc_id, r.sentence_index) == ("d", 0)}
         assert first == {"plain"}
         second = {r.query_id: r.signal_span.start for r in records
@@ -277,14 +314,14 @@ class TestOracleEquivalence:
     def test_negation_exempt_queries_never_suppressed(self, catalog):
         exempt = [q for q in catalog if q.negation_exempt]
         assert {q.signal_id for q in exempt} == {"no consensus"}
-        citance = make_citance("d", 0, ["not", "no", "no", "consensus", "here"])
+        citance = ["not", "no", "no", "consensus", "here"]
         for query in exempt:
             if query.filter_set == "standalone":
-                assert run_query(citance, query) is not None
+                assert match_words(citance, query) is not None
 
 
-# Random QuerySpec generator for cross-checking the two engines on shapes
-# beyond the builtin catalog.
+# Random QuerySpec generator for checking the matcher against the oracle
+# on shapes beyond the builtin catalog.
 words_st = st.sampled_from(
     "alpha beta gamma delta epsilon zeta eta theta iota kappa no not".split()
 )
@@ -293,12 +330,36 @@ pattern_st = st.builds(
     st.lists(words_st, min_size=1, max_size=2),
     st.booleans(),
 )
+VOCABULARY = (
+    "alpha beta gamma delta epsilon zeta eta theta iota kappa "
+    "no not cannot nor neither model models method approach technique "
+    "study studies analysis idea theory hypothesis result findings data"
+).split()
+
+
+def _words_of(patterns):
+    return sorted({token.rstrip("*") for p in patterns for token in p.tokens})
 
 
 @st.composite
-def query_specs(draw):
-    signal = draw(st.lists(pattern_st, min_size=1, max_size=2))
-    filter_set = draw(st.sampled_from(["standalone", "methods"]))
+def citance_words(draw, queries):
+    """0-25 words, a third each from the queries' signal tokens, their
+    other tokens (stars dropped) and the vocabulary, so that queries often
+    match."""
+    signals = _words_of(p for q in queries for p in q.signal_patterns)
+    others = _words_of(
+        p for q in queries
+        for p in q.filter_patterns + tuple(p for rule in q.exclusions for p in rule.patterns)
+    ) or VOCABULARY
+    word = st.sampled_from(signals) | st.sampled_from(others) | st.sampled_from(VOCABULARY)
+    size = draw(st.integers(min_value=0, max_value=25))
+    return draw(st.lists(word, min_size=size, max_size=size))
+
+
+@st.composite
+def query_specs(draw, signals=pattern_st):
+    signal = draw(st.lists(signals, min_size=1, max_size=2))
+    filter_set = draw(st.sampled_from(FILTER_SET_NAMES))
     exclusions = []
     if draw(st.booleans()):
         exclusions.append(ExclusionRule("citance_phrase", (draw(pattern_st),)))
@@ -315,7 +376,6 @@ def query_specs(draw):
     if draw(st.booleans()):
         single = draw(words_st)
         exclusions.append(ExclusionRule("token_carveout", (Pattern((single + "*",)),)))
-    from citequery.catalog import FILTER_SETS
 
     return QuerySpec(
         query_id="random.q",
@@ -329,25 +389,34 @@ def query_specs(draw):
     )
 
 
+@st.composite
+def shared_catalogs(draw):
+    """2-4 queries with distinct ids whose signals come from a pool of at
+    most three patterns. A query may take an earlier one's whole signal
+    definition, so signal groups are shared as well as filter sets and
+    lead tokens."""
+    pool = st.sampled_from(draw(st.lists(pattern_st, min_size=1, max_size=3, unique=True)))
+    queries = []
+    for i in range(draw(st.integers(min_value=2, max_value=4))):
+        query = draw(query_specs(pool))
+        if queries and draw(st.booleans()):
+            source = draw(st.sampled_from(queries))
+            query = replace(
+                query, signal_id=source.signal_id, signal_patterns=source.signal_patterns,
+                exclusions=source.exclusions, negation_exempt=source.negation_exempt,
+            )
+        queries.append(replace(query, query_id=f"q{i}"))
+    return queries
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    query_specs(),
-    st.lists(
-        st.sampled_from(
-            "alpha beta gamma delta epsilon zeta eta theta iota kappa "
-            "no not cannot nor neither model models method approach technique".split()
-        ),
-        min_size=0, max_size=25,
-    ),
-)
-def test_random_query_engines_agree(query, words):
-    citance = make_citance("d", 0, words)
-    direct = run_query(citance, query)
-    batch = CatalogMatcher([query]).match_citance(citance)
-    oracle = scan_query(words, query)
-    assert batch == ([direct] if direct else [])
-    if oracle is None:
-        assert direct is None
-    else:
-        assert direct is not None
-        assert (direct.signal_span, direct.filter_span) == oracle
+@given(query_specs(), st.data())
+def test_random_query_engines_agree(query, data):
+    match_words(data.draw(citance_words([query])), query)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_catalogs(), st.data())
+def test_matcher_with_shared_groups_agrees_with_oracle(queries, data):
+    citance = make_citance("d", 0, data.draw(citance_words(queries)))
+    assert CatalogMatcher(queries).match_citance(citance) == scan_citance(citance, queries)
