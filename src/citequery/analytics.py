@@ -302,7 +302,7 @@ class CitationTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "CitationTable":
         """Read ``doc_id,pub_year,year,citations`` rows; a malformed or
-        repeated row raises ValueError naming its line."""
+        repeated row, or a negative count, raises ValueError naming its line."""
         table = cls({}, {})
         rows = numbered_csv_lists(path)
         _, header = next(rows)
@@ -320,6 +320,8 @@ class CitationTable:
                 raise ValueError(f"line {line}: bad row ({KeyError(absent)})") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {line}: bad row ({exc})") from None
+            if citations < 0:
+                raise ValueError(f"line {line}: bad row (negative citations {citations})")
             if table.pub_years.setdefault(doc_id, pub_year) != pub_year:
                 raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")
             years = table.yearly.setdefault(doc_id, {})

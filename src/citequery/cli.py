@@ -53,13 +53,11 @@ from .validation import (
     sample_matches,
 )
 
-REPORT_NAMES = (
-    "rates", "slopes", "selfcite", "age", "position", "meso", "top", "impact", "gap",
-)
-REPORT_GROUPINGS = {  # the rate_by groupings each report reads
-    "rates": ("main_field", "year", "field_year"), "slopes": ("field_year",),
-    "selfcite": ("self_citation",), "age": ("age_bin",), "position": ("position_bin",),
-    "meso": ("meso_field",),
+REPORTS = {  # name -> (the rate_by groupings it reads, whether it needs --citations)
+    "rates": (("main_field", "year", "field_year"), False), "slopes": (("field_year",), False),
+    "selfcite": (("self_citation",), False), "age": (("age_bin",), False),
+    "position": (("position_bin",), False), "meso": (("meso_field",), False),
+    "top": ((), False), "impact": ((), True), "gap": ((), True),
 }
 SAMPLE_COLUMNS = ("doc_id", "sentence_index", "query_id", "text", "label")
 _ANSWERS = {"v": "valid", "i": "invalid", "s": "skip", "q": "quit"}  # annotate keys
@@ -405,14 +403,14 @@ def cmd_gate(args) -> int:
     return 0
 
 
-def _write_report(
-    writer: OutputWriter, name: str, args, corpus_docs: list[Document],
-    flags, table: CitationTable | None, rates: dict, long_rows: list,
-) -> None:
+def _report(name: str, args, docs: list[Document], flags, table: CitationTable | None,
+            rates: dict) -> tuple[str, Sequence[str], list, list]:
+    """Report ``name`` as its file name, header, rows and ``long.csv`` rows.
+    A report the inputs leave undefined raises DataError."""
     rate_columns = ("disagreement_count", "citance_count", "rate")
     if name == "rates":
-        rows = []
-        for grouping in REPORT_GROUPINGS["rates"]:
+        rows, long_rows = [], []
+        for grouping in REPORTS["rates"][0]:
             for row in rates[grouping]:
                 group = (
                     f"{row.group[0]}:{row.group[1]}"
@@ -421,47 +419,40 @@ def _write_report(
                 rows.append((grouping, group, row.disagreement_count,
                              row.citance_count, row.rate))
                 long_rows.append((group, f"rate_{grouping}", row.rate))
-        writer.write_csv("rates.csv", ("grouping", "group", *rate_columns), rows)
-    elif name == "slopes":
+        return "rates.csv", ("grouping", "group", *rate_columns), rows, long_rows
+    if name == "slopes":
         slopes = sorted(field_slopes(rates["field_year"]).items())
-        writer.write_csv("slopes.csv", ("main_field", "slope"), slopes)
-        long_rows.extend((field, "slope", value) for field, value in slopes)
-    elif name in ("selfcite", "age", "position"):
-        (grouping,) = REPORT_GROUPINGS[name]
-        rows = rates[grouping]
-        writer.write_csv(
-            f"{name}.csv", ("group" if name == "selfcite" else "bin", *rate_columns),
-            ((r.group, r.disagreement_count, r.citance_count, r.rate) for r in rows),
-        )
+        return ("slopes.csv", ("main_field", "slope"), slopes,
+                [(field, "slope", value) for field, value in slopes])
+    if name in ("selfcite", "age", "position"):
+        (grouping,), _ = REPORTS[name]
+        groups = rates[grouping]
+        rows = [(r.group, r.disagreement_count, r.citance_count, r.rate) for r in groups]
         if name != "selfcite":
-            long_rows.extend((r.group, f"rate_{grouping}", r.rate) for r in rows)
-        else:
-            try:
-                ratio = self_citation_ratio(rows)
-                long_rows.append(("all", "selfcite_ratio", ratio))
-            except ValueError:
-                pass
-    elif name == "meso":
+            return (f"{name}.csv", ("bin", *rate_columns), rows,
+                    [(r.group, f"rate_{grouping}", r.rate) for r in groups])
         try:
-            rows = meso_log_ratio(rates["meso_field"])
+            long_rows = [("all", "selfcite_ratio", self_citation_ratio(groups))]
+        except ValueError:
+            long_rows = []
+        return "selfcite.csv", ("group", *rate_columns), rows, long_rows
+    if name == "meso":
+        try:
+            meso = meso_log_ratio(rates["meso_field"])
         except ValueError as exc:
             raise DataError(f"meso report undefined: {exc}")
-        writer.write_csv(
-            "meso.csv", ("meso_field", "rate", "log_ratio", "n_citances"),
-            ((r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in rows),
-        )
-        long_rows.extend((r.meso_field, "meso_log_ratio", r.log_ratio) for r in rows)
-    elif name == "top":
-        issuers, receivers = top_tables(flags, corpus_docs, args.top_n)
-        writer.write_csv(
-            "top.csv", ("table", "doc_id", "count"),
-            [("issuers", d, c) for d, c in issuers]
-            + [("receivers", d, c) for d, c in receivers],
-        )
-    elif name == "impact":
-        fields = sorted({d.main_field for d in corpus_docs if d.main_field})
-        reports = impact_ratio(flags, corpus_docs, table, (1, 2, 3))
-        rows = []
+        return ("meso.csv", ("meso_field", "rate", "log_ratio", "n_citances"),
+                [(r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in meso],
+                [(r.meso_field, "meso_log_ratio", r.log_ratio) for r in meso])
+    if name == "top":
+        issuers, receivers = top_tables(flags, docs, args.top_n)
+        return ("top.csv", ("table", "doc_id", "count"),
+                [("issuers", d, c) for d, c in issuers]
+                + [("receivers", d, c) for d, c in receivers], [])
+    if name == "impact":
+        fields = sorted({d.main_field for d in docs if d.main_field})
+        reports = impact_ratio(flags, docs, table, (1, 2, 3))
+        rows, long_rows = [], []
         for k in (1, 2, 3):
             for field in [None] + fields:
                 if (field, k) in reports:
@@ -469,33 +460,28 @@ def _write_report(
                     rows.append((field or "All", k, report.records,
                                  report.mean_disagreement, report.mean_expected, report.d))
                     long_rows.append((field or "All", f"impact_d_t+{k}", report.d))
-        writer.write_csv(
-            "impact.csv",
-            ("field", "k", "records", "mean_disagreement", "mean_expected", "d"), rows,
-        )
-    elif name == "gap":
-        try:
-            rows = citation_gap(flags, corpus_docs, table,
-                                doc_type=args.doc_type, horizon=args.horizon)
-        except ValueError as exc:
-            raise DataError(str(exc))
-        writer.write_csv(
-            "gap.csv", ("k", "mean_flagged", "mean_unflagged", "gap"),
-            ((r.k, r.mean_flagged, r.mean_unflagged, r.gap) for r in rows),
-        )
-        long_rows.extend((r.k, "citation_gap", r.gap) for r in rows)
+        return ("impact.csv",
+                ("field", "k", "records", "mean_disagreement", "mean_expected", "d"),
+                rows, long_rows)
+    try:  # gap
+        gap = citation_gap(flags, docs, table, doc_type=args.doc_type, horizon=args.horizon)
+    except ValueError as exc:
+        raise DataError(str(exc))
+    return ("gap.csv", ("k", "mean_flagged", "mean_unflagged", "gap"),
+            [(r.k, r.mean_flagged, r.mean_unflagged, r.gap) for r in gap],
+            [(r.k, "citation_gap", r.gap) for r in gap])
 
 
 def cmd_report(args) -> int:
-    which = [w.strip() for w in args.which.split(",") if w.strip()]
-    unknown = [w for w in which if w not in REPORT_NAMES]
+    which = list(dict.fromkeys(w.strip() for w in args.which.split(",") if w.strip()))
+    unknown = [w for w in which if w not in REPORTS]
     if unknown:
         raise UsageError(
-            f"unknown report name(s) {unknown}; valid names: {', '.join(REPORT_NAMES)}"
+            f"unknown report name(s) {unknown}; valid names: {', '.join(REPORTS)}"
         )
     # Cheap inputs are checked before the corpus is loaded and matched.
     validated = _validated_set(args)
-    needs_table = [name for name in which if name in ("impact", "gap")]
+    needs_table = [name for name in which if REPORTS[name][1]]
     if needs_table and not args.citations:
         raise DataError(f"report {needs_table[0]!r} requires --citations")
     with _reading("citations", args.citations):
@@ -505,19 +491,21 @@ def cmd_report(args) -> int:
     # depend on the others, so the rest are never matched.
     queries = [q for q in _load_queries(args.queries) if q.query_id in validated.query_ids]
     flags = flag_citances(run_all(iter_citances(corpus.documents), queries), validated)
+    groupings = dict.fromkeys(g for name in which for g in REPORTS[name][0])
+    rates = rate_by(flags, corpus.documents, groupings) if groupings else {}
+    # Every report is computed before --out is made, so an undefined one writes nothing.
+    reports = [_report(name, args, corpus.documents, flags, table, rates) for name in which]
     writer = OutputWriter(
         Path(args.out),
         _config(args, ("corpus", "mode", "queries", "threshold", "resolution",
                        "stats", "which", "citations", "doc_type", "horizon", "top_n")),
         args.seed,
     )
-    groupings = dict.fromkeys(g for name in which for g in REPORT_GROUPINGS.get(name, ()))
-    rates = rate_by(flags, corpus.documents, groupings) if groupings else {}
-    long_rows: list = []
-    for name in which:
-        _write_report(writer, name, args, corpus.documents, flags, table, rates, long_rows)
-    writer.write_csv("long.csv", ("group", "metric", "value"), long_rows)
-    print(f"wrote {len(which)} report(s) to {args.out}")
+    for file_name, header, rows, _ in reports:
+        writer.write_csv(file_name, header, rows)
+    writer.write_csv("long.csv", ("group", "metric", "value"),
+                     [row for *_, long_rows in reports for row in long_rows])
+    print(f"wrote {len(reports)} report(s) to {args.out}")
     return 0
 
 
@@ -582,7 +570,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=0.80)
     p.add_argument("--resolution", help="override the validated-set resolution file")
     p.add_argument("--stats", help="gate from a stats CSV instead of the defaults")
-    p.add_argument("--which", default=",".join(REPORT_NAMES),
+    p.add_argument("--which", default=",".join(REPORTS),
                    help="comma-separated report names")
     p.add_argument("--citations", help="per-paper yearly citation counts CSV")
     p.add_argument("--doc-type", dest="doc_type",

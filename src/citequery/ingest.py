@@ -258,7 +258,7 @@ def _parse_ref_obj(obj, seen_ids: set[str], spans: dict[str, tuple[int, int]]) -
         raise RecordError("dup_ref_id", ref_id)
     seen_ids.add(ref_id)
     cited_year = obj.get("cited_year")
-    if cited_year is not None and not isinstance(cited_year, int):
+    if cited_year is not None and type(cited_year) is not int:  # a JSON true is no year
         raise RecordError("bad_ref", "cited_year")
     cited_authors = obj.get("cited_authors")
     authors = _parse_authors(cited_authors, "bad_ref") if cited_authors is not None else None
@@ -295,8 +295,10 @@ def _parse_presegmented(raw, seen_ids: set[str]) -> tuple[Sentence, ...]:
         text = item.get("text")
         if not isinstance(text, str):
             raise RecordError("bad_sentences", "missing text")
-        raw_refs = item.get("refs") or []
-        if not isinstance(raw_refs, list):
+        raw_refs = item.get("refs")
+        if raw_refs is None:
+            raw_refs = []
+        elif not isinstance(raw_refs, list):
             raise RecordError("bad_sentences", "refs")
         # Markers in the text give spans, the last of an id its span; ids absent
         # from the refs array become links of their own, after the array's.
@@ -339,7 +341,7 @@ def record_to_document(obj, mode: str) -> Document:
     if main_field is not None and main_field not in MAIN_FIELDS:
         raise RecordError("bad_main_field", repr(main_field))
     meso_field = obj.get("meso_field")
-    if meso_field is not None and (not isinstance(meso_field, int) or meso_field < 0):
+    if meso_field is not None and (type(meso_field) is not int or meso_field < 0):
         raise RecordError("bad_meso_field", repr(meso_field))
     authors = _parse_authors(obj.get("authors"), "bad_authors")
 

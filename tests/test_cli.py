@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from citequery import cli
 from citequery.catalog import builtin_catalog, parse_validated_set
 from citequery.cli import (
-    REPORT_NAMES, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
+    REPORTS, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
     main,
 )
 from citequery.engine import run_all
@@ -348,6 +348,26 @@ class TestReport:
         assert code == 2
         assert capsys.readouterr().err == \
             "error: meso report undefined: no meso-field citances\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_undefined_gap_after_earlier_reports_writes_nothing(
+        self, golden_args, tmp_path, capsys
+    ):
+        citations = write_golden_citations(tmp_path / "citations.csv")
+        code = main(["report", *golden_args, "--out", str(tmp_path / "o"),
+                     "--which", "rates,gap", "--citations", str(citations),
+                     "--doc-type", "other"])  # no golden paper is of type "other"
+        assert code == 2
+        assert capsys.readouterr().err == "error: citation gap undefined: no flagged papers\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_report_name_is_reported_once(self, golden_args, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["report", *golden_args, "--out", str(out),
+                     "--which", "slopes,slopes"]) == 0
+        assert capsys.readouterr().out == f"wrote 1 report(s) to {out}\n"
+        rows = [tuple(r.values()) for r in read_csv(out / "long.csv")]
+        assert rows and len(rows) == len(set(rows))
 
     def test_impact_requires_citations(self, golden_args, tmp_path):
         assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
@@ -358,7 +378,7 @@ class TestReport:
         citations = write_golden_citations(tmp_path / "citations.csv")
         out = tmp_path / "out"
         code = main(["report", *golden_args, "--out", str(out),
-                     "--which", ",".join(REPORT_NAMES), "--citations", str(citations)])
+                     "--which", ",".join(REPORTS), "--citations", str(citations)])
         assert code == 0
         for name in ("rates", "selfcite", "age", "position", "meso", "top",
                      "impact", "gap", "long"):
@@ -474,6 +494,7 @@ HOSTILE = {
         "repeated_row": (CITATIONS_HEAD + "p1,2000,2001,3\np1,2000,2001,7\n", 4),
         "missing_column": ("doc_id,pub_year,year\ng01,2008,2009\n", 2),
         "short_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009\n", 4),
+        "negative_count": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,-5\n", 4),
     },
 }
 HOSTILE_CASES = [
@@ -735,7 +756,7 @@ def test_traced_harness_runs_a_full_report(tmp_path):
     result = subprocess.run(
         [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), str(root / "src"),
          "report", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"),
-         "--which", ",".join(REPORT_NAMES), "--citations", str(citations)],
+         "--which", ",".join(REPORTS), "--citations", str(citations)],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -85,6 +85,7 @@ class TestLoadCorpus:
             ({"doc_type": "thesis"}, "bad_doc_type"),
             ({"main_field": "Alchemy"}, "bad_main_field"),
             ({"meso_field": -3}, "bad_meso_field"),
+            ({"meso_field": True}, "bad_meso_field"),
         ],
     )
     def test_record_level_errors(self, tmp_path, mutation, code):
@@ -160,6 +161,14 @@ class TestLoadCorpus:
             ({"sentences": [{"text": "T.", "refs": [
                 {"ref_id": "r1", "cited_authors": [{"family": "x", "given": ["g"]}]},
             ]}]}, "bad_ref"),
+            ({"sentences": [{"text": "T.", "refs": [{"ref_id": "r1", "cited_year": True}]}]},
+             "bad_ref"),
+            ({"sentences": [{"text": "T.", "refs": [{"ref_id": "r1", "cited_year": False}]}]},
+             "bad_ref"),
+            ({"sentences": [{"text": "T.", "refs": {}}]}, "bad_sentences"),
+            ({"sentences": [{"text": "T.", "refs": False}]}, "bad_sentences"),
+            ({"sentences": [{"text": "T.", "refs": 0}]}, "bad_sentences"),
+            ({"sentences": [{"text": "T.", "refs": ""}]}, "bad_sentences"),
         ],
     )
     def test_wrongly_typed_fields_are_load_errors(self, tmp_path, mutation, code):
