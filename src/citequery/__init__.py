@@ -40,7 +40,6 @@ from .ingest import (  # noqa: F401
     is_self_citation,
     iter_citances,
     load_corpus,
-    relative_age,
     split_sentences,
     write_corpus,
 )

@@ -49,7 +49,6 @@ class MesoRow:
     rate: float
     log_ratio: float
     n_citances: int
-    zero_rate: bool = False
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ def meso_log_ratio(rows: Iterable[RateRow]) -> list[MesoRow]:
     """Per-meso-field log2 rate ratio to the unweighted mean, from ``meso_field`` rows.
 
     Truncated to [-2, +2] (4x above or below the mean); zero-rate fields
-    emit the lower clamp with an explicit marker.
+    emit the lower clamp.
     """
     rows = [row for row in rows if row.group != UNKNOWN]
     if not rows:
@@ -248,13 +247,10 @@ def meso_log_ratio(rows: Iterable[RateRow]) -> list[MesoRow]:
     mean_rate = sum(row.rate for row in rows) / len(rows)
     out = []
     for row in rows:
-        if row.rate == 0.0 or mean_rate == 0.0:
-            out.append(MesoRow(row.group, row.rate, -LOG_RATIO_CLAMP,
-                               row.citance_count, zero_rate=True))
-        else:
-            ratio = math.log2(row.rate / mean_rate)
-            clamped = max(-LOG_RATIO_CLAMP, min(LOG_RATIO_CLAMP, ratio))
-            out.append(MesoRow(row.group, row.rate, clamped, row.citance_count))
+        # Rates are never negative, so a positive rate makes the mean positive.
+        ratio = math.log2(row.rate / mean_rate) if row.rate else -LOG_RATIO_CLAMP
+        clamped = max(-LOG_RATIO_CLAMP, min(LOG_RATIO_CLAMP, ratio))
+        out.append(MesoRow(row.group, row.rate, clamped, row.citance_count))
     return out
 
 

@@ -426,19 +426,3 @@ def serialize_validated_set(validated: ValidatedSet) -> str:
     lines = [f"threshold {validated.threshold}"]
     lines.extend(sorted(validated.query_ids))
     return "\n".join(lines) + "\n"
-
-
-def parse_validated_set(text: str) -> ValidatedSet:
-    threshold = None
-    ids = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("threshold "):
-            threshold = float(line.split(None, 1)[1])
-        else:
-            ids.append(line)
-    if threshold is None:
-        raise ValueError("validated-set file missing threshold line")
-    return ValidatedSet(threshold, frozenset(ids))

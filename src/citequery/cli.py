@@ -183,9 +183,13 @@ def _read_stats_csv(path: str) -> dict[str, float]:
     stats = {}
     for line, row in numbered_csv_rows(path):
         try:
-            stats[row["query_id"]] = float(row["pct_valid"])
+            pct_valid = float(row["pct_valid"])
+            query_id = row["query_id"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {line}: bad row ({exc})") from None
+        if query_id in stats:
+            raise ValueError(f"line {line}: repeated row for {query_id!r}")
+        stats[query_id] = pct_valid
     return stats
 
 
@@ -358,7 +362,8 @@ def cmd_annotate(args) -> int:
     return 0
 
 
-def _annotations_from_file(path: str) -> list[AnnotationRecord]:
+def _annotations_from_file(path: str) -> tuple[str, list[AnnotationRecord]]:
+    """The file's coder (its ``# coder`` line, else its stem) and labeled rows."""
     rows, coder, _ = _read_sample_csv(path)
     coder_id = coder or Path(path).stem
     records = []
@@ -372,23 +377,23 @@ def _annotations_from_file(path: str) -> list[AnnotationRecord]:
             raise ValueError(f"line {line}: bad row ({exc})") from None
         records.append(
             AnnotationRecord(row["doc_id"], index, row["query_id"], coder_id, label))
-    return records
+    return coder_id, records
 
 
 def cmd_gate(args) -> int:
-    records = []
+    coders, records = [], []
     for path in args.annotations:
         with _reading("annotation", path):
-            records.append(_annotations_from_file(path))
-    coders = tuple(r[0].coder_id if r else Path(p).stem
-                   for r, p in zip(records, args.annotations))
+            coder, file_records = _annotations_from_file(path)
+        coders.append(coder)
+        records += file_records
     if coders[0] == coders[1]:
         raise DataError("gate requires annotations from two distinct coders")
     try:
-        stats = compute_stats(records[0] + records[1], coders)
+        stats = compute_stats(records, tuple(coders))
     except ValueError as exc:
         raise DataError(str(exc))
-    validated = gate_queries(stats, args.threshold)
+    validated = gate_queries({s.query_id: s.pct_valid for s in stats}, args.threshold)
     writer = OutputWriter(
         Path(args.out), _config(args, ("annotations", "threshold")), args.seed
     )
@@ -568,8 +573,10 @@ def build_parser() -> _Parser:
     _add_query_args(p)
     _add_common_out(p)
     p.add_argument("--threshold", type=float, default=0.80)
-    p.add_argument("--resolution", help="override the validated-set resolution file")
-    p.add_argument("--stats", help="gate from a stats CSV instead of the defaults")
+    validated_from = p.add_mutually_exclusive_group()
+    validated_from.add_argument("--resolution",
+                                help="override the validated-set resolution file")
+    validated_from.add_argument("--stats", help="gate from a stats CSV instead of the defaults")
     p.add_argument("--which", default=",".join(REPORTS),
                    help="comma-separated report names")
     p.add_argument("--citations", help="per-paper yearly citation counts CSV")

@@ -538,8 +538,3 @@ def is_self_citation(
                 continue
             return SELF
     return NON_SELF
-
-
-def relative_age(citing_year: int, cited_year: int) -> int:
-    """Age of the cited paper relative to the citing one; may be negative."""
-    return citing_year - cited_year

@@ -109,35 +109,37 @@ def _paired_labels(
     ]
 
 
+def _agreement(pairs: list[tuple[str, str]]) -> tuple[float, float, float | None]:
+    """Percent agreement, percent valid and Cohen's kappa of paired labels."""
+    n = len(pairs)
+    observed = sum(1 for a, b in pairs if a == b) / n
+    valid = sum(1 for a, b in pairs if a == b == VALID) / n
+    a_valid = sum(1 for a, _ in pairs if a == VALID) / n
+    b_valid = sum(1 for _, b in pairs if b == VALID) / n
+    expected = a_valid * b_valid + (1 - a_valid) * (1 - b_valid)
+    kappa = None if expected == 1.0 else (observed - expected) / (1 - expected)
+    return observed, valid, kappa
+
+
 def percent_agreement(
     annotations: Iterable[AnnotationRecord], coders: tuple[str, str]
 ) -> float:
     """Fraction of annotated citances both coders labeled identically."""
-    pairs = _paired_labels(annotations, coders)
-    return sum(1 for a, b in pairs if a == b) / len(pairs)
+    return _agreement(_paired_labels(annotations, coders))[0]
 
 
 def percent_valid(
     annotations: Iterable[AnnotationRecord], coders: tuple[str, str]
 ) -> float:
     """Fraction of annotated citances both coders labeled valid."""
-    pairs = _paired_labels(annotations, coders)
-    return sum(1 for a, b in pairs if a == b == VALID) / len(pairs)
+    return _agreement(_paired_labels(annotations, coders))[1]
 
 
 def cohens_kappa(
     annotations: Iterable[AnnotationRecord], coders: tuple[str, str]
 ) -> float | None:
     """Cohen's kappa for the two coders; None when chance agreement is 1."""
-    pairs = _paired_labels(annotations, coders)
-    n = len(pairs)
-    observed = sum(1 for a, b in pairs if a == b) / n
-    a_valid = sum(1 for a, _ in pairs if a == VALID) / n
-    b_valid = sum(1 for _, b in pairs if b == VALID) / n
-    expected = a_valid * b_valid + (1 - a_valid) * (1 - b_valid)
-    if expected == 1.0:
-        return None
-    return (observed - expected) / (1 - expected)
+    return _agreement(_paired_labels(annotations, coders))[2]
 
 
 def compute_stats(
@@ -149,27 +151,12 @@ def compute_stats(
         by_query.setdefault(record.query_id, []).append(record)
     stats = []
     for query_id in sorted(by_query):
-        records = by_query[query_id]
-        pairs = _paired_labels(records, coders)
-        stats.append(
-            ValidationStats(
-                query_id=query_id,
-                n=len(pairs),
-                pct_agree=percent_agreement(records, coders),
-                pct_valid=percent_valid(records, coders),
-                kappa=cohens_kappa(records, coders),
-            )
-        )
+        pairs = _paired_labels(by_query[query_id], coders)
+        stats.append(ValidationStats(query_id, len(pairs), *_agreement(pairs)))
     return stats
 
 
-def gate_queries(
-    stats: Iterable[ValidationStats] | Mapping[str, float], threshold: float
-) -> ValidatedSet:
-    """Queries whose percent valid meets the threshold (inclusive)."""
-    if isinstance(stats, Mapping):
-        items = stats.items()
-    else:
-        items = ((s.query_id, s.pct_valid) for s in stats)
-    kept = frozenset(query_id for query_id, pct_valid in items if pct_valid >= threshold)
+def gate_queries(stats: Mapping[str, float], threshold: float) -> ValidatedSet:
+    """Query ids whose percent valid in ``stats`` meets the threshold (inclusive)."""
+    kept = frozenset(query_id for query_id, valid in stats.items() if valid >= threshold)
     return ValidatedSet(threshold, kept)

@@ -277,8 +277,8 @@ class TestMesoLogRatio:
         docs = [make_doc("a", 100, meso=1), make_doc("b", 100, meso=2)]
         rows = {r.meso_field: r
                 for r in meso_log_ratio(rows_of({("b", 0)}, docs, "meso_field"))}
-        assert rows[1].zero_rate and rows[1].log_ratio == -2.0
-        assert not rows[2].zero_rate
+        assert rows[1].rate == 0.0 and rows[1].log_ratio == -2.0
+        assert rows[2].rate > 0.0
 
     def test_log_ratios_bounded(self):
         docs, flags = self.three_field_fixture()

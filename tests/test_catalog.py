@@ -6,10 +6,10 @@ from citequery.catalog import (
     Pattern,
     QueryFileError,
     QuerySpec,
+    ValidatedSet,
     builtin_catalog,
     default_validated_set,
     parse_query_file,
-    parse_validated_set,
     serialize_query_file,
     serialize_validated_set,
 )
@@ -129,8 +129,10 @@ class TestValidatedSets:
             default_validated_set(0.80, resolution)
 
     def test_validated_set_round_trip(self):
-        validated = default_validated_set(0.80)
-        assert parse_validated_set(serialize_validated_set(validated)) == validated
+        validated = ValidatedSet(0.8, frozenset({"debat.standalone", "contrary.studies"}))
+        assert serialize_validated_set(validated) == \
+            "threshold 0.8\ncontrary.studies\ndebat.standalone\n"
+        assert serialize_validated_set(ValidatedSet(0.7, frozenset())) == "threshold 0.7\n"
 
 
 class TestQueryFile:

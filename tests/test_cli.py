@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citequery import cli
-from citequery.catalog import builtin_catalog, parse_validated_set
+from citequery.catalog import builtin_catalog, serialize_validated_set
 from citequery.cli import (
     REPORTS, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
     main,
@@ -231,7 +231,6 @@ class TestSampleAnnotateGate:
         gate_out = tmp_path / "gate"
         assert main(["gate", "--annotations", *map(str, paths), "--threshold", "0.6",
                      "--out", str(gate_out)]) == 0
-        recorded = parse_validated_set((gate_out / "validated.txt").read_text())
 
         flagged_by = []
 
@@ -245,9 +244,10 @@ class TestSampleAnnotateGate:
                      "--which", "rates", "--stats", str(gate_out / "stats.csv"),
                      "--threshold", "0.6"]) == 0
         (used,) = flagged_by
-        assert used == recorded
+        assert (gate_out / "validated.txt").read_text().endswith(
+            "\n" + serialize_validated_set(used))
         sampled = {row["query_id"] for row in read_csv(sample_path)}
-        assert recorded.query_ids and recorded.query_ids < sampled
+        assert used.query_ids and used.query_ids < sampled
 
     def test_gate_requires_two_files(self, tmp_path, capsys):
         assert main(["gate", "--annotations", "only_one.csv",
@@ -263,6 +263,18 @@ class TestSampleAnnotateGate:
               "--out", str(out / "a.csv")])
         assert main(["gate", "--annotations", str(out / "a.csv"),
                      str(out / "a.csv"), "--out", str(tmp_path / "g")]) == 2
+
+    def test_gate_reads_the_coder_of_a_file_with_no_labeled_row(self, tmp_path, capsys):
+        # Both files say "# coder alice"; the second one's only row is skipped.
+        head = "# coder alice\ndoc_id,sentence_index,query_id,text,label\n"
+        labeled, skipped = tmp_path / "labeled.csv", tmp_path / "skipped.csv"
+        labeled.write_text(head + "g04,4,controvers.standalone,some text,valid\n")
+        skipped.write_text(head + "g04,4,controvers.standalone,some text,\n")
+        assert main(["gate", "--annotations", str(labeled), str(skipped),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == \
+            "error: gate requires annotations from two distinct coders\n"
+        assert not (tmp_path / "g").exists()
 
     def test_annotate_skip_leaves_blank(self, golden_args, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -451,6 +463,15 @@ class TestReport:
         # g04s5, g05s4.
         assert total == 4
 
+    def test_stats_and_resolution_exclude_each_other(self, golden_args, tmp_path, capsys):
+        # Rejected before any file is read: the resolution file does not exist.
+        out = tmp_path / "out"
+        assert main(["report", *golden_args, "--out", str(out), "--which", "rates",
+                     "--stats", str(tmp_path / "stats.csv"),
+                     "--resolution", str(tmp_path / "resolution.txt")]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SAMPLE_HEAD = "# seed 0\ndoc_id,sentence_index,query_id,text,label\n"
 ANNOTATION_HEAD = "# seed 0\n# coder ann\ndoc_id,sentence_index,query_id,text,label\n"
@@ -477,6 +498,8 @@ HOSTILE = {
         "bad_row": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
                     "challenge.standalone,50,1.0,high,0.1\n", 3),
         "csv_error": (STATS_HEAD + "controvers.standalone,50,1.0,0.9\r1.0\n", 2),
+        "repeated_row": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
+                         "controvers.standalone,50,1.0,0.1,1.0\n", 3),
     },
     "sample": {
         "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
@@ -549,7 +572,8 @@ class TestHostileInput:
         if problem == "non_utf8":
             assert "not valid UTF-8" in err
         if problem == "repeated_row":
-            assert "repeated row for ('p1', 2001)" in err
+            assert {"stats": "repeated row for 'controvers.standalone'",
+                    "citations": "repeated row for ('p1', 2001)"}[kind] in err
         if problem == "missing_column":
             assert "bad row ('citations')" in err
 
@@ -649,7 +673,8 @@ def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
         ]
         assert annotated_coder == coder
         assert "".join(provenance) == writer.header
-        records = _annotations_from_file(str(annotated))
+        file_coder, records = _annotations_from_file(str(annotated))
+        assert file_coder == coder
     assert [(r.doc_id, r.sentence_index, r.query_id, r.coder_id) for r in records] == [
         (d, i, q, coder) for d, i, q, _ in rows
     ]

@@ -22,7 +22,6 @@ from citequery.ingest import (
     numbered_lines,
     parse_ref_markers,
     record_to_document,
-    relative_age,
     sentence_spans,
     split_sentences,
     _fold,
@@ -429,13 +428,6 @@ def nfkd_fold(value):
 @example("Lariviѐre ÅNGSTRÖM ﬁsher İnan ß")
 def test_fold_equals_the_nfkd_route(value):
     assert _fold(value) == nfkd_fold(value)
-
-
-@pytest.mark.parametrize(
-    "citing, cited, expected", [(2010, 2005, 5), (2010, 2010, 0), (2010, 2012, -2)]
-)
-def test_relative_age(citing, cited, expected):
-    assert relative_age(citing, cited) == expected
 
 
 author_names = st.builds(

@@ -1,6 +1,8 @@
-"""The package depends on the standard library only."""
+"""The package depends on the standard library only, and defines no
+module-level name that nothing uses."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -26,3 +28,41 @@ def test_src_imports_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def module_level_names(tree):
+    """(name, first line, last line) of each function, class and constant
+    a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno, node.end_lineno
+
+
+def test_every_module_level_name_is_used_or_exported():
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(sources[SRC / "__init__.py"]).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = []
+    for path, text in sources.items():
+        for name, first, last in module_level_names(ast.parse(text, str(path))):
+            if name.startswith("__") or name in exported:
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            outside = [
+                line
+                for other, other_text in sources.items()
+                for number, line in enumerate(other_text.splitlines(), 1)
+                if not (other == path and first <= number <= last)
+            ]
+            if not any(word.search(line) for line in outside):
+                unused.append(f"{path.name}: {name}")
+    assert unused == []

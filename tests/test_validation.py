@@ -208,6 +208,11 @@ class TestComputeStats:
         assert stats["q1"].pct_valid == pytest.approx(0.8)
         assert stats["q2"].pct_valid == pytest.approx(0.2)
         assert stats["q2"].pct_agree == pytest.approx(1.0)
+        for query_id, s in stats.items():
+            own = [r for r in records if r.query_id == query_id]
+            assert (s.pct_agree, s.pct_valid, s.kappa) == (
+                percent_agreement(own, CODERS), percent_valid(own, CODERS),
+                cohens_kappa(own, CODERS))
 
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError):
