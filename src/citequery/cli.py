@@ -92,6 +92,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    """argparse type of the threshold options: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return value
+
+
 def _digest(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, ensure_ascii=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -167,10 +178,10 @@ def _load_queries(spec: str):
         return parse_query_file("".join(text for _, text in numbered_lines(spec)))
 
 
-def _validated_set(args) -> ValidatedSet:
+def _validated_set(args, query_ids: set[str]) -> ValidatedSet:
     if args.stats:
         with _reading("stats", args.stats):
-            return gate_queries(_read_stats_csv(args.stats), args.threshold)
+            return gate_queries(_read_stats_csv(args.stats, query_ids), args.threshold)
     try:
         shipped_threshold(args.threshold)
     except ValueError as exc:
@@ -179,7 +190,8 @@ def _validated_set(args) -> ValidatedSet:
         return default_validated_set(args.threshold, args.resolution)
 
 
-def _read_stats_csv(path: str) -> dict[str, float]:
+def _read_stats_csv(path: str, query_ids: set[str]) -> dict[str, float]:
+    """Percent valid by query id; every id must be one of ``query_ids``."""
     stats = {}
     for line, row in numbered_csv_rows(path):
         try:
@@ -187,6 +199,10 @@ def _read_stats_csv(path: str) -> dict[str, float]:
             query_id = row["query_id"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {line}: bad row ({exc})") from None
+        if not 0.0 <= pct_valid <= 1.0:  # also refuses nan
+            raise ValueError(f"line {line}: pct_valid {row['pct_valid']!r} is not in [0, 1]")
+        if query_id not in query_ids:
+            raise ValueError(f"line {line}: unknown query id {query_id!r}")
         if query_id in stats:
             raise ValueError(f"line {line}: repeated row for {query_id!r}")
         stats[query_id] = pct_valid
@@ -485,7 +501,8 @@ def cmd_report(args) -> int:
             f"unknown report name(s) {unknown}; valid names: {', '.join(REPORTS)}"
         )
     # Cheap inputs are checked before the corpus is loaded and matched.
-    validated = _validated_set(args)
+    queries = _load_queries(args.queries)
+    validated = _validated_set(args, {q.query_id for q in queries})
     needs_table = [name for name in which if REPORTS[name][1]]
     if needs_table and not args.citations:
         raise DataError(f"report {needs_table[0]!r} requires --citations")
@@ -494,7 +511,7 @@ def cmd_report(args) -> int:
     corpus = _load_corpus(args.corpus, args.mode)
     # Only a validated query can flag a citance, and no query's records
     # depend on the others, so the rest are never matched.
-    queries = [q for q in _load_queries(args.queries) if q.query_id in validated.query_ids]
+    queries = [q for q in queries if q.query_id in validated.query_ids]
     flags = flag_citances(run_all(iter_citances(corpus.documents), queries), validated)
     groupings = dict.fromkeys(g for name in which for g in REPORTS[name][0])
     rates = rate_by(flags, corpus.documents, groupings) if groupings else {}
@@ -564,7 +581,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gate", help="compute stats and gate the validated set")
     p.add_argument("--annotations", nargs=2, required=True,
                    metavar=("CODER_A_CSV", "CODER_B_CSV"))
-    p.add_argument("--threshold", type=float, default=0.80)
+    p.add_argument("--threshold", type=_fraction, default=0.80)
     _add_common_out(p)
     p.set_defaults(func=cmd_gate)
 
@@ -572,7 +589,7 @@ def build_parser() -> _Parser:
     _add_corpus_args(p)
     _add_query_args(p)
     _add_common_out(p)
-    p.add_argument("--threshold", type=float, default=0.80)
+    p.add_argument("--threshold", type=_fraction, default=0.80)
     validated_from = p.add_mutually_exclusive_group()
     validated_from.add_argument("--resolution",
                                 help="override the validated-set resolution file")

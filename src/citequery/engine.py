@@ -11,6 +11,15 @@ set's spans, are computed once and every query's record is composed
 from them. Groups whose signal terms never occur in a citance are
 skipped outright.
 
+Most citances hold no cue at all. The classifier also remembers each
+word whose token set holds no signal lead token (the first token of a
+signal pattern), and a citance made only of such words is rejected with
+one set lookup, before any word is indexed. That is exact: with no
+lead token among its words' classes, no query is a candidate, and the
+full path returns no records either. Whether a word is lead-less
+depends on the word alone, so records never depend on what the matcher
+has seen before.
+
 Matching conventions. They are the specification, pinned by the
 independent oracle in ``tests/naive_scanner.py``:
 
@@ -75,9 +84,11 @@ class MatchRecord:
 
 
 class _TokenClassifier:
-    """Maps each distinct word to the set of pattern tokens it satisfies."""
+    """Maps each distinct word to the set of pattern tokens it satisfies,
+    and keeps in ``leadless`` every classified word that satisfies none of
+    the ``lead_tokens``."""
 
-    def __init__(self, pattern_tokens: Iterable[str]):
+    def __init__(self, pattern_tokens: Iterable[str], lead_tokens: Iterable[str]):
         self._literals: dict[str, str] = {}
         by_initial: dict[str, list[str]] = {}
         for token in set(pattern_tokens):
@@ -89,6 +100,8 @@ class _TokenClassifier:
         self._prefixes = {k: tuple(v) for k, v in by_initial.items()}
         self._cache: dict[str, frozenset[str]] = {}
         self._empty: frozenset[str] = frozenset()
+        self._leads = frozenset(lead_tokens)
+        self.leadless: set[str] = set()
 
     def classify(self, word: str) -> frozenset[str]:
         cached = self._cache.get(word)
@@ -103,6 +116,8 @@ class _TokenClassifier:
                 matched.append(token)
         result = frozenset(matched) if matched else self._empty
         self._cache[word] = result
+        if self._leads.isdisjoint(result):
+            self.leadless.add(word)
         return result
 
 
@@ -248,10 +263,11 @@ class CatalogMatcher:
     Compiling collects every pattern token from every query into one
     classifier and groups the queries by signal definition
     ``(signal_patterns, exclusions, negation_exempt)`` and by filter
-    patterns. Matching a citance classifies each word once into a
-    token -> positions index, evaluates each signal group whose lead
-    tokens occurred and each filter set a surviving group needs once,
-    and composes every query's record from those spans.
+    patterns. A citance whose words are all known to be lead-less is
+    rejected at once. Matching any other citance classifies each word
+    once into a token -> positions index, evaluates each signal group
+    whose lead tokens occurred and each filter set a surviving group
+    needs once, and composes every query's record from those spans.
     """
 
     def __init__(self, queries: Sequence[QuerySpec]):
@@ -280,16 +296,18 @@ class CatalogMatcher:
             for rule in query.exclusions:
                 for pattern in rule.patterns:
                     tokens.update(pattern.tokens)
-        self._classifier = _TokenClassifier(tokens)
         # Queries indexed by the lead token of each signal pattern, so a
         # citance only evaluates queries whose signals can occur in it.
         self._by_lead: dict[str, list[int]] = {}
         for index, query in enumerate(self.queries):
             for pattern in query.signal_patterns:
                 self._by_lead.setdefault(pattern.tokens[0], []).append(index)
+        self._classifier = _TokenClassifier(tokens, self._by_lead)
 
     def match_citance(self, citance: Citance) -> list[MatchRecord]:
         words = citance.words
+        if self._classifier.leadless.issuperset(words):
+            return []  # no word can start a signal: no query is a candidate
         classify = self._classifier.classify
         classes: list[frozenset[str]] = []
         positions: dict[str, list[int]] = {}

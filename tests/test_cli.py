@@ -500,6 +500,11 @@ HOSTILE = {
         "csv_error": (STATS_HEAD + "controvers.standalone,50,1.0,0.9\r1.0\n", 2),
         "repeated_row": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
                          "controvers.standalone,50,1.0,0.1,1.0\n", 3),
+        "out_of_range": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
+                         "challenge.standalone,50,1.0,7,0.1\n", 3),
+        "nan": (STATS_HEAD + "controvers.standalone,50,1.0,nan,1.0\n", 2),
+        "unknown_id": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
+                       "nonsense.query,50,1.0,0.9,1.0\n", 3),
     },
     "sample": {
         "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
@@ -576,6 +581,10 @@ class TestHostileInput:
                     "citations": "repeated row for ('p1', 2001)"}[kind] in err
         if problem == "missing_column":
             assert "bad row ('citations')" in err
+        if problem in ("out_of_range", "nan"):
+            assert "is not in [0, 1]" in err
+        if problem == "unknown_id":
+            assert "unknown query id 'nonsense.query'" in err
 
 
 TINY_CORPUS = json.dumps({
@@ -696,6 +705,22 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
     assert main([command, "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
                  *options]) == 1
     assert "is not an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "1.5"],
+    ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "-0.1"],
+    ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "nan"],
+    ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "1.5"],
+    ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "inf"],
+    ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "high"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_thresholds_outside_zero_one_are_usage_errors(argv, tmp_path, capsys):
+    # None of the named files exists: a threshold is refused before any read.
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "is not a number in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 

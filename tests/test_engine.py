@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from citequery.catalog import (
 from citequery.engine import CatalogMatcher, Span, run_all
 from conftest import GOLDEN_MATCHES
 from naive_scanner import scan_all, scan_citance
-from synth import make_citance, random_citances
+from synth import NEUTRAL_WORDS, make_citance, random_citances
 
 
 def pattern(text):
@@ -311,6 +312,34 @@ class TestOracleEquivalence:
             if filter_set != "standalone":
                 assert (doc_id, index, f"{signal_key}.standalone") in keys
 
+    def test_records_do_not_depend_on_what_the_matcher_has_seen(
+        self, catalog, golden_citances
+    ):
+        # One matcher throughout: each pass meets the words the earlier
+        # passes classified and marked lead-less.
+        matcher = CatalogMatcher(catalog)
+        noisy = random_citances(1500, seed=11)
+        golden = (golden_citances, scan_all(golden_citances, catalog))
+        for citances, expected in (golden, (noisy, scan_all(noisy, catalog)), golden):
+            records = [r for c in citances for r in matcher.match_citance(c)]
+            records.sort(key=lambda r: (r.doc_id, r.sentence_index, r.query_id))
+            assert records == expected
+
+    def test_known_lead_less_citances_are_not_classified(self, catalog):
+        matcher = CatalogMatcher(catalog)
+        stream = [make_citance("d", i, NEUTRAL_WORDS[i:] + NEUTRAL_WORDS[:i])
+                  for i in range(len(NEUTRAL_WORDS))]
+        assert [matcher.match_citance(c) for c in stream] == [[]] * len(stream)
+        classifier = matcher._classifier
+        with mock.patch.object(classifier, "classify", wraps=classifier.classify) as classify:
+            for citance in stream:
+                assert matcher.match_citance(citance) == []
+            assert classify.call_count == 0
+            # A cue word sends the citance down the full path, word by word.
+            cued = make_citance("d", 99, NEUTRAL_WORDS[:5] + ("controversial",))
+            assert matcher.match_citance(cued) == scan_citance(cued, catalog) != []
+            assert classify.call_count == len(cued.words)
+
     def test_negation_exempt_queries_never_suppressed(self, catalog):
         exempt = [q for q in catalog if q.negation_exempt]
         assert {q.signal_id for q in exempt} == {"no consensus"}
@@ -418,5 +447,9 @@ def test_random_query_engines_agree(query, data):
 @settings(max_examples=200, deadline=None)
 @given(shared_catalogs(), st.data())
 def test_matcher_with_shared_groups_agrees_with_oracle(queries, data):
-    citance = make_citance("d", 0, data.draw(citance_words(queries)))
-    assert CatalogMatcher(queries).match_citance(citance) == scan_citance(citance, queries)
+    # 1-4 citances in order through one matcher, so later ones meet a warm
+    # word cache and lead-less set.
+    matcher = CatalogMatcher(queries)
+    for index in range(data.draw(st.integers(min_value=1, max_value=4))):
+        citance = make_citance("d", index, data.draw(citance_words(queries)))
+        assert matcher.match_citance(citance) == scan_citance(citance, queries)

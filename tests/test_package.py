@@ -1,5 +1,6 @@
-"""The package depends on the standard library only, and defines no
-module-level name that nothing uses."""
+"""The package depends on the standard library only, reads no
+environment variable, and defines no module-level name that nothing
+uses."""
 
 import ast
 import re
@@ -28,6 +29,23 @@ def test_src_imports_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb", "putenv"}
+
+
+def test_src_reads_no_environment():
+    # Behaviour is set by command-line options alone, never by the environment.
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                reads.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                          for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    assert reads == []
 
 
 def module_level_names(tree):
