@@ -22,7 +22,6 @@ from .catalog import (  # noqa: F401
     builtin_catalog,
     default_validated_set,
     parse_query_file,
-    serialize_query_file,
 )
 from .engine import (  # noqa: F401
     CatalogMatcher,
@@ -41,7 +40,6 @@ from .ingest import (  # noqa: F401
     iter_citances,
     load_corpus,
     split_sentences,
-    write_corpus,
 )
 from .tokens import tokenize  # noqa: F401
 from .validation import (  # noqa: F401

@@ -12,7 +12,6 @@ citation, and the issuer citation gap.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 from .catalog import ValidatedSet
 from .engine import MatchRecord
 from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence, is_self_citation
-from .ingest import numbered_csv_lists
+from .ingest import numbered_csv_columns
 
 CitanceKey = tuple[str, int]
 Flags = AbstractSet[CitanceKey]
@@ -300,21 +299,11 @@ class CitationTable:
         """Read ``doc_id,pub_year,year,citations`` rows; a malformed or
         repeated row, or a negative count, raises ValueError naming its line."""
         table = cls({}, {})
-        rows = numbered_csv_lists(path)
-        _, header = next(rows)
-        columns = ("doc_id", "pub_year", "year", "citations")
-        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        d, p, y, c = (at.get(name, sys.maxsize) for name in columns)  # absent: past every row
-        for line, row in rows:
-            row += [None] * (len(header) - len(row))  # short rows read None, as in DictReader
+        for line, (doc_id, pub_year, year, citations) in numbered_csv_columns(
+                path, ("doc_id", "pub_year", "year", "citations")):
             try:
-                doc_id = row[d]
-                pub_year, year = int(row[p]), int(row[y])
-                citations = int(row[c])
-            except IndexError:  # the first column the header lacks, as DictReader's KeyError
-                absent = next(name for name in columns if name not in at)
-                raise ValueError(f"line {line}: bad row ({KeyError(absent)})") from None
-            except (TypeError, ValueError) as exc:
+                pub_year, year, citations = int(pub_year), int(year), int(citations)
+            except ValueError as exc:
                 raise ValueError(f"line {line}: bad row ({exc})") from None
             if citations < 0:
                 raise ValueError(f"line {line}: bad row (negative citations {citations})")

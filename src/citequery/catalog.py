@@ -12,7 +12,6 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .ingest import numbered_lines
 
@@ -404,22 +403,6 @@ def parse_query_file(text: str) -> list[QuerySpec]:
             raise QueryFileError(f"unknown keyword {keyword!r}", lineno)
     close()
     return queries
-
-
-def serialize_query_file(queries: Iterable[QuerySpec]) -> str:
-    """Write queries in the query-file format; inverse of parse_query_file."""
-    blocks = []
-    for q in queries:
-        lines = [f"query {q.query_id}"]
-        lines.append("signal " + "|".join(p.text for p in q.signal_patterns))
-        lines.append(f"filter {'none' if q.filter_set == 'standalone' else q.filter_set}")
-        for rule in q.exclusions:
-            spec = ",".join(p.text for p in rule.patterns)
-            suffix = f" window={rule.window}" if rule.window is not None else ""
-            lines.append(f"exclude {rule.kind}:{spec}{suffix}")
-        lines.append(f"maxgap {q.max_gap}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
 
 
 def serialize_validated_set(validated: ValidatedSet) -> str:

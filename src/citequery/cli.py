@@ -43,7 +43,8 @@ from .catalog import (
 )
 from .engine import run_all
 from .ingest import (
-    Document, LoadResult, iter_citances, load_corpus, numbered_csv_rows, numbered_lines,
+    DOC_TYPES, Document, LoadResult, iter_citances, load_corpus, numbered_csv_columns,
+    numbered_lines,
 )
 from .validation import (
     DEFAULT_SAMPLE_SIZE,
@@ -193,14 +194,13 @@ def _validated_set(args, query_ids: set[str]) -> ValidatedSet:
 def _read_stats_csv(path: str, query_ids: set[str]) -> dict[str, float]:
     """Percent valid by query id; every id must be one of ``query_ids``."""
     stats = {}
-    for line, row in numbered_csv_rows(path):
+    for line, (query_id, cell) in numbered_csv_columns(path, ("query_id", "pct_valid")):
         try:
-            pct_valid = float(row["pct_valid"])
-            query_id = row["query_id"]
-        except (KeyError, TypeError, ValueError) as exc:
+            pct_valid = float(cell)
+        except ValueError as exc:
             raise ValueError(f"line {line}: bad row ({exc})") from None
         if not 0.0 <= pct_valid <= 1.0:  # also refuses nan
-            raise ValueError(f"line {line}: pct_valid {row['pct_valid']!r} is not in [0, 1]")
+            raise ValueError(f"line {line}: pct_valid {cell!r} is not in [0, 1]")
         if query_id not in query_ids:
             raise ValueError(f"line {line}: unknown query id {query_id!r}")
         if query_id in stats:
@@ -319,8 +319,9 @@ def cmd_sample(args) -> int:
 
 
 def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, list[str]]:
-    """Numbered rows, the coder named in a ``# coder`` line of the leading
-    comment block, and the block's other lines."""
+    """Numbered rows by column name (a missing label reads None), the coder
+    named in a ``# coder`` line of the leading comment block, and the
+    block's other lines."""
     coder = None
     provenance: list[str] = []
     for _, text in numbered_lines(path):
@@ -330,11 +331,8 @@ def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, lis
             coder = text[len("# coder "):].strip()
         else:
             provenance.append(text)
-    rows = list(numbered_csv_rows(path))
-    for line, row in rows:
-        for column in SAMPLE_COLUMNS[:-1]:  # the label may be left out
-            if row.get(column) is None:
-                raise ValueError(f"line {line}: bad row (no {column!r})")
+    rows = [(line, dict(zip(SAMPLE_COLUMNS, cells))) for line, cells in
+            numbered_csv_columns(path, SAMPLE_COLUMNS[:-1], SAMPLE_COLUMNS[-1:])]
     return rows, coder, provenance
 
 
@@ -496,10 +494,9 @@ def _report(name: str, args, docs: list[Document], flags, table: CitationTable |
 def cmd_report(args) -> int:
     which = list(dict.fromkeys(w.strip() for w in args.which.split(",") if w.strip()))
     unknown = [w for w in which if w not in REPORTS]
-    if unknown:
-        raise UsageError(
-            f"unknown report name(s) {unknown}; valid names: {', '.join(REPORTS)}"
-        )
+    if unknown or not which:
+        problem = f"unknown report name(s) {unknown}" if unknown else "--which names no report"
+        raise UsageError(f"{problem}; valid names: {', '.join(REPORTS)}")
     # Cheap inputs are checked before the corpus is loaded and matched.
     queries = _load_queries(args.queries)
     validated = _validated_set(args, {q.query_id for q in queries})
@@ -597,7 +594,7 @@ def build_parser() -> _Parser:
     p.add_argument("--which", default=",".join(REPORTS),
                    help="comma-separated report names")
     p.add_argument("--citations", help="per-paper yearly citation counts CSV")
-    p.add_argument("--doc-type", dest="doc_type",
+    p.add_argument("--doc-type", dest="doc_type", choices=DOC_TYPES,
                    help="restrict the gap report to one document type")
     p.add_argument("--horizon", type=_count, default=10)
     p.add_argument("--top-n", dest="top_n", type=_count, default=10)

@@ -16,8 +16,9 @@ import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import dropwhile
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .tokens import tokenize
 
@@ -384,13 +385,19 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 raise ValueError(f"line {lineno}: not valid UTF-8") from None
 
 
-def numbered_csv_lists(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """The header row (``[]`` if none), then each non-blank data row, of a UTF-8
-    CSV file as lists, each paired with the 1-based number of its last line.
+def numbered_csv_columns(
+    path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Each non-blank data row of a UTF-8 CSV file as its cells under the
+    columns ``required`` and then ``optional``, paired with the 1-based
+    number of the row's last line.
 
     ``#`` lines before the header row are comments. After the header every
     line is data, so a quoted field may hold lines that start with ``#``.
-    Malformed CSV raises ValueError naming its line.
+    A repeated column name reads its last column. A row without a cell
+    under a required column, because the header or the row is too short
+    for it, raises ValueError("line N: bad row (no 'column')"); a missing
+    optional cell reads None. Malformed CSV raises ValueError naming its line.
     """
     # A citance text may pass csv's 128 KiB default field limit; this is
     # the largest limit every platform accepts.
@@ -403,25 +410,26 @@ def numbered_csv_lists(path: str | Path) -> Iterator[tuple[int, list[str]]]:
                                     numbered_lines(path)):
             yield text
 
+    names = (*required, *optional)
     try:
         rows = csv.reader(data())
-        yield last, next(rows, [])
+        at = {name: i for i, name in enumerate(next(rows, []))}
+        indices = [at.get(name) for name in names]
+        # A row reaching every column is read in one call, any other cell by
+        # cell (as is every row of one column: itemgetter(i) gives no tuple).
+        whole = len(indices) > 1 and None not in indices
+        width = max(indices) + 1 if whole else 0
+        get = itemgetter(*indices)
         for row in filter(None, rows):
-            yield last, row
+            if whole and len(row) >= width:
+                yield last, get(row)
+                continue
+            cells = tuple(None if i is None or i >= len(row) else row[i] for i in indices)
+            if None in cells[:len(required)]:
+                raise ValueError(f"line {last}: bad row (no {names[cells.index(None)]!r})")
+            yield last, cells
     except csv.Error as exc:
         raise ValueError(f"line {last}: {exc}") from None
-
-
-def numbered_csv_rows(path: str | Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """The data rows of ``numbered_csv_lists`` as ``csv.DictReader`` gives them:
-    short ones padded with None, extra cells listed under the key None."""
-    rows = numbered_csv_lists(path)
-    _, header = next(rows)
-    for line, row in rows:
-        record = dict(zip(header, row + [None] * (len(header) - len(row))))
-        if len(row) > len(header):
-            record[None] = row[len(header):]
-        yield line, record
 
 
 def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
@@ -454,47 +462,6 @@ def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
             loaded.add(doc.doc_id)
             result.documents.append(doc)
     return result
-
-
-def _author_obj(author: AuthorName) -> dict:
-    return {"family": author.family, "given": author.given_initial}
-
-
-def document_to_record(doc: Document) -> dict:
-    """Presegmented JSON record for a Document (round-trips via load)."""
-    return {
-        "doc_id": doc.doc_id,
-        "year": doc.year,
-        "doc_type": doc.doc_type,
-        "main_field": doc.main_field,
-        "meso_field": doc.meso_field,
-        "authors": [_author_obj(a) for a in doc.authors],
-        "sentences": [
-            {
-                "text": s.text,
-                "refs": [
-                    {
-                        "ref_id": r.ref_id,
-                        "cited_doc_id": r.cited_doc_id,
-                        "cited_year": r.cited_year,
-                        "cited_authors": None if r.cited_authors is None
-                        else [_author_obj(a) for a in r.cited_authors],
-                    }
-                    for r in s.refs
-                ],
-            }
-            for s in doc.sentences
-        ],
-    }
-
-
-def write_corpus(documents: Iterable[Document], handle: IO[str]) -> int:
-    """Serialize documents as presegmented JSON Lines; returns record count."""
-    count = 0
-    for doc in documents:
-        handle.write(json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
-        count += 1
-    return count
 
 
 def extract_citances(doc: Document) -> list[Citance]:

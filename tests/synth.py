@@ -1,11 +1,14 @@
-"""Synthetic corpus generators for property, recovery and scale tests."""
+"""Synthetic corpus generators for property, recovery and scale tests, and the
+corpus and query-file writers the round-trip tests read back."""
 
 from __future__ import annotations
 
 import json
 import random
+from typing import IO, Iterable
 
-from citequery.ingest import Citance
+from citequery.catalog import QuerySpec
+from citequery.ingest import AuthorName, Citance, Document
 
 # Vocabulary mixing signal stems and inflections, filter terms, negation,
 # exclusion triggers and neutral filler, so random sentences exercise
@@ -160,3 +163,60 @@ def write_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _author_obj(author: AuthorName) -> dict:
+    return {"family": author.family, "given": author.given_initial}
+
+
+def document_to_record(doc: Document) -> dict:
+    """Presegmented JSON record for a Document (round-trips via load)."""
+    return {
+        "doc_id": doc.doc_id,
+        "year": doc.year,
+        "doc_type": doc.doc_type,
+        "main_field": doc.main_field,
+        "meso_field": doc.meso_field,
+        "authors": [_author_obj(a) for a in doc.authors],
+        "sentences": [
+            {
+                "text": s.text,
+                "refs": [
+                    {
+                        "ref_id": r.ref_id,
+                        "cited_doc_id": r.cited_doc_id,
+                        "cited_year": r.cited_year,
+                        "cited_authors": None if r.cited_authors is None
+                        else [_author_obj(a) for a in r.cited_authors],
+                    }
+                    for r in s.refs
+                ],
+            }
+            for s in doc.sentences
+        ],
+    }
+
+
+def write_corpus(documents: Iterable[Document], handle: IO[str]) -> int:
+    """Serialize documents as presegmented JSON Lines; returns record count."""
+    count = 0
+    for doc in documents:
+        handle.write(json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
+        count += 1
+    return count
+
+
+def serialize_query_file(queries: Iterable[QuerySpec]) -> str:
+    """Write queries in the query-file format; inverse of parse_query_file."""
+    blocks = []
+    for q in queries:
+        lines = [f"query {q.query_id}"]
+        lines.append("signal " + "|".join(p.text for p in q.signal_patterns))
+        lines.append(f"filter {'none' if q.filter_set == 'standalone' else q.filter_set}")
+        for rule in q.exclusions:
+            spec = ",".join(p.text for p in rule.patterns)
+            suffix = f" window={rule.window}" if rule.window is not None else ""
+            lines.append(f"exclude {rule.kind}:{spec}{suffix}")
+        lines.append(f"maxgap {q.max_gap}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

@@ -10,9 +10,9 @@ from citequery.catalog import (
     builtin_catalog,
     default_validated_set,
     parse_query_file,
-    serialize_query_file,
     serialize_validated_set,
 )
+from synth import serialize_query_file
 
 
 class TestBuiltinCatalog:

@@ -19,7 +19,7 @@ from citequery.cli import (
     main,
 )
 from citequery.engine import run_all
-from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES
+from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES, write_golden_citations
 
 
 def read_csv(path):
@@ -40,21 +40,6 @@ def header_lines(path):
 @pytest.fixture()
 def golden_args():
     return ["--corpus", str(GOLDEN_CORPUS), "--mode", "presegmented"]
-
-
-def write_golden_citations(path):
-    """A citation table covering the papers the golden corpus cites."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("doc_id", "pub_year", "year", "citations"))
-        for paper, pub in (("x-zhao-2001", 2001), ("x-kusky-2003", 2003),
-                           ("x-munro-2003", 2003)):
-            for year in range(pub, 2016):
-                writer.writerow((paper, pub, year, 2))
-        for doc in ("g01", "g02", "g03", "g04", "g05", "g06", "g07", "g08", "g09"):
-            for year in range(2009, 2018):
-                writer.writerow((doc, 2008, year, 1))
-    return path
 
 
 class TestIngestCheck:
@@ -505,6 +490,7 @@ HOSTILE = {
         "nan": (STATS_HEAD + "controvers.standalone,50,1.0,nan,1.0\n", 2),
         "unknown_id": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
                        "nonsense.query,50,1.0,0.9,1.0\n", 3),
+        "short_row": (STATS_HEAD + "controvers.standalone,50,1.0\n", 2),
     },
     "sample": {
         "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
@@ -514,6 +500,7 @@ HOSTILE = {
     "annotation": {
         "non_utf8": (ANNOTATION_HEAD + "g04,4,controvers.standalone,caf\xe9,valid\n", 4),
         "bad_row": (ANNOTATION_HEAD + "g04,four,controvers.standalone,some text,valid\n", 4),
+        "short_row": (ANNOTATION_HEAD + "g04,4,controvers.standalone\n", 4),
     },
     "citations": {
         "non_utf8": (CITATIONS_HEAD + "g01,2008,2009,3\ncaf\xe9,2008,2009,3\n", 4),
@@ -522,8 +509,15 @@ HOSTILE = {
         "repeated_row": (CITATIONS_HEAD + "p1,2000,2001,3\np1,2000,2001,7\n", 4),
         "missing_column": ("doc_id,pub_year,year\ng01,2008,2009\n", 2),
         "short_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009\n", 4),
+        "short_row_reordered": ("# exported\npub_year,year,citations,doc_id\n2008,2009,3\n", 3),
         "negative_count": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,-5\n", 4),
     },
+}
+# The column each (kind, problem) row has no cell under.
+NO_CELL = {
+    ("stats", "short_row"): "pct_valid", ("sample", "bad_row"): "text",
+    ("annotation", "short_row"): "text", ("citations", "missing_column"): "citations",
+    ("citations", "short_row"): "citations", ("citations", "short_row_reordered"): "doc_id",
 }
 HOSTILE_CASES = [
     pytest.param(kind, problem, content, line, id=f"{kind}-{problem}")
@@ -579,8 +573,9 @@ class TestHostileInput:
         if problem == "repeated_row":
             assert {"stats": "repeated row for 'controvers.standalone'",
                     "citations": "repeated row for ('p1', 2001)"}[kind] in err
-        if problem == "missing_column":
-            assert "bad row ('citations')" in err
+        if (kind, problem) in NO_CELL:
+            assert err == (f"error: {kind} file {path}: line {line}: "
+                           f"bad row (no {NO_CELL[kind, problem]!r})\n")
         if problem in ("out_of_range", "nan"):
             assert "is not in [0, 1]" in err
         if problem == "unknown_id":
@@ -705,6 +700,20 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
     assert main([command, "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
                  *options]) == 1
     assert "is not an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--which", "gap", "--doc-type", "fullarticle"], "invalid choice: 'fullarticle'"),
+    (["--which", ","], "--which names no report; valid names: rates,"),
+    (["--which", ""], "--which names no report; valid names: rates,"),
+])
+def test_report_options_are_refused_before_any_file_is_read(options, message, tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    assert main(["report", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
+                 *options]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

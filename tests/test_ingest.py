@@ -18,15 +18,15 @@ from citequery.ingest import (
     extract_citances,
     is_self_citation,
     load_corpus,
-    numbered_csv_rows,
+    numbered_csv_columns,
     numbered_lines,
     parse_ref_markers,
     record_to_document,
     sentence_spans,
     split_sentences,
     _fold,
-    write_corpus,
 )
+from synth import write_corpus
 
 
 def write_lines(tmp_path, lines, name="corpus.jsonl"):
@@ -204,58 +204,80 @@ class TestNumberedReaders:
             '# one\n# two\nkey,text\n#k,plain\nk2,"first\n# coder mallory\nlast"\n',
             encoding="utf-8",
         )
-        assert list(numbered_csv_rows(path)) == [
-            (4, {"key": "#k", "text": "plain"}),
-            (7, {"key": "k2", "text": "first\n# coder mallory\nlast"}),
+        assert list(numbered_csv_columns(path, ("key", "text"))) == [
+            (4, ("#k", "plain")),
+            (7, ("k2", "first\n# coder mallory\nlast")),
         ]
 
     def test_field_over_csv_default_limit_reads_back(self, tmp_path):
         path = tmp_path / "f.csv"
         text = "x" * 200_000
         path.write_text(f"key,text\nk,{text}\n", encoding="utf-8")
-        assert list(numbered_csv_rows(path)) == [(2, {"key": "k", "text": text})]
+        assert list(numbered_csv_columns(path, ("key", "text"))) == [(2, ("k", text))]
 
     def test_malformed_csv_is_named(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"key,text\nk,fine\nk,bare\rreturn\n")
         with pytest.raises(ValueError, match="^line 3: new-line character"):
-            list(numbered_csv_rows(path))
+            list(numbered_csv_columns(path, ("key", "text")))
+
+    def test_cells_follow_the_named_columns_not_the_header_order(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("b,a,b,c\n1,2,3,4\n5,6,7\n8,9\n", encoding="utf-8")
+        rows = numbered_csv_columns(path, ("a", "b"), ("c", "d"))
+        assert next(rows) == (2, ("2", "3", "4", None))
+        assert next(rows) == (3, ("6", "7", None, None))
+        with pytest.raises(ValueError, match=r"^line 4: bad row \(no 'b'\)$"):
+            next(rows)
 
 
 csv_cells = st.text(alphabet=st.one_of(st.sampled_from(list(',"#\n\r x')),
                                      st.characters(blacklist_categories=("Cs",))),
                    max_size=8)
-csv_header = st.lists(st.text(alphabet="abc", min_size=1, max_size=2), min_size=1, max_size=4)
+csv_names = st.text(alphabet="abcd", min_size=1, max_size=2)
+csv_header = st.lists(csv_names.filter(lambda name: "d" not in name), min_size=1, max_size=4)
 
 
 @settings(max_examples=150, deadline=None)
 @given(csv_header, st.lists(st.lists(csv_cells, max_size=6), max_size=8),
-       st.sampled_from(["", 'x,"open\n', "k,bare\rreturn\n"]))
-@example(["a", "a", "b"], [["1"], [], ["1", "2", "3", "4"]], "")
-def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail):
-    """Rows and line numbers equal ``csv.DictReader``'s over CSV text with
-    short rows, long rows, blank lines and quoted line breaks."""
+       st.sampled_from(["", 'x,"open\n', "k,bare\rreturn\n"]),
+       st.lists(csv_names, min_size=1, max_size=4, unique=True), st.integers(0, 4))
+@example(["a", "a", "b"], [["1"], [], ["1", "2", "3", "4"]], "", ["a", "b"], 0)
+@example(["a", "a", "b"], [["1", "2", "3"], ["1"]], "", ["b", "a", "d"], 2)
+@example(["b", "a"], [["1", "2"], ["1"]], "", ["a", "b"], 1)
+def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail, names, split):
+    """Cells and line numbers equal ``csv.DictReader``'s ``row.get(name)``
+    over CSV text with short rows, long rows, blank lines, repeated and
+    absent column names and quoted line breaks; the first required cell
+    that DictReader reads as None raises a located error instead."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)  # an empty row is a blank line
     text = buffer.getvalue() + tail
+    required, optional = names[:split], names[split:]
     lines = [raw.decode("utf-8") for raw in io.BytesIO(text.encode("utf-8"))]
     reader = csv.DictReader(iter(lines))
     expected = []
     try:
         for row in reader:
-            expected.append((reader.reader.line_num, row))
-    except csv.Error:
-        expected = None
+            cells = tuple(row.get(name) for name in names)
+            if None in cells[:len(required)]:
+                absent = names[cells.index(None)]
+                expected.append(f"line {reader.line_num}: bad row (no {absent!r})")
+                break
+            expected.append((reader.line_num, cells))
+    except csv.Error as exc:
+        expected.append(f"line {reader.reader.line_num}: {exc}")
     path = tmp_path_factory.getbasetemp() / "dict_reader.csv"
     path.write_bytes(text.encode("utf-8"))
-    if expected is None:
-        with pytest.raises(ValueError, match=r"^line \d+: new-line character"):
-            list(numbered_csv_rows(path))
-    else:
-        assert list(numbered_csv_rows(path)) == expected
+    found = []
+    try:
+        found.extend(numbered_csv_columns(path, required, optional))
+    except ValueError as exc:
+        found.append(str(exc))
+    assert found == expected
 
 
 class TestSplitSentences:
