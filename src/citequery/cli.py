@@ -41,11 +41,12 @@ from .catalog import (
     serialize_validated_set,
     shipped_threshold,
 )
-from .engine import run_all
+from .engine import RECORD_ORDER, CatalogMatcher, MatchRecord, run_all
 from .ingest import (
-    DOC_TYPES, Document, LoadResult, iter_citances, load_corpus, numbered_csv_columns,
-    numbered_lines,
+    DOC_TYPES, Citance, Document, LoadError, iter_citances, load_corpus, numbered_csv_columns,
+    numbered_lines, read_citing,
 )
+from .tokens import tokenize
 from .validation import (
     DEFAULT_SAMPLE_SIZE,
     AnnotationRecord,
@@ -163,13 +164,23 @@ def _reading(kind: str, path) -> Iterator[None]:
         raise DataError(f"{kind} file {path}: {exc}") from None
 
 
-def _load_corpus(path: str, mode: str) -> LoadResult:
-    with _reading("corpus", path):
-        result = load_corpus(path, mode)
-    for error in result.errors:
+def _print_errors(errors: list[LoadError]) -> None:
+    for error in errors:
         print(error.report(), file=sys.stderr)
-    gc.freeze()  # the corpus lives until the command ends: full collections skip it
-    return result
+
+
+@contextmanager
+def _citing_documents(args) -> Iterator[tuple[Iterator, list[LoadError]]]:
+    """``read_citing`` over ``--corpus`` and its load errors, which are
+    printed once the corpus has been read through."""
+    # What exists now (modules, catalog, matcher) lives until the process
+    # exits: freezing it spares every later collection, the one at interpreter
+    # shutdown included, from traversing it.
+    gc.freeze()
+    errors: list[LoadError] = []
+    with _reading("corpus", args.corpus):
+        yield read_citing(args.corpus, args.mode, errors), errors
+    _print_errors(errors)
 
 
 def _load_queries(spec: str):
@@ -220,32 +231,40 @@ def _config(args, keys: Sequence[str]) -> dict:
     return resolved
 
 
-def _citance_texts(documents: list[Document]) -> dict[tuple[str, int], str]:
-    return {(d.doc_id, s.index): s.text for d in documents for s in d.sentences if s.refs}
-
-
 def _match_records(args):
-    corpus = _load_corpus(args.corpus, args.mode)
+    """The queries, their match records in ``run_all``'s order, and the text
+    of each matched citance. The corpus is streamed: each citance is
+    tokenized and matched as it is read, and only matched texts are kept."""
     queries = _load_queries(args.queries)
-    records = run_all(iter_citances(corpus.documents), queries)
-    return corpus, queries, records
+    match = CatalogMatcher(queries).match_citance
+    records: list[MatchRecord] = []
+    texts: dict[tuple[str, int], str] = {}
+    with _citing_documents(args) as (documents, _):
+        for doc_id, citing in documents:
+            for index, text, spans in citing:
+                found = match(Citance(doc_id, index, tokenize(text, spans)))
+                if found:
+                    records += found
+                    texts[doc_id, index] = text
+    records.sort(key=RECORD_ORDER)
+    return queries, records, texts
 
 
 # --- subcommands ----------------------------------------------------------
 
 
 def cmd_ingest_check(args) -> int:
-    result = _load_corpus(args.corpus, args.mode)
-    citances = sum(1 for d in result.documents for s in d.sentences if s.refs)
-    print(
-        f"documents={len(result.documents)} citances={citances} "
-        f"errors={len(result.errors)}"
-    )
+    documents = citances = 0
+    with _citing_documents(args) as (read, errors):
+        for _, citing in read:
+            documents += 1
+            citances += len(citing)
+    print(f"documents={documents} citances={citances} errors={len(errors)}")
     return 0
 
 
 def cmd_match(args) -> int:
-    corpus, queries, records = _match_records(args)
+    queries, records, texts = _match_records(args)
     writer = OutputWriter(
         Path(args.out), _config(args, ("corpus", "mode", "queries")), args.seed
     )
@@ -263,7 +282,6 @@ def cmd_match(args) -> int:
         ),
     )
 
-    texts = _citance_texts(corpus.documents)
     with writer.open("matches.jsonl") as handle:
         for r in records:
             handle.write(_encode_json({
@@ -297,11 +315,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    corpus, queries, records = _match_records(args)
+    _, records, texts = _match_records(args)
     writer = OutputWriter(
         Path(args.out), _config(args, ("corpus", "mode", "queries", "n")), args.seed
     )
-    texts = _citance_texts(corpus.documents)
     by_query: dict[str, list] = {}
     for record in records:
         by_query.setdefault(record.query_id, []).append(record)
@@ -505,7 +522,11 @@ def cmd_report(args) -> int:
         raise DataError(f"report {needs_table[0]!r} requires --citations")
     with _reading("citations", args.citations):
         table = CitationTable.from_csv(args.citations) if needs_table else None
-    corpus = _load_corpus(args.corpus, args.mode)
+    gc.freeze()  # the catalog and the citation table live until the process exits
+    with _reading("corpus", args.corpus):
+        corpus = load_corpus(args.corpus, args.mode)
+    _print_errors(corpus.errors)
+    gc.freeze()  # the corpus lives until the command ends: full collections skip it
     # Only a validated query can flag a citance, and no query's records
     # depend on the others, so the rest are never matched.
     queries = [q for q in queries if q.query_id in validated.query_ids]

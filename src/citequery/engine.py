@@ -46,6 +46,7 @@ independent oracle in ``tests/naive_scanner.py``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .catalog import (
@@ -81,6 +82,9 @@ class MatchRecord:
     query_id: str
     signal_span: Span
     filter_span: Span | None = None
+
+
+RECORD_ORDER = attrgetter("doc_id", "sentence_index", "query_id")  # sort key of run_all
 
 
 class _TokenClassifier:
@@ -373,5 +377,5 @@ def run_all(
         found = match(citance)
         if found:
             records.extend(found)
-    records.sort(key=lambda r: (r.doc_id, r.sentence_index, r.query_id))
+    records.sort(key=RECORD_ORDER)
     return records

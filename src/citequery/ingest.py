@@ -14,6 +14,7 @@ import json
 import re
 import unicodedata
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import dropwhile
 from operator import itemgetter
@@ -130,12 +131,9 @@ class LoadResult:
 
 def parse_ref_markers(text: str) -> list[tuple[tuple[int, int], dict[str, str]]]:
     """Find inline ``<ref .../>`` markers; returns (span, attributes) pairs."""
-    found = []
-    for m in _REF_MARKER.finditer(text):
-        attrs = {a.group(1): a.group(2) or a.group(3) or a.group(4) or ""
-                 for a in _MARKER_ATTR.finditer(m.group(1))}
-        found.append(((m.start(), m.end()), attrs))
-    return found
+    return [(m.span(), {name: double or single or bare  # findall reads "" for an absent group
+                        for name, double, single, bare in _MARKER_ATTR.findall(m[1])})
+            for m in _REF_MARKER.finditer(text)]
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:
@@ -199,6 +197,26 @@ def sentence_spans(
     return spans
 
 
+def _sentence_links(text: str, links: Sequence[tuple[object, tuple[int, int] | None]]):
+    """Split raw text into (index, text, links) sentences. A sentence holds
+    each ``(item, span)`` link whose document-level marker span lies within
+    it, rebased to sentence-local offsets; links without a span are dropped.
+    No sentence boundary is ever placed inside a marker span."""
+    spans = sentence_spans(text, [span for _, span in links if span is not None])
+    starts = [start for start, _ in spans]
+    local: list[list] = [[] for _ in spans]
+    for item, span in links:
+        if span is None:
+            continue
+        # Sentences are disjoint, so only the last one starting at or
+        # before the marker can hold it.
+        index = bisect_right(starts, span[0]) - 1
+        if index >= 0 and span[1] <= spans[index][1]:
+            start = starts[index]
+            local[index].append((item, (span[0] - start, span[1] - start)))
+    return [(index, text[start:end], local[index]) for index, (start, end) in enumerate(spans)]
+
+
 def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
     """Split raw text into sentences, distributing refs by marker span.
 
@@ -206,133 +224,78 @@ def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
     hold the same links rebased to sentence-local offsets. No sentence
     boundary is ever placed inside a marker span.
     """
-    spans = sentence_spans(text, [r.span for r in refs if r.span is not None])
-    starts = [start for start, _ in spans]
-    local: list[list[RefLink]] = [[] for _ in spans]
-    for r in refs:
-        if r.span is None:
-            continue
-        # Sentences are disjoint, so only the last one starting at or
-        # before the marker can hold it.
-        index = bisect_right(starts, r.span[0]) - 1
-        if index >= 0 and r.span[1] <= spans[index][1]:
-            start = starts[index]
-            local[index].append(RefLink(
-                r.ref_id, r.cited_doc_id, r.cited_year, r.cited_authors,
-                (r.span[0] - start, r.span[1] - start),
-            ))
     return [
-        Sentence(index, text[start:end], tuple(local[index]))
-        for index, (start, end) in enumerate(spans)
+        Sentence(index, sentence, tuple(
+            RefLink(r.ref_id, r.cited_doc_id, r.cited_year, r.cited_authors, span)
+            for r, span in links))
+        for index, sentence, links in _sentence_links(text, [(r, r.span) for r in refs])
     ]
 
 
-def _require_str(obj: dict, key: str, code: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise RecordError(code)
-    return value
+# Validation. Every load error code but bad_json and dup_doc_id is raised
+# below, each in one helper, and ``record_to_document``, ``load_corpus`` and
+# ``read_citing`` all validate through ``_checked_sentences``.
 
 
-def _parse_authors(raw, code: str) -> tuple[AuthorName, ...]:
+def _valid_authors(raw) -> bool:
+    """Whether ``raw`` is absent (None) or a list of author objects, each
+    with a string ``family`` that is not empty once folded (as
+    ``AuthorName.from_parts`` folds it) and an optional string ``given``."""
     if raw is None:
-        return ()
+        return True
     if not isinstance(raw, list):
-        raise RecordError(code)
-    authors = []
+        return False
     for item in raw:
-        if (not isinstance(item, dict) or not isinstance(item.get("family"), str)
-                or not isinstance(item.get("given"), (str, type(None)))):
-            raise RecordError(code)
-        try:
-            authors.append(AuthorName.from_parts(item["family"], item.get("given")))
-        except ValueError:
-            raise RecordError(code)
-    return tuple(authors)
-
-
-def _parse_ref_obj(obj, seen_ids: set[str], spans: dict[str, tuple[int, int]]) -> RefLink:
-    if not isinstance(obj, dict):
-        raise RecordError("bad_ref")
-    ref_id = _require_str(obj, "ref_id", "bad_ref")
-    if ref_id in seen_ids:
-        raise RecordError("dup_ref_id", ref_id)
-    seen_ids.add(ref_id)
-    cited_year = obj.get("cited_year")
-    if cited_year is not None and type(cited_year) is not int:  # a JSON true is no year
-        raise RecordError("bad_ref", "cited_year")
-    cited_authors = obj.get("cited_authors")
-    authors = _parse_authors(cited_authors, "bad_ref") if cited_authors is not None else None
-    cited_doc = obj.get("cited_doc_id")
-    if cited_doc is not None and not isinstance(cited_doc, str):
-        raise RecordError("bad_ref", "cited_doc_id")
-    return RefLink(ref_id, cited_doc, cited_year, authors, spans.get(ref_id))
-
-
-def _marker_ref(attrs: dict[str, str], span: tuple[int, int], seen_ids: set[str]) -> RefLink:
-    ref_id = attrs.get("id", "")
-    if not ref_id:
-        raise RecordError("bad_ref", "marker without id")
-    if ref_id in seen_ids:
-        raise RecordError("dup_ref_id", ref_id)
-    seen_ids.add(ref_id)
-    year = attrs.get("cited_year")
-    cited_year = None
-    if year is not None:
-        try:
-            cited_year = int(year)
-        except ValueError:
-            raise RecordError("bad_ref", "cited_year")
-    return RefLink(ref_id, attrs.get("cited_doc_id"), cited_year, None, span)
-
-
-def _parse_presegmented(raw, seen_ids: set[str]) -> tuple[Sentence, ...]:
-    if not isinstance(raw, list):
-        raise RecordError("bad_sentences")
-    sentences = []
-    for index, item in enumerate(raw):
         if not isinstance(item, dict):
-            raise RecordError("bad_sentences")
-        text = item.get("text")
-        if not isinstance(text, str):
-            raise RecordError("bad_sentences", "missing text")
-        raw_refs = item.get("refs")
-        if raw_refs is None:
-            raw_refs = []
-        elif not isinstance(raw_refs, list):
-            raise RecordError("bad_sentences", "refs")
-        # Markers in the text give spans, the last of an id its span; ids absent
-        # from the refs array become links of their own, after the array's.
-        markers = parse_ref_markers(text) if "<ref" in text else []
-        spans = {attrs.get("id", ""): span for span, attrs in markers}
-        refs = [_parse_ref_obj(o, seen_ids, spans) for o in raw_refs]
-        if markers:
-            listed = {r.ref_id for r in refs}
-            refs.extend(_marker_ref(attrs, span, seen_ids)
-                        for span, attrs in markers if attrs.get("id", "") not in listed)
-        sentences.append(Sentence(index, text, tuple(refs)))
-    return tuple(sentences)
+            return False
+        family = item.get("family")
+        if (not isinstance(family, str) or not isinstance(item.get("given"), (str, type(None)))
+                or not (family.strip() if family.isascii() else _fold(family))):
+            return False
+    return True
 
 
-def _parse_rawtext(body, seen_ids: set[str]) -> tuple[Sentence, ...]:
-    if not isinstance(body, str):
-        raise RecordError("bad_body")
-    refs = [_marker_ref(attrs, span, seen_ids) for span, attrs in parse_ref_markers(body)]
-    return tuple(split_sentences(body, refs))
+def _check_ref(ref, seen_ids: set[str]) -> str:
+    """The id of one ``refs`` entry, claimed in ``seen_ids``."""
+    ref_id = ref.get("ref_id") if isinstance(ref, dict) else None
+    if isinstance(ref_id, str) and ref_id in seen_ids:  # only ids that passed are seen
+        raise RecordError("dup_ref_id", ref_id)
+    year, doc = (ref.get("cited_year"), ref.get("cited_doc_id")) if ref_id else (None, None)
+    if (not isinstance(ref_id, str) or not ref_id
+            or (year is not None and type(year) is not int)  # a JSON true is no year
+            or (doc is not None and not isinstance(doc, str))
+            or not _valid_authors(ref.get("cited_authors"))):
+        raise RecordError("bad_ref")
+    seen_ids.add(ref_id)
+    return ref_id
 
 
-def record_to_document(obj, mode: str) -> Document:
-    """Validate one decoded JSON record and build a Document.
+def _marker_ref(attrs: dict[str, str], seen_ids: set[str]) -> dict:
+    """A ``<ref .../>`` marker's attributes as a checked ``refs`` entry."""
+    ref = {"ref_id": attrs.get("id", ""), "cited_doc_id": attrs.get("cited_doc_id"),
+           "cited_year": attrs.get("cited_year")}
+    if ref["cited_year"] is not None:
+        with suppress(ValueError):  # else the string stays, and is refused
+            ref["cited_year"] = int(ref["cited_year"])
+    _check_ref(ref, seen_ids)
+    return ref
+
+
+def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list]]:
+    """Check one decoded JSON record and return its sentences as (index,
+    text, links), each link a checked ``refs`` entry (a marker's attributes
+    in that shape) with its sentence-local marker span or None.
 
     Raises RecordError with a stable code for malformed records.
     """
     if not isinstance(obj, dict):
         raise RecordError("not_object")
-    if "doc_id" not in obj or not isinstance(obj["doc_id"], str) or not obj["doc_id"]:
+    doc_id = obj.get("doc_id")
+    if not isinstance(doc_id, str) or not doc_id:
         raise RecordError("missing_doc_id")
-    if "year" not in obj or obj["year"] is None:
+    year = obj.get("year")
+    if year is None:
         raise RecordError("missing_year")
-    year = obj["year"]
     if not isinstance(year, int) or not 1900 <= year <= 2100:
         raise RecordError("bad_year", repr(year))
     doc_type = obj.get("doc_type", "other")
@@ -344,29 +307,78 @@ def record_to_document(obj, mode: str) -> Document:
     meso_field = obj.get("meso_field")
     if meso_field is not None and (type(meso_field) is not int or meso_field < 0):
         raise RecordError("bad_meso_field", repr(meso_field))
-    authors = _parse_authors(obj.get("authors"), "bad_authors")
+    if not _valid_authors(obj.get("authors")):
+        raise RecordError("bad_authors")
 
     seen_ids: set[str] = set()
-    if mode == "presegmented":
-        if "sentences" not in obj:
-            raise RecordError("missing_sentences")
-        sentences = _parse_presegmented(obj["sentences"], seen_ids)
-    elif mode == "rawtext":
+    if mode == "rawtext":
         if "body" not in obj:
             raise RecordError("missing_body")
-        sentences = _parse_rawtext(obj["body"], seen_ids)
-    else:
+        body = obj["body"]
+        if not isinstance(body, str):
+            raise RecordError("bad_body")
+        return _sentence_links(body, [(_marker_ref(attrs, seen_ids), span)
+                                      for span, attrs in parse_ref_markers(body)])
+    if mode != "presegmented":
         raise ValueError(f"unknown mode: {mode!r}")
+    if "sentences" not in obj:
+        raise RecordError("missing_sentences")
+    raw = obj["sentences"]
+    if not isinstance(raw, list):
+        raise RecordError("bad_sentences")
+    sentences = []
+    for index, item in enumerate(raw):
+        text, refs = ((item.get("text"), item.get("refs")) if isinstance(item, dict)
+                      else (None, None))
+        if refs is None:
+            refs = []
+        if not isinstance(text, str) or not isinstance(refs, list):
+            raise RecordError("bad_sentences")
+        # Markers in the text give spans, the last of an id its span; ids absent
+        # from the refs array become links of their own, after the array's.
+        markers = parse_ref_markers(text) if "<ref" in text else []
+        spans = {attrs.get("id", ""): span for span, attrs in markers}
+        links = [(ref, spans.get(_check_ref(ref, seen_ids))) for ref in refs]
+        if markers:
+            listed = {ref["ref_id"] for ref in refs}
+            links += [(_marker_ref(attrs, seen_ids), span)
+                      for span, attrs in markers if attrs.get("id", "") not in listed]
+        sentences.append((index, text, links))
+    return sentences
 
+
+def _authors(raw: list) -> tuple[AuthorName, ...]:
+    """The names of an author list ``_valid_authors`` accepts."""
+    return tuple([AuthorName.from_parts(a["family"], a.get("given")) for a in raw])
+
+
+def _ref_link(ref: dict, span: tuple[int, int] | None) -> RefLink:
+    cited = ref.get("cited_authors")
+    return RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
+                   None if cited is None else _authors(cited), span)
+
+
+def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
+    """The Document of a record and its ``_checked_sentences``."""
     return Document(
         doc_id=obj["doc_id"],
-        year=year,
-        doc_type=doc_type,
-        main_field=main_field,
-        meso_field=meso_field,
-        authors=authors,
-        sentences=sentences,
+        year=obj["year"],
+        doc_type=obj.get("doc_type", "other"),
+        main_field=obj.get("main_field"),
+        meso_field=obj.get("meso_field"),
+        authors=_authors(obj.get("authors") or ()),
+        sentences=tuple([
+            Sentence(index, text, tuple([_ref_link(*link) for link in links]) if links else ())
+            for index, text, links in sentences]),
     )
+
+
+def record_to_document(obj, mode: str) -> Document:
+    """Validate one decoded JSON record and build a Document.
+
+    Raises RecordError with a stable code for malformed records.
+    """
+    return _document(obj, _checked_sentences(obj, mode))
 
 
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -394,10 +406,12 @@ def numbered_csv_columns(
 
     ``#`` lines before the header row are comments. After the header every
     line is data, so a quoted field may hold lines that start with ``#``.
-    A repeated column name reads its last column. A row without a cell
-    under a required column, because the header or the row is too short
-    for it, raises ValueError("line N: bad row (no 'column')"); a missing
-    optional cell reads None. Malformed CSV raises ValueError naming its line.
+    A repeated column name reads its last column. A file with no header
+    row raises ValueError("no header row"), a header without a required
+    column ValueError("line N: bad header (no 'column')"), and a row too
+    short to reach one ValueError("line N: bad row (no 'column')"); a
+    missing optional cell reads None. Malformed CSV raises ValueError
+    naming its line.
     """
     # A citance text may pass csv's 128 KiB default field limit; this is
     # the largest limit every platform accepts.
@@ -413,8 +427,13 @@ def numbered_csv_columns(
     names = (*required, *optional)
     try:
         rows = csv.reader(data())
-        at = {name: i for i, name in enumerate(next(rows, []))}
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("no header row")
+        at = {name: i for i, name in enumerate(header)}
         indices = [at.get(name) for name in names]
+        if None in indices[:len(required)]:
+            raise ValueError(f"line {last}: bad header (no {names[indices.index(None)]!r})")
         # A row reaching every column is read in one call, any other cell by
         # cell (as is every row of one column: itemgetter(i) gives no tuple).
         whole = len(indices) > 1 and None not in indices
@@ -432,6 +451,33 @@ def numbered_csv_columns(
         raise ValueError(f"line {last}: {exc}") from None
 
 
+def _checked_records(
+    path: str | Path, mode: str, errors: list[LoadError]
+) -> Iterator[tuple[dict, list[tuple[int, str, list]]]]:
+    """Each record of a corpus file that loads, with its
+    ``_checked_sentences``; load errors go to ``errors`` (see load_corpus)."""
+    if mode not in ("presegmented", "rawtext"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    loaded: set[str] = set()
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):  # also over-long numbers and deep nesting
+            errors.append(LoadError(lineno, "bad_json"))
+            continue
+        try:
+            sentences = _checked_sentences(obj, mode)
+            if obj["doc_id"] in loaded:
+                raise RecordError("dup_doc_id")
+        except RecordError as exc:
+            errors.append(LoadError(lineno, exc.code))
+        else:
+            loaded.add(obj["doc_id"])
+            yield obj, sentences
+
+
 def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
     """Load a JSON Lines corpus file.
 
@@ -440,28 +486,27 @@ def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
     1-based line numbers; an unreadable file raises OSError, and a line
     that is not UTF-8 a ValueError naming it.
     """
-    if mode not in ("presegmented", "rawtext"):
-        raise ValueError(f"unknown mode: {mode!r}")
     result = LoadResult()
-    loaded: set[str] = set()
-    for lineno, line in numbered_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):  # also over-long numbers and deep nesting
-            result.errors.append(LoadError(lineno, "bad_json"))
-            continue
-        try:
-            doc = record_to_document(obj, mode)
-            if doc.doc_id in loaded:
-                raise RecordError("dup_doc_id")
-        except RecordError as exc:
-            result.errors.append(LoadError(lineno, exc.code))
-        else:
-            loaded.add(doc.doc_id)
-            result.documents.append(doc)
+    result.documents.extend(
+        _document(obj, sentences)
+        for obj, sentences in _checked_records(path, mode, result.errors))
     return result
+
+
+def read_citing(
+    path: str | Path, mode: str, errors: list[LoadError]
+) -> Iterator[tuple[str, list[tuple[int, str, list[tuple[int, int]]]]]]:
+    """The documents ``load_corpus`` loads, one at a time and without
+    building them: each is its doc id and, per citance, the sentence index,
+    text and sorted marker spans (``extract_citances`` tokenizes the text
+    with those spans). Load errors are appended to ``errors`` as read, and
+    the file raises as in ``load_corpus``.
+    """
+    for obj, sentences in _checked_records(path, mode, errors):
+        yield obj["doc_id"], [
+            (index, text, sorted(span for _, span in links if span is not None))
+            for index, text, links in sentences if links
+        ]
 
 
 def extract_citances(doc: Document) -> list[Citance]:

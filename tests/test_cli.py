@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -137,6 +139,62 @@ class TestMatch:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "wildcard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["match", "sample"])
+    def test_query_file_is_read_before_the_corpus(self, tmp_path, capsys, command):
+        corpus, queries, out = tmp_path / "gone.jsonl", tmp_path / "gone.q", tmp_path / "o"
+        code = main([command, "--corpus", str(corpus), "--queries", str(queries),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read query file {queries}: ")
+        assert not out.exists()
+
+    def test_non_utf8_line_after_malformed_records_is_the_only_error(self, tmp_path, capsys):
+        corpus, out = tmp_path / "bad.jsonl", tmp_path / "o"
+        corpus.write_bytes(GOLDEN_CORPUS.read_bytes() + b'{"year": 2000}\nnot json\n'
+                           b'{"doc_id": "g01", "year": 2001, "sentences": []}\n'
+                           b'{"doc_id": "caf\xe9"}\n')
+        line = len(GOLDEN_CORPUS.read_bytes().splitlines()) + 4
+        assert main(["match", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: corpus file {corpus}: line {line}: not valid UTF-8\n")
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_lead_less_documents(self, tmp_path):
+        """``match`` keeps what it matched, not what it read: four times the
+        documents without a cue word raise its peak traced memory by less
+        than ``bound``, while their corpus file grows by about 1.2 MB."""
+        rng = random.Random(5)
+        neutral = "the a of samples measured data from each station were averaged".split()
+
+        def document(i, cue):
+            words = rng.choices(neutral, k=18)
+            sentences = [{"text": " ".join(words[:6] + (["remains", "controversial"] if cue
+                                                        and s == 0 else []) + words[6:])
+                          + f' <ref id="r{s}"/>.',
+                          "refs": [{"ref_id": f"r{s}", "cited_doc_id": f"x{s}",
+                                    "cited_authors": [{"family": "Other", "given": "c"}]}]}
+                         for s in range(20)]
+            return json.dumps({"doc_id": f"d{i:05d}", "year": 2010, "authors": [
+                {"family": f"fam{i}", "given": "a"}], "sentences": sentences}) + "\n"
+
+        cued = [document(i, i % 10 == 0) for i in range(60)]
+        lead_less = [document(i, False) for i in range(60, 300)]
+        peaks = []
+        for lines in (cued, cued + lead_less):
+            corpus = tmp_path / f"corpus{len(lines)}.jsonl"
+            corpus.write_text("".join(lines), encoding="utf-8")
+            out = tmp_path / f"out{len(lines)}"
+            with mock.patch("sys.stdout", io.StringIO()):
+                tracemalloc.start()
+                try:
+                    assert main(["match", "--corpus", str(corpus), "--out", str(out)]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert len(read_csv(out / "matches.csv")) > 0
+        bound = 64 * 1024
+        assert peaks[1] - peaks[0] < bound, peaks
 
 
 class TestSampleAnnotateGate:
@@ -491,6 +549,7 @@ HOSTILE = {
         "unknown_id": (STATS_HEAD + "controvers.standalone,50,1.0,0.9,1.0\n"
                        "nonsense.query,50,1.0,0.9,1.0\n", 3),
         "short_row": (STATS_HEAD + "controvers.standalone,50,1.0\n", 2),
+        "header_only": ("q,p\n", 1),
     },
     "sample": {
         "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
@@ -507,17 +566,23 @@ HOSTILE = {
         "bad_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,three\n", 4),
         "csv_error": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008\r,2009,3\n", 4),
         "repeated_row": (CITATIONS_HEAD + "p1,2000,2001,3\np1,2000,2001,7\n", 4),
-        "missing_column": ("doc_id,pub_year,year\ng01,2008,2009\n", 2),
+        "missing_column": ("doc_id,pub_year,year\ng01,2008,2009\n", 1),
+        "header_only": ("doc,pub,yr,cites\n", 1),
         "short_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009\n", 4),
         "short_row_reordered": ("# exported\npub_year,year,citations,doc_id\n2008,2009,3\n", 3),
         "negative_count": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,-5\n", 4),
     },
 }
-# The column each (kind, problem) row has no cell under.
+# The whole message of each (kind, problem) whose header or row lacks a column.
 NO_CELL = {
-    ("stats", "short_row"): "pct_valid", ("sample", "bad_row"): "text",
-    ("annotation", "short_row"): "text", ("citations", "missing_column"): "citations",
-    ("citations", "short_row"): "citations", ("citations", "short_row_reordered"): "doc_id",
+    ("stats", "short_row"): "bad row (no 'pct_valid')",
+    ("stats", "header_only"): "bad header (no 'query_id')",
+    ("sample", "bad_row"): "bad row (no 'text')",
+    ("annotation", "short_row"): "bad row (no 'text')",
+    ("citations", "missing_column"): "bad header (no 'citations')",
+    ("citations", "header_only"): "bad header (no 'doc_id')",
+    ("citations", "short_row"): "bad row (no 'citations')",
+    ("citations", "short_row_reordered"): "bad row (no 'doc_id')",
 }
 HOSTILE_CASES = [
     pytest.param(kind, problem, content, line, id=f"{kind}-{problem}")
@@ -574,8 +639,7 @@ class TestHostileInput:
             assert {"stats": "repeated row for 'controvers.standalone'",
                     "citations": "repeated row for ('p1', 2001)"}[kind] in err
         if (kind, problem) in NO_CELL:
-            assert err == (f"error: {kind} file {path}: line {line}: "
-                           f"bad row (no {NO_CELL[kind, problem]!r})\n")
+            assert err == f"error: {kind} file {path}: line {line}: {NO_CELL[kind, problem]}\n"
         if problem in ("out_of_range", "nan"):
             assert "is not in [0, 1]" in err
         if problem == "unknown_id":

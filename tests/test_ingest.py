@@ -21,11 +21,13 @@ from citequery.ingest import (
     numbered_csv_columns,
     numbered_lines,
     parse_ref_markers,
+    read_citing,
     record_to_document,
     sentence_spans,
     split_sentences,
     _fold,
 )
+from citequery.tokens import tokenize
 from synth import write_corpus
 
 
@@ -221,6 +223,13 @@ class TestNumberedReaders:
         with pytest.raises(ValueError, match="^line 3: new-line character"):
             list(numbered_csv_columns(path, ("key", "text")))
 
+    @pytest.mark.parametrize("text", ["", "# only\n# comments\n"])
+    def test_a_file_without_a_header_row_is_refused(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^no header row$"):
+            list(numbered_csv_columns(path, (), ("key",)))
+
     def test_cells_follow_the_named_columns_not_the_header_order(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("b,a,b,c\n1,2,3,4\n5,6,7\n8,9\n", encoding="utf-8")
@@ -245,11 +254,15 @@ csv_header = st.lists(csv_names.filter(lambda name: "d" not in name), min_size=1
 @example(["a", "a", "b"], [["1"], [], ["1", "2", "3", "4"]], "", ["a", "b"], 0)
 @example(["a", "a", "b"], [["1", "2", "3"], ["1"]], "", ["b", "a", "d"], 2)
 @example(["b", "a"], [["1", "2"], ["1"]], "", ["a", "b"], 1)
+@example(["b", "a"], [], "", ["a", "c"], 2)
+@example([], [["1"]], "", ["a"], 1)
 def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail, names, split):
     """Cells and line numbers equal ``csv.DictReader``'s ``row.get(name)``
     over CSV text with short rows, long rows, blank lines, repeated and
-    absent column names and quoted line breaks; the first required cell
-    that DictReader reads as None raises a located error instead."""
+    absent column names and quoted line breaks. A required name absent from
+    DictReader's fieldnames raises a located error at the header, data row
+    or not, and the first required cell that DictReader reads as None one
+    at its row."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -261,7 +274,10 @@ def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail, name
     reader = csv.DictReader(iter(lines))
     expected = []
     try:
-        for row in reader:
+        absent = [name for name in required if name not in reader.fieldnames]
+        if absent:
+            expected.append(f"line {reader.line_num}: bad header (no {absent[0]!r})")
+        for row in reader if not absent else ():
             cells = tuple(row.get(name) for name in names)
             if None in cells[:len(required)]:
                 absent = names[cells.index(None)]
@@ -537,3 +553,164 @@ def test_citance_count_equals_ref_bearing_sentences(golden_documents):
         assert {c.sentence_index for c in citances} == {
             s.index for s in doc.sentences if s.refs
         }
+
+
+# --- the lean reader against load_corpus + iter_citances --------------------
+
+# A ref of a generated sentence: whether the refs array lists it, how many
+# markers name it in the text, and its cited author (non-ASCII included).
+lean_refs = st.lists(st.tuples(st.booleans(), st.integers(0, 2),
+                               st.sampled_from(["Zhao", "Ünal", "Ørsted"])), max_size=3)
+lean_words = st.lists(st.sampled_from(["remains", "controversial", "no", "consensus",
+                                       "data", "x's", "e.g.", "Debated", "1.5"]),
+                      min_size=1, max_size=5)
+
+
+def lean_record(doc_id, mode, sentences):
+    """A record whose sentence s holds the words and refs drawn for it; ref
+    ids are unique within the record, so only repeated unlisted markers
+    are malformed."""
+    texts, arrays = [], []
+    for s, (words, refs) in enumerate(sentences):
+        parts, listed = [w.capitalize() if i == 0 else w for i, w in enumerate(words)], []
+        for k, (in_array, markers, family) in enumerate(refs):
+            ref_id = f"r{s}_{k}"
+            parts[1:1] = [f'<ref id="{ref_id}" cited_year=2001/>'] * markers
+            if in_array:
+                listed.append({"ref_id": ref_id, "cited_doc_id": "x", "cited_year": 2001,
+                               "cited_authors": [{"family": family, "given": "é"}]})
+        texts.append(" ".join(parts) + ".")
+        arrays.append(listed)
+    record = {"doc_id": doc_id, "year": 2010, "authors": [{"family": "Ünal", "given": "A"}]}
+    if mode == "rawtext":
+        record["body"] = " ".join(texts)
+    else:
+        record["sentences"] = [{"text": t, "refs": a} for t, a in zip(texts, arrays)]
+    return record
+
+
+def _first_ref(record):
+    return next(r for s in record.get("sentences", []) for r in s["refs"])
+
+
+LOAD_ERROR_MUTATIONS = {
+    # name: (mode it applies to or None for both, the load error code, edit)
+    "not_object": (None, "not_object", None),  # the record is wrapped in a list
+    "missing_doc_id": (None, "missing_doc_id", lambda r: r.pop("doc_id")),
+    "empty_doc_id": (None, "missing_doc_id", lambda r: r.update(doc_id="")),
+    "missing_year": (None, "missing_year", lambda r: r.pop("year")),
+    "bad_year": (None, "bad_year", lambda r: r.update(year=1850)),
+    "bool_year": (None, "bad_year", lambda r: r.update(year=True)),
+    "bad_doc_type": (None, "bad_doc_type", lambda r: r.update(doc_type="paper")),
+    "bad_main_field": (None, "bad_main_field", lambda r: r.update(main_field="Art")),
+    "bad_meso_field": (None, "bad_meso_field", lambda r: r.update(meso_field=True)),
+    # NFKD leaves only a combining mark, which folding drops: an empty name
+    "bad_authors": (None, "bad_authors", lambda r: r.update(
+        authors=[{"family": "\u0301\u0308"}])),
+    "authors_not_list": (None, "bad_authors", lambda r: r.update(authors="Zhao")),
+    "missing_sentences": ("presegmented", "missing_sentences", lambda r: r.pop("sentences")),
+    "missing_body": ("rawtext", "missing_body", lambda r: r.pop("body")),
+    "bad_sentences": ("presegmented", "bad_sentences", lambda r: r["sentences"].append(
+        {"text": 3})),
+    "bad_sentence_refs": ("presegmented", "bad_sentences", lambda r: r["sentences"].append(
+        {"text": "Fine.", "refs": {}})),
+    "bad_body": ("rawtext", "bad_body", lambda r: r.update(body=7)),
+    "marker_without_id": (None, "bad_ref", lambda r: r.update(
+        body=r["body"] + " See <ref cited_year=1/>.") if "body" in r
+        else r["sentences"].append({"text": "See <ref/>."})),
+    "marker_bad_year": (None, "bad_ref", lambda r: r.update(
+        body=r["body"] + " See <ref id=m cited_year=soon/>.") if "body" in r
+        else r["sentences"].append({"text": "See <ref id=m cited_year=soon/>."})),
+    "repeated_marker": (None, "dup_ref_id", lambda r: r.update(
+        body=r["body"] + " See <ref id=m/> <ref id=m/>.") if "body" in r
+        else r["sentences"].append({"text": "See <ref id=m/> <ref id=m/>."})),
+    "ref_bad_year": ("presegmented", "bad_ref", lambda r: r["sentences"].append(
+        {"text": "See.", "refs": [{"ref_id": "q", "cited_year": "2001"}]})),
+    "ref_empty_author": ("presegmented", "bad_ref", lambda r: r["sentences"].append(
+        {"text": "See.", "refs": [{"ref_id": "q", "cited_authors": [{"family": " "}]}]})),
+    "ref_listed_twice": ("presegmented", "dup_ref_id", lambda r: r["sentences"].append(
+        {"text": "See <ref id=q/>.", "refs": [{"ref_id": "q"}, {"ref_id": "q"}]})),
+    "ref_listed_again": ("presegmented", "dup_ref_id", lambda r: r["sentences"].extend(
+        [{"text": "See.", "refs": [{"ref_id": "q"}]}, {"text": "See <ref id=q/>."}])),
+}
+
+
+def mutated_line(record, mutation):
+    """The JSON line of ``record`` after the edit ``mutation`` names."""
+    if mutation == "bad_json":
+        return json.dumps(record)[:-1]
+    if mutation == "not_object":
+        record = [record]
+    elif mutation is not None:
+        LOAD_ERROR_MUTATIONS[mutation][2](record)
+    return json.dumps(record, ensure_ascii=False)
+
+
+def lean_and_full(path, mode):
+    """(errors, citances) of ``read_citing`` and of ``load_corpus`` +
+    ``iter_citances``; a citance is its key, words and text."""
+    errors, lean = [], []
+    for doc_id, citing in read_citing(path, mode, errors):
+        lean.append(doc_id)
+        lean += [(doc_id, index, tokenize(text, spans), text) for index, text, spans in citing]
+    result = load_corpus(path, mode)
+    full = []
+    for doc in result.documents:
+        texts = {s.index: s.text for s in doc.sentences}
+        full.append(doc.doc_id)
+        full += [(c.doc_id, c.sentence_index, c.words, texts[c.sentence_index])
+                 for c in extract_citances(doc)]
+    return (errors, lean), (result.errors, full)
+
+
+@pytest.mark.parametrize("mode", ["presegmented", "rawtext"])
+def test_every_mutation_is_the_load_error_it_names(tmp_path, mode):
+    """The mutations the differential test draws reach every load error code."""
+    base = [[(["Data", "x's"], [(True, 1, "Zhao")])]]
+    lines, expected = [], []
+    for mutation, (only, code, _) in LOAD_ERROR_MUTATIONS.items():
+        if only in (None, mode):
+            lines.append(mutated_line(lean_record("d", mode, base[0]), mutation))
+            expected.append(code)
+    lines += [mutated_line(lean_record("d", mode, base[0]), "bad_json"),
+              mutated_line(lean_record("d", mode, base[0]), None),
+              mutated_line(lean_record("d", mode, base[0]), None)]
+    expected += ["bad_json", "dup_doc_id"]
+    path = write_lines(tmp_path, lines)
+    (errors, _), (full_errors, _) = lean_and_full(path, mode)
+    assert [e.code for e in full_errors] == expected
+    assert errors == full_errors
+    codes = {"bad_json", "not_object", "missing_doc_id", "missing_year", "bad_year",
+             "bad_doc_type", "bad_main_field", "bad_meso_field", "bad_authors", "bad_ref",
+             "dup_ref_id", "dup_doc_id",
+             "missing_sentences" if mode == "presegmented" else "missing_body",
+             "bad_sentences" if mode == "presegmented" else "bad_body"}
+    assert set(expected) == codes
+
+
+lean_docs = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]),  # repeats are dup_doc_id
+              st.lists(st.tuples(lean_words, lean_refs), min_size=1, max_size=4),
+              st.one_of(st.none(), st.none(), st.sampled_from(
+                  ["bad_json", *LOAD_ERROR_MUTATIONS]))),
+    max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["presegmented", "rawtext"]), lean_docs)
+def test_lean_reader_agrees_with_load_corpus(tmp_path_factory, mode, docs):
+    """``read_citing`` loads the documents and reports the load errors (line
+    and code) that ``load_corpus`` does, and its citances have the keys,
+    words and texts of ``iter_citances`` over the loaded documents. Refs
+    are drawn as listed with no marker, listed with one or two markers,
+    or marker-only (two markers of one unlisted id are dup_ref_id)."""
+    lines = []
+    for doc_id, sentences, mutation in docs:
+        if mutation is not None and LOAD_ERROR_MUTATIONS.get(mutation, (None,))[0] \
+                not in (None, mode):
+            mutation = None
+        lines.append(mutated_line(lean_record(doc_id, mode, sentences), mutation))
+    path = tmp_path_factory.mktemp("lean") / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lean, full = lean_and_full(path, mode)
+    assert lean == full
