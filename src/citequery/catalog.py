@@ -31,16 +31,8 @@ DEFAULT_MAX_GAP = 4
 class QueryFileError(ValueError):
     """Syntax or consistency error in a query file."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        place = ""
-        if line is not None:
-            place = f"line {line}"
-            if column is not None:
-                place += f", column {column}"
-            place += ": "
-        super().__init__(place + message)
-        self.line = line
-        self.column = column
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -99,28 +91,35 @@ class ExclusionRule:
 
 @dataclass(frozen=True)
 class QuerySpec:
+    """One query as its query-file block states it."""
+
     query_id: str
-    signal_id: str
     signal_patterns: tuple[Pattern, ...]
     filter_set: str
-    filter_patterns: tuple[Pattern, ...] = ()
     exclusions: tuple[ExclusionRule, ...] = ()
     max_gap: int = DEFAULT_MAX_GAP
-    negation_exempt: bool = False
 
     def __post_init__(self):
         if not self.signal_patterns:
             raise ValueError("query has no signal patterns")
         if self.filter_set not in FILTER_SET_NAMES:
             raise ValueError(f"unknown filter set: {self.filter_set!r}")
-        if (self.filter_set == "standalone") != (not self.filter_patterns):
-            raise ValueError("filter_patterns must be empty exactly for standalone")
         if self.max_gap < 0:
             raise ValueError("max_gap must be >= 0")
-        if self.negation_exempt != self.signal_patterns[0].contains_negation_token:
-            raise ValueError(
-                "negation_exempt must mirror a negation token in the main signal pattern"
-            )
+
+    @property
+    def signal_id(self) -> str:
+        """The main signal pattern's text, the query's row in match_summary.csv."""
+        return self.signal_patterns[0].text
+
+    @property
+    def filter_patterns(self) -> tuple[Pattern, ...]:
+        return FILTER_SETS[self.filter_set]
+
+    @property
+    def negation_exempt(self) -> bool:
+        """Whether the main signal pattern holds a negation token (see engine)."""
+        return self.signal_patterns[0].contains_negation_token
 
 
 @dataclass(frozen=True)
@@ -149,16 +148,16 @@ FILTER_SETS: dict[str, tuple[Pattern, ...]] = {
     ),
 }
 
-# Signal term sets: key, display form, patterns (main first), exclusions.
-_SIGNAL_TABLE: tuple[tuple[str, str, tuple[str, ...], tuple[ExclusionRule, ...]], ...] = (
-    ("challenge", "challenge*", ("challenge*",), ()),
-    ("conflict", "conflict*", ("conflict*",), ()),
-    ("contradict", "contradict*", ("contradict*",), ()),
-    ("contrary", "contrary", ("contrary",), ()),
-    ("contrast", "contrast*", ("contrast*",), ()),
-    ("controvers", "controvers*", ("controvers*",), ()),
+# Signal term sets: key, patterns (main first), exclusions.
+_SIGNAL_TABLE: tuple[tuple[str, tuple[Pattern, ...], tuple[ExclusionRule, ...]], ...] = (
+    ("challenge", _patterns("challenge*"), ()),
+    ("conflict", _patterns("conflict*"), ()),
+    ("contradict", _patterns("contradict*"), ()),
+    ("contrary", _patterns("contrary"), ()),
+    ("contrast", _patterns("contrast*"), ()),
+    ("controvers", _patterns("controvers*"), ()),
     (
-        "debat", "debat*", ("debat*",),
+        "debat", _patterns("debat*"),
         (ExclusionRule(
             MATCH_CONTEXT,
             _patterns("parliament*", "congress*", "senate*", "polic*",
@@ -166,27 +165,27 @@ _SIGNAL_TABLE: tuple[tuple[str, str, tuple[str, ...], tuple[ExclusionRule, ...]]
         ),),
     ),
     (
-        "differ", "differ*", ("differ*",),
+        "differ", _patterns("differ*"),
         (ExclusionRule(TOKEN_CARVEOUT, _patterns("different*")),),
     ),
     (
-        "disagree", "disagree*", ("disagree*", "not agree*", "no agreement"),
+        "disagree", _patterns("disagree*", "not agree*", "no agreement"),
         (
             ExclusionRule(CITANCE_PHRASE, _patterns("range", "scale", "kappa", "likert")),
             ExclusionRule(COOCCURRENCE_WINDOW, _patterns("agree*", "disagree"), window=10),
         ),
     ),
     (
-        "disprov", "disprov*", ("disprov*",),
+        "disprov", _patterns("disprov*"),
         (ExclusionRule(COOCCURRENCE_WINDOW, _patterns("prove*", "disprove*"), window=10),),
     ),
     (
-        "no_consensus", "no consensus", ("no consensus", "lack of consensus"),
+        "no_consensus", _patterns("no consensus", "lack of consensus"),
         (ExclusionRule(CITANCE_PHRASE, _patterns("consensus sequence", "consensus site")),),
     ),
-    ("questionable", "questionable", ("questionable",), ()),
+    ("questionable", _patterns("questionable"), ()),
     (
-        "refut", "refut*", ("refut*",),
+        "refut", _patterns("refut*"),
         (ExclusionRule(TOKEN_CARVEOUT, _patterns("refutab*")),),
     ),
 )
@@ -198,24 +197,11 @@ def query_id_for(signal_key: str, filter_set: str) -> str:
 
 def builtin_catalog() -> list[QuerySpec]:
     """The 65 built-in queries: 13 signal sets x 5 filter options."""
-    queries = []
-    for key, display, pattern_texts, exclusions in _SIGNAL_TABLE:
-        patterns = _patterns(*pattern_texts)
-        exempt = patterns[0].contains_negation_token
-        for filter_set in FILTER_SET_NAMES:
-            queries.append(
-                QuerySpec(
-                    query_id=query_id_for(key, filter_set),
-                    signal_id=display,
-                    signal_patterns=patterns,
-                    filter_set=filter_set,
-                    filter_patterns=FILTER_SETS[filter_set],
-                    exclusions=exclusions,
-                    max_gap=DEFAULT_MAX_GAP,
-                    negation_exempt=exempt,
-                )
-            )
-    return queries
+    return [
+        QuerySpec(query_id_for(key, filter_set), patterns, filter_set, exclusions)
+        for key, patterns, exclusions in _SIGNAL_TABLE
+        for filter_set in FILTER_SET_NAMES
+    ]
 
 
 def catalog_ids() -> frozenset[str]:
@@ -300,9 +286,7 @@ def _parse_pattern_or_fail(text: str, line: int) -> Pattern:
     try:
         return Pattern.parse(text)
     except ValueError as exc:
-        star = text.find("*")
-        column = star + 1 if star != -1 else None
-        raise QueryFileError(str(exc), line, column)
+        raise QueryFileError(str(exc), line)
 
 
 def _finish_block(fields: dict, line: int) -> QuerySpec:
@@ -310,18 +294,10 @@ def _finish_block(fields: dict, line: int) -> QuerySpec:
         raise QueryFileError("block missing 'query' line", line)
     if "signal" not in fields:
         raise QueryFileError(f"query {fields['id']} missing 'signal' line", line)
-    filter_set = fields.get("filter", "standalone")
-    patterns: tuple[Pattern, ...] = fields["signal"]
     try:
         return QuerySpec(
-            query_id=fields["id"],
-            signal_id=fields.get("signal_id", patterns[0].text),
-            signal_patterns=patterns,
-            filter_set=filter_set,
-            filter_patterns=FILTER_SETS[filter_set],
-            exclusions=tuple(fields.get("exclusions", ())),
-            max_gap=fields.get("maxgap", DEFAULT_MAX_GAP),
-            negation_exempt=patterns[0].contains_negation_token,
+            fields["id"], fields["signal"], fields.get("filter", "standalone"),
+            tuple(fields.get("exclusions", ())), fields.get("maxgap", DEFAULT_MAX_GAP),
         )
     except ValueError as exc:
         raise QueryFileError(str(exc), line)
@@ -354,16 +330,21 @@ def parse_query_file(text: str) -> list[QuerySpec]:
         rest = rest.strip()
         if keyword == "query":
             close()
+        if not fields:
+            block_line = lineno
+        # 'signal', 'filter' and 'maxgap' are stored under their keyword;
+        # 'query' opens a new block and only 'exclude' repeats.
+        if keyword in fields:
+            raise QueryFileError(f"repeated {keyword!r} line", lineno)
+        if keyword == "query":
             if not rest:
                 raise QueryFileError("query line missing id", lineno)
             fields["id"] = rest
-            block_line = lineno
         elif keyword == "signal":
             parts = [p.strip() for p in rest.split("|")]
             if not all(parts):
                 raise QueryFileError("empty signal pattern", lineno)
             fields["signal"] = tuple(_parse_pattern_or_fail(p, lineno) for p in parts)
-            fields["signal_id"] = parts[0]
         elif keyword == "filter":
             if rest == "none":
                 fields["filter"] = "standalone"
@@ -402,6 +383,8 @@ def parse_query_file(text: str) -> list[QuerySpec]:
         else:
             raise QueryFileError(f"unknown keyword {keyword!r}", lineno)
     close()
+    if not queries:
+        raise QueryFileError("no query")
     return queries
 
 

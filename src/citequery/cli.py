@@ -423,7 +423,7 @@ def cmd_gate(args) -> int:
     try:
         stats = compute_stats(records, tuple(coders))
     except ValueError as exc:
-        raise DataError(str(exc))
+        raise DataError(f"annotation files {' and '.join(args.annotations)}: {exc}")
     validated = gate_queries({s.query_id: s.pct_valid for s in stats}, args.threshold)
     writer = OutputWriter(
         Path(args.out), _config(args, ("annotations", "threshold")), args.seed

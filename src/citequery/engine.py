@@ -266,12 +266,12 @@ class CatalogMatcher:
 
     Compiling collects every pattern token from every query into one
     classifier and groups the queries by signal definition
-    ``(signal_patterns, exclusions, negation_exempt)`` and by filter
-    patterns. A citance whose words are all known to be lead-less is
-    rejected at once. Matching any other citance classifies each word
-    once into a token -> positions index, evaluates each signal group
-    whose lead tokens occurred and each filter set a surviving group
-    needs once, and composes every query's record from those spans.
+    ``(signal_patterns, exclusions)`` and by filter patterns. A citance
+    whose words are all known to be lead-less is rejected at once.
+    Matching any other citance classifies each word once into a token ->
+    positions index, evaluates each signal group whose lead tokens
+    occurred and each filter set a surviving group needs once, and
+    composes every query's record from those spans.
     """
 
     def __init__(self, queries: Sequence[QuerySpec]):
@@ -283,7 +283,7 @@ class CatalogMatcher:
         # Per query: (query, signal group, filter set or None for standalone).
         self._plan: list[tuple[QuerySpec, int, int | None]] = []
         for query in self.queries:
-            key = (query.signal_patterns, query.exclusions, query.negation_exempt)
+            key = (query.signal_patterns, query.exclusions)
             if key not in group_ids:
                 group_ids[key] = len(self._groups)
                 self._groups.append(_SignalGroup.of(query))

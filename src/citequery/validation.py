@@ -149,6 +149,8 @@ def compute_stats(
     by_query: dict[str, list[AnnotationRecord]] = {}
     for record in annotations:
         by_query.setdefault(record.query_id, []).append(record)
+    if not by_query:
+        raise ValueError("no annotations for the given coders")
     stats = []
     for query_id in sorted(by_query):
         pairs = _paired_labels(by_query[query_id], coders)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from citequery.catalog import (
@@ -30,6 +32,15 @@ class TestBuiltinCatalog:
         query = catalog_by_id["no_consensus.standalone"]
         assert Pattern.parse("lack of consensus") in query.signal_patterns
         assert query.negation_exempt
+
+    def test_query_holds_only_what_its_block_states(self, catalog_by_id):
+        assert [f.name for f in fields(QuerySpec)] == [
+            "query_id", "signal_patterns", "filter_set", "exclusions", "max_gap",
+        ]
+        query = catalog_by_id["disagree.methods"]
+        assert query.signal_id == "disagree*"
+        assert query.filter_patterns is FILTER_SETS["methods"]
+        assert catalog_by_id["disagree.standalone"].filter_patterns == ()
 
     def test_challenge_has_no_exclusions(self, catalog_by_id):
         assert catalog_by_id["challenge.standalone"].exclusions == ()
@@ -195,13 +206,3 @@ class TestPattern:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Pattern(())
-
-    def test_negation_exempt_invariant(self):
-        with pytest.raises(ValueError, match="negation_exempt"):
-            QuerySpec(
-                query_id="q",
-                signal_id="no consensus",
-                signal_patterns=(Pattern.parse("no consensus"),),
-                filter_set="standalone",
-                negation_exempt=False,
-            )

@@ -132,6 +132,16 @@ class TestMatch:
         # context exclusions, "public debate" and "senate debates" match too.
         assert len(rows) == 10
 
+    def test_summary_row_is_the_main_pattern_in_canonical_form(self, golden_args, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("query d.standalone\nsignal Controvers*|debat*\nfilter none\n\n"
+                           "query d.studies\nsignal No  Consensus\nfilter studies\n")
+        out = tmp_path / "out"
+        assert main(["match", *golden_args, "--queries", str(queries),
+                     "--out", str(out)]) == 0
+        assert [r["signal"] for r in read_csv(out / "match_summary.csv")] == [
+            "controvers*", "no consensus"]
+
     def test_bad_query_file_is_data_error(self, golden_args, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text("query a\nsignal cont*overs\nfilter none\n")
@@ -317,6 +327,19 @@ class TestSampleAnnotateGate:
                      "--out", str(tmp_path / "g")]) == 2
         assert capsys.readouterr().err == \
             "error: gate requires annotations from two distinct coders\n"
+        assert not (tmp_path / "g").exists()
+
+    def test_gate_refuses_files_with_no_labeled_row(self, tmp_path, capsys):
+        paths = []
+        for coder in ("alice", "bob"):
+            paths.append(tmp_path / f"{coder}.csv")
+            paths[-1].write_text(f"# coder {coder}\ndoc_id,sentence_index,query_id,text,label\n"
+                                 "g04,4,controvers.standalone,some text,\n")
+        assert main(["gate", "--annotations", *map(str, paths),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: annotation files {paths[0]} and {paths[1]}: "
+            "no annotations for the given coders\n")
         assert not (tmp_path / "g").exists()
 
     def test_annotate_skip_leaves_blank(self, golden_args, tmp_path, monkeypatch):
@@ -531,6 +554,21 @@ HOSTILE = {
     "query": {
         "non_utf8": ("query a.standalone\nsignal caf\xe9\nfilter none\n", 2),
         "bad_row": ("query a.standalone\nsignal cafe\nfilter sometimes\n", 3),
+        "no_query_line": ("# queries\n\nsignal foo\nfilter none\n", 3),
+        "no_id": ("query a\nsignal foo\n\nquery \nsignal bar\n", 4),
+        "empty_signal": ("query a\nsignal foo||bar\n", 2),
+        "exclude_no_colon": ("query a\nsignal foo\nexclude citance_phrase\n", 3),
+        "bad_window": ("query a\nsignal foo\nexclude cooccurrence_window:x,y window=ten\n", 3),
+        "bad_maxgap": ("query a\nsignal foo\nmaxgap four\n", 3),
+        "no_exclusion_pattern": ("query a\nsignal foo\nexclude citance_phrase: , \n", 3),
+        "long_carveout": ("query a\nsignal foo\nexclude token_carveout:foo bar\n", 3),
+        "one_group": ("query a\nsignal foo\nexclude cooccurrence_window:x window=3\n", 3),
+        "window_not_allowed": ("query a\nsignal foo\nexclude citance_phrase:x window=3\n", 3),
+        "negative_maxgap": ("query a\nsignal foo\n\nquery b\nsignal bar\nmaxgap -1\n", 4),
+        "repeated_signal": ("query a\nsignal foo\nsignal bar\n", 3),
+        "repeated_filter": ("query a\nsignal foo\nfilter none\nfilter studies\n", 4),
+        "repeated_maxgap": ("query a\nsignal foo\nmaxgap 2\nfilter none\nmaxgap 3\n", 5),
+        "no_query": ("# comments only\n\n  # and blanks\n", None),
     },
     "resolution": {
         "non_utf8": ("contrary.studies\n# caf\xe9\n", 2),
@@ -560,12 +598,17 @@ HOSTILE = {
         "non_utf8": (ANNOTATION_HEAD + "g04,4,controvers.standalone,caf\xe9,valid\n", 4),
         "bad_row": (ANNOTATION_HEAD + "g04,four,controvers.standalone,some text,valid\n", 4),
         "short_row": (ANNOTATION_HEAD + "g04,4,controvers.standalone\n", 4),
+        "conflicting_labels": (ANNOTATION_HEAD + "g04,4,controvers.standalone,t,valid\n"
+                               "g04,4,controvers.standalone,t,invalid\n", None),
+        "missing_label": (ANNOTATION_HEAD + "g04,4,controvers.standalone,t,valid\n"
+                          "g05,4,controvers.standalone,t,valid\n", None),
     },
     "citations": {
         "non_utf8": (CITATIONS_HEAD + "g01,2008,2009,3\ncaf\xe9,2008,2009,3\n", 4),
         "bad_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,three\n", 4),
         "csv_error": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008\r,2009,3\n", 4),
         "repeated_row": (CITATIONS_HEAD + "p1,2000,2001,3\np1,2000,2001,7\n", 4),
+        "conflicting_pub_year": (CITATIONS_HEAD + "p1,2000,2001,3\np1,1999,2002,7\n", 4),
         "missing_column": ("doc_id,pub_year,year\ng01,2008,2009\n", 1),
         "header_only": ("doc,pub,yr,cites\n", 1),
         "short_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009\n", 4),
@@ -573,8 +616,28 @@ HOSTILE = {
         "negative_count": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,-5\n", 4),
     },
 }
-# The whole message of each (kind, problem) whose header or row lacks a column.
-NO_CELL = {
+# The whole message, after its location, of each (kind, problem) that pins one.
+MESSAGES = {
+    ("query", "no_query_line"): "block missing 'query' line",
+    ("query", "no_id"): "query line missing id",
+    ("query", "empty_signal"): "empty signal pattern",
+    ("query", "exclude_no_colon"): "exclude line needs '<kind>:<patterns>'",
+    ("query", "bad_window"): "bad window value 'ten'",
+    ("query", "bad_maxgap"): "bad maxgap value 'four'",
+    ("query", "no_exclusion_pattern"): "exclusion rule has no patterns",
+    ("query", "long_carveout"): "token_carveout patterns must be single-token",
+    ("query", "one_group"): "cooccurrence_window requires exactly 2 pattern groups",
+    ("query", "window_not_allowed"): "window not allowed for citance_phrase",
+    ("query", "negative_maxgap"): "max_gap must be >= 0",
+    ("query", "repeated_signal"): "repeated 'signal' line",
+    ("query", "repeated_filter"): "repeated 'filter' line",
+    ("query", "repeated_maxgap"): "repeated 'maxgap' line",
+    ("query", "no_query"): "no query",
+    ("annotation", "conflicting_labels"):
+        "conflicting labels for ('g04', 4, 'controvers.standalone') by ann",
+    ("annotation", "missing_label"):
+        "units missing a label from one coder: [('g05', 4, 'controvers.standalone')]",
+    ("citations", "conflicting_pub_year"): "conflicting pub_year for 'p1'",
     ("stats", "short_row"): "bad row (no 'pct_valid')",
     ("stats", "header_only"): "bad header (no 'query_id')",
     ("sample", "bad_row"): "bad row (no 'text')",
@@ -589,6 +652,8 @@ HOSTILE_CASES = [
     for kind, problems in HOSTILE.items()
     for problem, (content, line) in {"missing": (None, None), **problems}.items()
 ]
+# Errors between the two files gate reads, which the message names both.
+BETWEEN_FILES = {("annotation", "conflicting_labels"), ("annotation", "missing_label")}
 
 
 def reader_argv(kind, path, tmp_dir, corpus=GOLDEN_CORPUS):
@@ -629,17 +694,20 @@ class TestHostileInput:
             path.write_bytes(content.encode("latin-1"))
         assert main(reader_argv(kind, path, tmp_path)) == 2
         err = capsys.readouterr().err
-        if line is None:
-            assert f"error: cannot read {kind} file {path}: " in err
+        if content is None:
+            where = f"cannot read {kind} file {path}"
+        elif (kind, problem) in BETWEEN_FILES:
+            where = f"annotation files {path} and {tmp_path / 'bob.csv'}"
         else:
-            assert f"error: {kind} file {path}: line {line}: " in err
+            where = f"{kind} file {path}" + ("" if line is None else f": line {line}")
+        assert f"error: {where}: " in err
         if problem == "non_utf8":
             assert "not valid UTF-8" in err
         if problem == "repeated_row":
             assert {"stats": "repeated row for 'controvers.standalone'",
                     "citations": "repeated row for ('p1', 2001)"}[kind] in err
-        if (kind, problem) in NO_CELL:
-            assert err == f"error: {kind} file {path}: line {line}: {NO_CELL[kind, problem]}\n"
+        if (kind, problem) in MESSAGES:
+            assert err == f"error: {where}: {MESSAGES[kind, problem]}\n"
         if problem in ("out_of_range", "nan"):
             assert "is not in [0, 1]" in err
         if problem == "unknown_id":

@@ -31,10 +31,7 @@ def match_words(words, query):
 def standalone(*signals, exclusions=()):
     """A standalone query on the given signal patterns."""
     patterns = tuple(pattern(s) for s in signals)
-    return QuerySpec(
-        "q.standalone", signals[0], patterns, "standalone", exclusions=exclusions,
-        negation_exempt=patterns[0].contains_negation_token,
-    )
+    return QuerySpec("q.standalone", patterns, "standalone", exclusions=exclusions)
 
 
 def signal_span(words, query):
@@ -133,12 +130,10 @@ class TestApplyExclusions:
 def proximity_record(words, max_gap=4):
     """The record for signal ``sig`` and filters ``f``, ``far``, ``near``,
     ``left`` and ``right``."""
-    query = QuerySpec(
-        "sig.methods", "sig", (pattern("sig"),), "methods",
-        tuple(pattern(t) for t in ("f", "far", "near", "left", "right")),
-        max_gap=max_gap,
-    )
-    return match_words(words, query)
+    query = QuerySpec("sig.methods", (pattern("sig"),), "methods", max_gap=max_gap)
+    filters = tuple(pattern(t) for t in ("f", "far", "near", "left", "right"))
+    with mock.patch.dict(FILTER_SETS, methods=filters):
+        return match_words(words, query)
 
 
 def placed(length, **at):
@@ -193,9 +188,9 @@ class TestCheckProximity:
         filter_pattern = Pattern(tuple(words[f_start:f_end + 1]))
 
         def record(max_gap):
-            query = QuerySpec("s.methods", "sa sb sc", (pattern("sa sb sc"),), "methods",
-                              (filter_pattern,), max_gap=max_gap)
-            return match_words(words, query)
+            query = QuerySpec("s.methods", (pattern("sa sb sc"),), "methods", max_gap=max_gap)
+            with mock.patch.dict(FILTER_SETS, methods=(filter_pattern,)):
+                return match_words(words, query)
 
         found = record(gap)
         assert found.signal_span == Span(2, 4, "sa sb sc")
@@ -408,13 +403,10 @@ def query_specs(draw, signals=pattern_st):
 
     return QuerySpec(
         query_id="random.q",
-        signal_id=signal[0].text,
         signal_patterns=tuple(signal),
         filter_set=filter_set,
-        filter_patterns=FILTER_SETS[filter_set],
         exclusions=tuple(exclusions),
         max_gap=draw(st.integers(min_value=0, max_value=5)),
-        negation_exempt=signal[0].contains_negation_token,
     )
 
 
@@ -431,8 +423,7 @@ def shared_catalogs(draw):
         if queries and draw(st.booleans()):
             source = draw(st.sampled_from(queries))
             query = replace(
-                query, signal_id=source.signal_id, signal_patterns=source.signal_patterns,
-                exclusions=source.exclusions, negation_exempt=source.negation_exempt,
+                query, signal_patterns=source.signal_patterns, exclusions=source.exclusions,
             )
         queries.append(replace(query, query_id=f"q{i}"))
     return queries

@@ -214,6 +214,10 @@ class TestComputeStats:
                 percent_agreement(own, CODERS), percent_valid(own, CODERS),
                 cohens_kappa(own, CODERS))
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="no annotations for the given coders"):
+            compute_stats([], CODERS)
+
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError):
             AnnotationRecord("d", 0, "q", "alice", "maybe")
