@@ -324,7 +324,8 @@ def parse_query_file(text: str) -> list[QuerySpec]:
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            close()
+            if not raw.strip():  # a blank line ends a block, a comment line does not
+                close()
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()

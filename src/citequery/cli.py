@@ -132,23 +132,21 @@ class OutputWriter:
             _write_csv(handle, header, rows)
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(handle: IO[str], header: Sequence[str], rows) -> None:
+    """csv writes None as an empty cell, a float by ``repr`` and any other
+    value by ``str``."""
     writer = csv.writer(handle, lineterminator="\n")
     # With a "\n" terminator csv leaves a bare "\r" unquoted, and no reader
     # could tell it from a line break, so such rows are quoted in full.
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
     for row in rows:
-        cells = [_format(v) for v in row]
-        (quoted if "\r" in "".join(cells) else writer).writerow(cells)
+        for cell in row:
+            if isinstance(cell, str) and "\r" in cell:
+                quoted.writerow(row)
+                break
+        else:
+            writer.writerow(row)
 
 
 @contextmanager
@@ -282,16 +280,22 @@ def cmd_match(args) -> int:
         ),
     )
 
+    # Each line is json.dumps of {doc_id, sentence_index, query_id, signal,
+    # filter, text}; a citance's doc id and text are encoded once, around
+    # the middle of each of its lines.
+    ends = {
+        key: (f'{{"doc_id": {_encode_json(key[0])}, "sentence_index": {key[1]}, "query_id": ',
+              f', "text": {_encode_json(text)}}}\n')
+        for key, text in texts.items()
+    }
+    query_ids = {q.query_id: _encode_json(q.query_id) for q in queries}
     with writer.open("matches.jsonl") as handle:
         for r in records:
-            handle.write(_encode_json({
-                "doc_id": r.doc_id,
-                "sentence_index": r.sentence_index,
-                "query_id": r.query_id,
-                "signal": [r.signal_span.start, r.signal_span.end],
-                "filter": [r.filter_span.start, r.filter_span.end] if r.filter_span else None,
-                "text": texts[(r.doc_id, r.sentence_index)],
-            }) + "\n")
+            head, tail = ends[r.doc_id, r.sentence_index]
+            s, f = r.signal_span, r.filter_span
+            filtered = f"[{f.start}, {f.end}]" if f else "null"
+            handle.write(f'{head}{query_ids[r.query_id]}, "signal": [{s.start}, {s.end}], '
+                         f'"filter": {filtered}{tail}')
 
     by_query: dict[str, int] = {}
     for r in records:

@@ -1,15 +1,14 @@
 """Query execution over citances.
 
 ``CatalogMatcher`` / ``run_all`` compile a whole catalog into a shared
-word classifier so each citance is scanned once for all queries. The
-classifier memoizes, per distinct word, the set of pattern tokens
-(literal or prefix) it satisfies, so steady-state cost per word is one
-dictionary lookup. Queries sharing a signal definition form one signal
-group, and queries sharing filter patterns one filter set; per citance
-each candidate group's surviving signal spans, and each needed filter
-set's spans, are computed once and every query's record is composed
-from them. Groups whose signal terms never occur in a citance are
-skipped outright.
+word classifier and a group-major plan, so each citance is scanned once
+for all queries. The classifier memoizes, per distinct word, the set of
+pattern tokens (literal or prefix) it satisfies, so steady-state cost
+per word is one dictionary lookup. Consecutive queries sharing a signal
+definition form one signal group, which lists its member queries; per
+citance each candidate group's surviving signal spans, and each needed
+filter set's spans, are computed once and the members' records are
+built from them. Groups whose lead tokens never occur are skipped.
 
 Most citances hold no cue at all. The classifier also remembers each
 word whose token set holds no signal lead token (the first token of a
@@ -45,8 +44,8 @@ independent oracle in ``tests/naive_scanner.py``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from operator import attrgetter, contains
 from typing import Iterable, Sequence
 
 from .catalog import (
@@ -55,7 +54,6 @@ from .catalog import (
     MATCH_CONTEXT,
     NEGATION_TOKENS,
     TOKEN_CARVEOUT,
-    ExclusionRule,
     Pattern,
     QuerySpec,
 )
@@ -89,8 +87,8 @@ RECORD_ORDER = attrgetter("doc_id", "sentence_index", "query_id")  # sort key of
 
 class _TokenClassifier:
     """Maps each distinct word to the set of pattern tokens it satisfies,
-    and keeps in ``leadless`` every classified word that satisfies none of
-    the ``lead_tokens``."""
+    memoized in ``cache``, and keeps in ``leadless`` every classified word
+    that satisfies none of the ``lead_tokens``."""
 
     def __init__(self, pattern_tokens: Iterable[str], lead_tokens: Iterable[str]):
         self._literals: dict[str, str] = {}
@@ -102,15 +100,13 @@ class _TokenClassifier:
             else:
                 self._literals[token] = token
         self._prefixes = {k: tuple(v) for k, v in by_initial.items()}
-        self._cache: dict[str, frozenset[str]] = {}
+        self.cache: dict[str, frozenset[str]] = {}
         self._empty: frozenset[str] = frozenset()
         self._leads = frozenset(lead_tokens)
         self.leadless: set[str] = set()
 
     def classify(self, word: str) -> frozenset[str]:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
+        """Classify a word not yet in ``cache`` and memoize it."""
         matched = []
         literal = self._literals.get(word)
         if literal is not None:
@@ -119,7 +115,7 @@ class _TokenClassifier:
             if word.startswith(token[:-1]):
                 matched.append(token)
         result = frozenset(matched) if matched else self._empty
-        self._cache[word] = result
+        self.cache[word] = result
         if self._leads.isdisjoint(result):
             self.leadless.add(word)
         return result
@@ -129,34 +125,44 @@ class _TokenClassifier:
 # tuples sort in the span order the matching conventions define.
 _RawSpan = tuple[int, int, str]
 
+# A compiled pattern: (first token, remaining tokens, offset of the last
+# token from the first, text).
+_Compiled = tuple[str, tuple[str, ...], int, str]
 
-def _pattern_starts(
-    pattern: Pattern,
+
+def _compile(pattern: Pattern) -> _Compiled:
+    tokens = pattern.tokens
+    return tokens[0], tokens[1:], len(tokens) - 1, pattern.text
+
+
+def _starts(
+    pattern: _Compiled,
     classes: list[frozenset[str]],
     positions: dict[str, list[int]],
 ) -> list[int]:
     """Start positions of ``pattern``, read off the citance's token index."""
-    firsts = positions.get(pattern.tokens[0])
-    rest = pattern.tokens[1:]
+    first, rest, last, _ = pattern
+    firsts = positions.get(first)
     if not firsts or not rest:
         return firsts or []
-    limit = len(classes) - len(rest)
+    limit = len(classes) - last
     return [
         i for i in firsts
-        if i < limit and all(t in classes[i + 1 + j] for j, t in enumerate(rest))
+        if i < limit and all(map(contains, classes[i + 1:i + 1 + last], rest))
     ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _SignalGroup:
-    """The signal definition that a set of queries shares."""
+    """A signal definition, compiled, and the queries that share it."""
 
-    patterns: tuple[Pattern, ...]
-    pattern_exempt: tuple[bool, ...]  # parallel to patterns
+    patterns: tuple[tuple[_Compiled, bool], ...]  # (pattern, negation-exempt)
     carveout_tokens: frozenset[str]
-    citance_phrases: tuple[Pattern, ...]
-    cooccurrences: tuple[ExclusionRule, ...]
-    context_patterns: tuple[Pattern, ...]
+    citance_phrases: tuple[_Compiled, ...]
+    cooccurrences: tuple[tuple[_Compiled, _Compiled, int], ...]  # (a, b, window)
+    context_patterns: tuple[_Compiled, ...]
+    # (query_id, filter set name or None for standalone, max_gap), in catalog order.
+    members: list[tuple[str, str | None, int]] = field(default_factory=list)
 
     @classmethod
     def of(cls, query: QuerySpec) -> "_SignalGroup":
@@ -168,15 +174,15 @@ class _SignalGroup:
             if rule.kind == TOKEN_CARVEOUT:
                 carveouts.extend(p.tokens[0] for p in rule.patterns)
             elif rule.kind == CITANCE_PHRASE:
-                phrases.extend(rule.patterns)
+                phrases.extend(map(_compile, rule.patterns))
             elif rule.kind == COOCCURRENCE_WINDOW:
-                cooccurrences.append(rule)
+                a, b = map(_compile, rule.patterns)
+                cooccurrences.append((a, b, rule.window))
             elif rule.kind == MATCH_CONTEXT:
-                contexts.extend(rule.patterns)
+                contexts.extend(map(_compile, rule.patterns))
         return cls(
-            patterns=query.signal_patterns,
-            pattern_exempt=tuple(
-                query.negation_exempt or p.contains_negation_token
+            patterns=tuple(
+                (_compile(p), query.negation_exempt or p.contains_negation_token)
                 for p in query.signal_patterns
             ),
             carveout_tokens=frozenset(carveouts),
@@ -193,54 +199,53 @@ class _SignalGroup:
     ) -> list[_RawSpan]:
         """Sorted surviving signal spans; empty when the citance is rejected."""
         for pattern in self.citance_phrases:
-            if _pattern_starts(pattern, classes, positions):
+            if _starts(pattern, classes, positions):
                 return []
-        for rule in self.cooccurrences:
-            starts_a = _pattern_starts(rule.patterns[0], classes, positions)
+        for a, b, window in self.cooccurrences:
+            starts_a = _starts(a, classes, positions)
             if starts_a:
-                starts_b = _pattern_starts(rule.patterns[1], classes, positions)
-                if any(abs(a - b) <= rule.window for a in starts_a for b in starts_b):
+                starts_b = _starts(b, classes, positions)
+                if any(abs(x - y) <= window for x in starts_a for y in starts_b):
                     return []
 
         context_ends: set[int] | None = None
         spans: list[_RawSpan] = []
         carveouts = self.carveout_tokens
-        for pattern, exempt in zip(self.patterns, self.pattern_exempt):
-            length = len(pattern.tokens)
-            for start in _pattern_starts(pattern, classes, positions):
-                if carveouts and any(
-                    not carveouts.isdisjoint(classes[start + j]) for j in range(length)
+        for pattern, exempt in self.patterns:
+            _, _, last, text = pattern
+            for start in _starts(pattern, classes, positions):
+                if carveouts and not all(
+                    map(carveouts.isdisjoint, classes[start:start + last + 1])
                 ):
                     continue
-                if not exempt and any(
-                    w in NEGATION_TOKENS
-                    for w in words[max(0, start - NEGATION_WINDOW):start]
+                if not exempt and not NEGATION_TOKENS.isdisjoint(
+                    words[max(0, start - NEGATION_WINDOW):start]
                 ):
                     continue
                 if self.context_patterns:
                     if context_ends is None:
                         context_ends = {
-                            s + len(p.tokens) - 1
+                            s + p[2]
                             for p in self.context_patterns
-                            for s in _pattern_starts(p, classes, positions)
+                            for s in _starts(p, classes, positions)
                         }
                     if start - 1 in context_ends:
                         continue
-                spans.append((start, start + length - 1, pattern.text))
+                spans.append((start, start + last, text))
         spans.sort()
         return spans
 
 
 def _filter_spans(
-    patterns: tuple[Pattern, ...],
+    patterns: tuple[_Compiled, ...],
     classes: list[frozenset[str]],
     positions: dict[str, list[int]],
 ) -> list[_RawSpan]:
-    return sorted(
-        (s, s + len(p.tokens) - 1, p.text)
-        for p in patterns
-        for s in _pattern_starts(p, classes, positions)
-    )
+    return sorted([
+        (s, s + p[2], p[3])
+        for p in patterns if p[0] in positions  # most filter patterns do not occur
+        for s in _starts(p, classes, positions)
+    ])
 
 
 def _first_within(
@@ -262,61 +267,64 @@ def _first_within(
 
 
 class CatalogMatcher:
-    """Single-pass execution of a fixed query catalog over citances.
+    """Single-pass, group-major execution of a fixed query catalog over citances.
 
-    Compiling collects every pattern token from every query into one
-    classifier and groups the queries by signal definition
-    ``(signal_patterns, exclusions)`` and by filter patterns. A citance
-    whose words are all known to be lead-less is rejected at once.
-    Matching any other citance classifies each word once into a token ->
-    positions index, evaluates each signal group whose lead tokens
-    occurred and each filter set a surviving group needs once, and
-    composes every query's record from those spans.
+    Compiling turns each pattern into a ``(first token, remaining tokens,
+    last offset, text)`` tuple, collects every pattern token into one
+    classifier, and indexes the signal groups by the lead token of each
+    signal pattern. A group lists its member queries as ``(query_id,
+    filter set, max_gap)``. A citance whose words are all known to be
+    lead-less is rejected at once. Matching any other citance classifies
+    each word once into a token -> positions index; then each group whose
+    lead tokens occurred computes its surviving signal spans once and
+    builds its members' records from them, with one ``Span`` per raw span
+    and each filter set's spans computed at most once. Groups are
+    evaluated in catalog order, and so are their records.
     """
 
     def __init__(self, queries: Sequence[QuerySpec]):
         self.queries = list(queries)
-        group_ids: dict[tuple, int] = {}
-        filter_ids: dict[tuple[Pattern, ...], int] = {}
+        # A group is a run of consecutive queries with one signal definition,
+        # so groups evaluated in order give records in catalog order.
         self._groups: list[_SignalGroup] = []
-        self._filter_sets: list[tuple[Pattern, ...]] = []
-        # Per query: (query, signal group, filter set or None for standalone).
-        self._plan: list[tuple[QuerySpec, int, int | None]] = []
+        self._filters: dict[str, tuple[_Compiled, ...]] = {}
+        tokens: set[str] = set()
+        key = None
         for query in self.queries:
-            key = (query.signal_patterns, query.exclusions)
-            if key not in group_ids:
-                group_ids[key] = len(self._groups)
+            if (query.signal_patterns, query.exclusions) != key:
+                key = (query.signal_patterns, query.exclusions)
                 self._groups.append(_SignalGroup.of(query))
             patterns = query.filter_patterns
-            if patterns and patterns not in filter_ids:
-                filter_ids[patterns] = len(self._filter_sets)
-                self._filter_sets.append(patterns)
-            self._plan.append((query, group_ids[key], filter_ids.get(patterns)))
-
-        tokens: set[str] = set()
-        for query in self.queries:
-            for pattern in query.signal_patterns + query.filter_patterns:
+            if patterns:
+                self._filters[query.filter_set] = tuple(map(_compile, patterns))
+            self._groups[-1].members.append(
+                (query.query_id, query.filter_set if patterns else None, query.max_gap)
+            )
+            for pattern in query.signal_patterns + patterns:
                 tokens.update(pattern.tokens)
             for rule in query.exclusions:
                 for pattern in rule.patterns:
                     tokens.update(pattern.tokens)
-        # Queries indexed by the lead token of each signal pattern, so a
-        # citance only evaluates queries whose signals can occur in it.
-        self._by_lead: dict[str, list[int]] = {}
-        for index, query in enumerate(self.queries):
-            for pattern in query.signal_patterns:
-                self._by_lead.setdefault(pattern.tokens[0], []).append(index)
-        self._classifier = _TokenClassifier(tokens, self._by_lead)
+        # Groups indexed by the lead token of each signal pattern, so a
+        # citance only evaluates groups whose signals can occur in it.
+        self._groups_by_lead: dict[str, list[int]] = {}
+        for index, group in enumerate(self._groups):
+            for (lead, *_), _ in group.patterns:
+                self._groups_by_lead.setdefault(lead, []).append(index)
+        self._classifier = _TokenClassifier(tokens, self._groups_by_lead)
 
     def match_citance(self, citance: Citance) -> list[MatchRecord]:
         words = citance.words
-        if self._classifier.leadless.issuperset(words):
+        classifier = self._classifier
+        if classifier.leadless.issuperset(words):
             return []  # no word can start a signal: no query is a candidate
-        classify = self._classifier.classify
+        cache = classifier.cache
         classes: list[frozenset[str]] = []
         positions: dict[str, list[int]] = {}
         for i, word in enumerate(words):
-            c = classify(word)
+            c = cache.get(word)
+            if c is None:
+                c = classifier.classify(word)
             classes.append(c)
             for token in c:
                 hits = positions.get(token)
@@ -324,43 +332,41 @@ class CatalogMatcher:
                     positions[token] = [i]
                 else:
                     hits.append(i)
-        if not positions:
-            return []
         candidates: set[int] = set()
         for token in positions:
-            hits = self._by_lead.get(token)
+            hits = self._groups_by_lead.get(token)
             if hits:
                 candidates.update(hits)
 
-        signals: dict[int, list[_RawSpan]] = {}
-        filters: dict[int, list[_RawSpan]] = {}
+        doc_id, sentence_index = citance.doc_id, citance.sentence_index
+        filters: dict[str, list[_RawSpan]] = {}
+        made: dict[_RawSpan, Span] = {}  # one Span object per raw span
         records = []
-        for index in sorted(candidates):
-            query, group_id, filter_id = self._plan[index]
-            spans = signals.get(group_id)
-            if spans is None:
-                spans = signals[group_id] = self._groups[group_id].survivors(
-                    words, classes, positions
-                )
-            if not spans:
+        for group_index in sorted(candidates):
+            group = self._groups[group_index]
+            signals = group.survivors(words, classes, positions)
+            if not signals:
                 continue
-            if filter_id is None:
-                records.append(MatchRecord(
-                    citance.doc_id, citance.sentence_index, query.query_id,
-                    Span(*spans[0]),
-                ))
-                continue
-            filter_spans = filters.get(filter_id)
-            if filter_spans is None:
-                filter_spans = filters[filter_id] = _filter_spans(
-                    self._filter_sets[filter_id], classes, positions
+            for query_id, filter_set, max_gap in group.members:
+                if filter_set is None:
+                    signal, paired = signals[0], None
+                else:
+                    spans = filters.get(filter_set)
+                    if spans is None:
+                        spans = filters[filter_set] = _filter_spans(
+                            self._filters[filter_set], classes, positions
+                        )
+                    pair = _first_within(signals, spans, max_gap)
+                    if pair is None:
+                        continue
+                    signal, paired = pair
+                signal_span = made.get(signal) or made.setdefault(signal, Span(*signal))
+                filter_span = None
+                if paired is not None:
+                    filter_span = made.get(paired) or made.setdefault(paired, Span(*paired))
+                records.append(
+                    MatchRecord(doc_id, sentence_index, query_id, signal_span, filter_span)
                 )
-            pair = _first_within(spans, filter_spans, query.max_gap)
-            if pair is not None:
-                records.append(MatchRecord(
-                    citance.doc_id, citance.sentence_index, query.query_id,
-                    Span(*pair[0]), Span(*pair[1]),
-                ))
         return records
 
 

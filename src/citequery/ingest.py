@@ -40,6 +40,9 @@ ABBREVIATIONS = frozenset(
 _REF_MARKER = re.compile(r"<ref\b([^<>]*?)/>")
 _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
 _TERMINATORS = ".!?"
+# A JSON \u escape of a UTF-16 surrogate; json.loads keeps an unpaired one
+# as a str that no output file can encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _fold(value: str) -> str:
@@ -464,6 +467,8 @@ def _checked_records(
             continue
         try:
             obj = json.loads(line)
+            if _SURROGATE_ESCAPE.search(line):  # raises on an unpaired surrogate
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
         except (ValueError, RecursionError):  # also over-long numbers and deep nesting
             errors.append(LoadError(lineno, "bad_json"))
             continue

@@ -193,6 +193,15 @@ class TestQueryFile:
         assert query.filter_set == "methods"
         assert [p.text for p in query.signal_patterns] == ["foo*", "bar baz"]
 
+    def test_only_a_blank_line_ends_a_block(self):
+        (query,) = parse_query_file("query a\nsignal foo\n# note\n  # indented\nmaxgap 3\n")
+        assert (query.query_id, query.max_gap) == ("a", 3)
+        with pytest.raises(QueryFileError, match="line 4: block missing 'query' line"):
+            parse_query_file("query a\nsignal foo\n \t\nmaxgap 3\n")
+        # A comment between blocks is no block's first line.
+        with pytest.raises(QueryFileError, match="line 5: block missing 'query' line"):
+            parse_query_file("query a\nsignal foo\n\n# next\nmaxgap 3\n")
+
 
 class TestPattern:
     def test_rejects_uppercase(self):

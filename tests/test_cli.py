@@ -170,6 +170,75 @@ class TestMatch:
             f"error: corpus file {corpus}: line {line}: not valid UTF-8\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["match"], ["sample"], ["report", "--which", "top"],
+    ], ids=["match", "sample", "report-top"])
+    def test_unpaired_surrogates_are_load_errors(self, tmp_path, argv):
+        # Valid JSON whose strings no UTF-8 output can hold: the cued citance
+        # would be matched, sampled and counted by the top tables.
+        cited = {"ref_id": "r1", "cited_doc_id": "x\udfff"}
+        bad = [
+            {"doc_id": "s1", "year": 2010, "sentences": [
+                {"text": "It remains controversial \ud800 <ref id=r1/>.", "refs": []}]},
+            {"doc_id": "s\udc80", "year": 2010, "sentences": [
+                {"text": "It remains controversial <ref id=r1/>.", "refs": [cited]}]},
+        ]
+        golden = GOLDEN_CORPUS.read_text(encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        outputs = []
+        for extra in ([json.dumps(r) + "\n" for r in bad], []):
+            corpus.write_text(golden + "".join(extra), encoding="utf-8")
+            out = tmp_path / f"out{len(extra)}"
+            code, err = run_quietly([*argv, "--corpus", str(corpus), "--out", str(out)])
+            assert code == 0, err
+            outputs.append((err, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        lines = len(golden.splitlines())
+        assert outputs[0][0] == f"line={lines + 1} error=bad_json\nline={lines + 2} error=bad_json\n"
+        assert outputs[0][1] == outputs[1][1]
+
+    def test_jsonl_lines_are_json_dumps_of_each_record(self, tmp_path):
+        texts = ['It remains controversial "quoted" \\ back\tslash <ref id=r0/>.',
+                 "Debated \x01 results \u2028 and \U0001F600 studies <ref id=r1/>."]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({
+            "doc_id": doc_id, "year": 2010,
+            "sentences": [{"text": text, "refs": []} for text in texts],
+        }) + "\n" for doc_id in ('d"\\\t\u2028', "d\U0001F600")), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_quietly(["match", "--corpus", str(corpus), "--out", str(out)])[0] == 0
+        with open(out / "matches.jsonl", encoding="utf-8", newline="") as handle:
+            lines = [line for line in handle.read().split("\n")[:-1] if line[0] != "#"]
+        rows = read_csv(out / "matches.csv")
+        assert len(lines) == len(rows) > 4
+        for line, row in zip(lines, rows):
+            start = lambda key: int(row[key]) if row[key] else None
+            record = {
+                "doc_id": row["doc_id"], "sentence_index": int(row["sentence_index"]),
+                "query_id": row["query_id"],
+                "signal": [start("signal_start"), start("signal_end")],
+                "filter": [start("filter_start"), start("filter_end")]
+                if row["filter_start"] else None,
+                "text": texts[int(row["sentence_index"])],
+            }
+            assert line == json.dumps(record, ensure_ascii=False)
+
+    @pytest.mark.parametrize("doc_id, query_id", [("d\rx", "q.a"), ("d", "q\ra")],
+                             ids=["doc_id", "query_id"])
+    def test_a_cell_holding_a_carriage_return_quotes_its_matches_row(
+        self, tmp_path, doc_id, query_id
+    ):
+        corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.txt"
+        corpus.write_text(json.dumps({"doc_id": doc_id, "year": 2010, "sentences": [
+            {"text": "It remains controversial <ref id=r1/>.", "refs": []}]}) + "\n",
+            encoding="utf-8")
+        queries.write_bytes(f"query {query_id}\nsignal controvers*\n".encode("utf-8"))
+        out = tmp_path / "out"
+        assert run_quietly(["match", "--corpus", str(corpus), "--queries", str(queries),
+                            "--out", str(out)])[0] == 0
+        with open(out / "matches.csv", encoding="utf-8", newline="") as handle:
+            body = [line for line in handle.read().split("\n") if not line.startswith("#")]
+        assert body[1:] == [f'"{doc_id}","0","{query_id}","2","2","",""', ""]
+
     def test_memory_does_not_grow_with_lead_less_documents(self, tmp_path):
         """``match`` keeps what it matched, not what it read: four times the
         documents without a cue word raise its peak traced memory by less
@@ -546,7 +615,8 @@ CITATIONS_HEAD = "# exported\ndoc_id,pub_year,year,citations\n"
 
 # kind -> (problem -> (file content, or None for no file; the line the
 # message must name)). A malformed corpus record is a load error, not a
-# data error, so the corpus has no bad-row case.
+# data error, so the corpus has no bad-row case; that covers a record whose
+# strings hold an unpaired surrogate (see test_unpaired_surrogates_are_load_errors).
 HOSTILE = {
     "corpus": {
         "non_utf8": ('{"doc_id": "a", "year": 2001, "sentences": []}\n{"doc_id": "caf\xe9"}\n', 2),
@@ -745,7 +815,7 @@ def test_readers_exit_0_or_2_on_arbitrary_bytes(kind, with_head, payload):
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 3000) | st.floats(allow_nan=False)
-    | st.text(alphabet="ab <ref id=r1/>.", max_size=20),
+    | st.text(alphabet="ab <ref id=r1/>.\ud800", max_size=20),  # json.dumps escapes \ud800
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["doc_id", "year", "doc_type", "main_field", "meso_field",
                          "authors", "family", "given", "sentences", "body", "text",

@@ -272,6 +272,18 @@ class TestRunAll:
             by_citance.setdefault((r.doc_id, r.sentence_index), set()).add(r.query_id)
         assert {"controvers.standalone", "no_consensus.standalone"} <= by_citance[("g04", 5)]
 
+    def test_citance_records_keep_catalog_order(self):
+        # Signal definitions interleave: "b" and "c" share one, "a" sits between.
+        queries = parse_query_file(
+            "query b\nsignal debat*\nfilter none\n\n"
+            "query a\nsignal conflict*\nfilter none\n\n"
+            "query c\nsignal debat*\nfilter methods\n"
+        )
+        citance = make_citance("d", 0, ["the", "model", "debate", "and", "conflict"])
+        records = CatalogMatcher(queries).match_citance(citance)
+        assert [r.query_id for r in records] == ["b", "a", "c"]
+        assert records == scan_citance(citance, queries)
+
     def test_signal_sets_sharing_patterns_keep_own_exclusions(self):
         queries = parse_query_file(
             "query plain\nsignal debat*\nfilter none\n\n"
@@ -326,14 +338,24 @@ class TestOracleEquivalence:
                   for i in range(len(NEUTRAL_WORDS))]
         assert [matcher.match_citance(c) for c in stream] == [[]] * len(stream)
         classifier = matcher._classifier
-        with mock.patch.object(classifier, "classify", wraps=classifier.classify) as classify:
+        lookups = []
+
+        class WatchedCache(dict):
+            def get(self, word, default=None):
+                lookups.append(word)
+                return super().get(word, default)
+
+        with mock.patch.object(classifier, "cache", WatchedCache(classifier.cache)), \
+                mock.patch.object(classifier, "classify", wraps=classifier.classify) as classify:
             for citance in stream:
                 assert matcher.match_citance(citance) == []
-            assert classify.call_count == 0
-            # A cue word sends the citance down the full path, word by word.
+            assert lookups == [] and classify.call_count == 0
+            # A cue word sends the citance down the full path, word by word;
+            # only the word never seen before is classified.
             cued = make_citance("d", 99, NEUTRAL_WORDS[:5] + ("controversial",))
             assert matcher.match_citance(cued) == scan_citance(cued, catalog) != []
-            assert classify.call_count == len(cued.words)
+            assert lookups == list(cued.words)
+            assert classify.call_args_list == [mock.call("controversial")]
 
     def test_negation_exempt_queries_never_suppressed(self, catalog):
         exempt = [q for q in catalog if q.negation_exempt]

@@ -185,6 +185,35 @@ class TestLoadCorpus:
         assert [(e.line, e.code) for e in result.errors] == [(1, "bad_json")]
         assert len(result.documents) == 1
 
+    @pytest.mark.parametrize("mode, mutation", [
+        ("presegmented", {"doc_id": "d\udc80"}),
+        ("presegmented", {"sentences": [{"text": "Debated \ud800 <ref id=r1/>."}]}),
+        ("presegmented", {"sentences": [
+            {"text": "T.", "refs": [{"ref_id": "r1", "cited_doc_id": "\udfff"}]}]}),
+        ("presegmented", {"authors": [{"family": "Zh\udbffao"}]}),
+        ("rawtext", {"doc_id": "d\udc80"}),
+        ("rawtext", {"body": "Lone \ud800 here <ref id=r1/>."}),
+    ], ids=["doc_id", "text", "cited_doc_id", "author", "rawtext_doc_id", "rawtext_body"])
+    def test_unpaired_surrogate_is_bad_json(self, tmp_path, mode, mutation):
+        # json.dumps escapes the surrogate, so the file is valid UTF-8 and JSON.
+        body = {"body": "Plain <ref id=r1/>."} if mode == "rawtext" else {}
+        lines = [json.dumps({**record("bad", **body), **mutation}),
+                 json.dumps(record("good", **body))]
+        (errors, lean), (full_errors, full) = lean_and_full(write_lines(tmp_path, lines), mode)
+        assert [(e.line, e.code) for e in full_errors] == [(1, "bad_json")]
+        assert (errors, lean) == (full_errors, full)
+        assert full[0] == "good"
+
+    def test_paired_and_escaped_surrogates_load(self, tmp_path):
+        # A pair is one non-BMP character; "\\ud800" is a backslash and text.
+        text = "Debated \\ud800 \U0001F600 <ref id=r1/>."
+        line = json.dumps(record("d\U0001F600", sentences=[{"text": text}]))
+        assert "\\ud83d\\ude00" in line
+        result = load_corpus(write_lines(tmp_path, [line]))
+        assert result.errors == []
+        assert result.documents[0].doc_id == "d\U0001F600"
+        assert result.documents[0].sentences[0].text == text
+
 
 class TestNumberedReaders:
     def test_lines_keep_terminators_and_split_only_at_newline(self, tmp_path):
