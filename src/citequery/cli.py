@@ -120,12 +120,15 @@ class OutputWriter:
             f"# config {_digest(config)}\n"
             f"# seed {seed}\n"
         )
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
 
-    def open(self, name: str) -> IO[str]:
-        handle = open(self.out_dir / name, "w", encoding="utf-8", newline="")
-        handle.write(self.header)
-        return handle
+    @contextmanager
+    def open(self, name: str) -> Iterator[IO[str]]:
+        path = self.out_dir / name
+        with _writing(path), open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(self.header)
+            yield handle
 
     def write_csv(self, name: str, header: Sequence[str], rows) -> None:
         with self.open(name) as handle:
@@ -160,6 +163,15 @@ def _reading(kind: str, path) -> Iterator[None]:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from None
     except ValueError as exc:
         raise DataError(f"{kind} file {path}: {exc}") from None
+
+
+@contextmanager
+def _writing(path) -> Iterator[None]:
+    """Turn a failure to create or write the output ``path`` into a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write output {path}: {exc}") from None
 
 
 def _print_errors(errors: list[LoadError]) -> None:
@@ -360,15 +372,18 @@ def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, lis
 def cmd_annotate(args) -> int:
     # The coder is written on one "# coder" line that gate reads back stripped.
     # "--" ends the options, and Python 3.11's argparse reads "--coder=--" as [].
+    # A non-UTF-8 argument arrives holding lone surrogates, which no file can encode.
     coder = "--" if args.coder == [] else args.coder
-    if coder in ("", "--") or coder != coder.strip() or "\n" in coder or "\r" in coder:
-        raise UsageError(f"--coder {coder!r}: must be non-empty, not '--', on one line, "
-                         "with no leading or trailing whitespace")
+    if coder in ("", "--") or coder != coder.strip() or "\n" in coder or "\r" in coder \
+            or any("\ud800" <= c <= "\udfff" for c in coder):
+        raise UsageError(f"--coder {coder!r}: must be non-empty, not '--', valid UTF-8, on "
+                         "one line, with no leading or trailing whitespace")
     with _reading("sample", args.sample):
         numbered, _, provenance = _read_sample_csv(args.sample)
     rows = [row for _, row in numbered]
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with _writing(out_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
     labeled = 0
     print(f"annotating {len(rows)} citances as coder {args.coder!r}; "
           "keys: v=valid i=invalid s=skip q=quit", file=sys.stderr)
@@ -388,7 +403,7 @@ def cmd_annotate(args) -> int:
         if answer != "skip":
             row["label"] = answer
             labeled += 1
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as handle:
         # Sampling provenance (version, config digest, seed) rides along.
         handle.writelines(provenance)
         handle.write(f"# coder {args.coder}\n")
@@ -598,7 +613,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sample", required=True, help="sample CSV to label")
     p.add_argument("--coder", required=True, help="coder identifier")
     p.add_argument("--out", required=True, help="labeled CSV path")
-    p.set_defaults(func=cmd_annotate, seed=0)
+    p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("gate", help="compute stats and gate the validated set")
     p.add_argument("--annotations", nargs=2, required=True,

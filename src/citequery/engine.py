@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter, contains
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import (
     CITANCE_PHRASE,
@@ -62,19 +62,15 @@ from .ingest import Citance
 NEGATION_WINDOW = 2
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A pattern occurrence in a citance; as a tuple it sorts in span order."""
+
     start: int
     end: int  # inclusive
     pattern_id: str
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError("span start must not exceed end")
 
-
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     doc_id: str
     sentence_index: int
     query_id: str
@@ -120,10 +116,6 @@ class _TokenClassifier:
             self.leadless.add(word)
         return result
 
-
-# A span inside the matcher: (start, inclusive end, pattern text). Plain
-# tuples sort in the span order the matching conventions define.
-_RawSpan = tuple[int, int, str]
 
 # A compiled pattern: (first token, remaining tokens, offset of the last
 # token from the first, text).
@@ -196,7 +188,7 @@ class _SignalGroup:
         words: Sequence[str],
         classes: list[frozenset[str]],
         positions: dict[str, list[int]],
-    ) -> list[_RawSpan]:
+    ) -> list[Span]:
         """Sorted surviving signal spans; empty when the citance is rejected."""
         for pattern in self.citance_phrases:
             if _starts(pattern, classes, positions):
@@ -209,7 +201,7 @@ class _SignalGroup:
                     return []
 
         context_ends: set[int] | None = None
-        spans: list[_RawSpan] = []
+        spans: list[Span] = []
         carveouts = self.carveout_tokens
         for pattern, exempt in self.patterns:
             _, _, last, text = pattern
@@ -231,7 +223,7 @@ class _SignalGroup:
                         }
                     if start - 1 in context_ends:
                         continue
-                spans.append((start, start + last, text))
+                spans.append(Span(start, start + last, text))
         spans.sort()
         return spans
 
@@ -240,17 +232,17 @@ def _filter_spans(
     patterns: tuple[_Compiled, ...],
     classes: list[frozenset[str]],
     positions: dict[str, list[int]],
-) -> list[_RawSpan]:
+) -> list[Span]:
     return sorted([
-        (s, s + p[2], p[3])
+        Span(s, s + p[2], p[3])
         for p in patterns if p[0] in positions  # most filter patterns do not occur
         for s in _starts(p, classes, positions)
     ])
 
 
 def _first_within(
-    signals: list[_RawSpan], filters: list[_RawSpan], max_gap: int
-) -> tuple[_RawSpan, _RawSpan] | None:
+    signals: list[Span], filters: list[Span], max_gap: int
+) -> tuple[Span, Span] | None:
     """The first (signal, filter) pair, in span order, at most ``max_gap`` apart."""
     for signal in signals:
         s_start, s_end, _ = signal
@@ -277,9 +269,9 @@ class CatalogMatcher:
     lead-less is rejected at once. Matching any other citance classifies
     each word once into a token -> positions index; then each group whose
     lead tokens occurred computes its surviving signal spans once and
-    builds its members' records from them, with one ``Span`` per raw span
-    and each filter set's spans computed at most once. Groups are
-    evaluated in catalog order, and so are their records.
+    builds its members' records from them, with each filter set's spans
+    computed at most once. Groups are evaluated in catalog order, and so
+    are their records.
     """
 
     def __init__(self, queries: Sequence[QuerySpec]):
@@ -339,8 +331,7 @@ class CatalogMatcher:
                 candidates.update(hits)
 
         doc_id, sentence_index = citance.doc_id, citance.sentence_index
-        filters: dict[str, list[_RawSpan]] = {}
-        made: dict[_RawSpan, Span] = {}  # one Span object per raw span
+        filters: dict[str, list[Span]] = {}
         records = []
         for group_index in sorted(candidates):
             group = self._groups[group_index]
@@ -349,24 +340,16 @@ class CatalogMatcher:
                 continue
             for query_id, filter_set, max_gap in group.members:
                 if filter_set is None:
-                    signal, paired = signals[0], None
-                else:
-                    spans = filters.get(filter_set)
-                    if spans is None:
-                        spans = filters[filter_set] = _filter_spans(
-                            self._filters[filter_set], classes, positions
-                        )
-                    pair = _first_within(signals, spans, max_gap)
-                    if pair is None:
-                        continue
-                    signal, paired = pair
-                signal_span = made.get(signal) or made.setdefault(signal, Span(*signal))
-                filter_span = None
-                if paired is not None:
-                    filter_span = made.get(paired) or made.setdefault(paired, Span(*paired))
-                records.append(
-                    MatchRecord(doc_id, sentence_index, query_id, signal_span, filter_span)
-                )
+                    records.append(MatchRecord(doc_id, sentence_index, query_id, signals[0]))
+                    continue
+                spans = filters.get(filter_set)
+                if spans is None:
+                    spans = filters[filter_set] = _filter_spans(
+                        self._filters[filter_set], classes, positions
+                    )
+                pair = _first_within(signals, spans, max_gap)
+                if pair is not None:
+                    records.append(MatchRecord(doc_id, sentence_index, query_id, *pair))
         return records
 
 

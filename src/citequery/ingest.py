@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import dropwhile
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .tokens import tokenize
 
@@ -100,8 +100,7 @@ class Document:
     sentences: tuple[Sentence, ...] = ()
 
 
-@dataclass(frozen=True)
-class Citance:
+class Citance(NamedTuple):
     """A citing sentence: its key plus its words."""
 
     doc_id: str

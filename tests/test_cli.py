@@ -424,9 +424,11 @@ class TestSampleAnnotateGate:
         assert rows[0]["label"] == ""
         assert all(r["label"] == "valid" for r in rows[1:])
 
-    @pytest.mark.parametrize("coder", ["ann\nbob", "ann\r", "ann\rbob", " ann", "ann\t", ""])
+    @pytest.mark.parametrize("coder", ["ann\nbob", "ann\r", "ann\rbob", " ann", "ann\t", "",
+                                       "ab\udcff"])
     def test_annotate_rejects_a_coder_gate_cannot_read_back(self, tmp_path, capsys, coder):
         # Rejected before the sample is read: a missing sample would exit 2.
+        # "ab\udcff" is how Python hands over the non-UTF-8 argument b"ab\xff".
         out = tmp_path / "a.csv"
         assert main(["annotate", "--sample", str(tmp_path / "missing.csv"),
                      "--coder", coder, "--out", str(out)]) == 1
@@ -782,6 +784,59 @@ class TestHostileInput:
             assert "is not in [0, 1]" in err
         if problem == "unknown_id":
             assert "unknown query id 'nonsense.query'" in err
+
+
+# The first file each output-writing command makes in its --out directory.
+FIRST_OUTPUT = {"match": "matches.csv", "sample": "sample.csv", "gate": "stats.csv",
+                "report": "rates.csv"}
+
+
+def writer_argv(command, tmp_dir):
+    """A command line for ``command`` that lacks only ``--out``."""
+    if command != "gate":
+        return [command, "--corpus", str(GOLDEN_CORPUS),
+                *(["--which", "rates"] if command == "report" else [])]
+    paths = []
+    for coder in ("alice", "bob"):
+        paths.append(Path(tmp_dir) / f"{coder}.csv")
+        paths[-1].write_text(f"# coder {coder}\ndoc_id,sentence_index,query_id,text,label\n"
+                             "g04,4,controvers.standalone,some text,valid\n")
+    return ["gate", "--annotations", *map(str, paths)]
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 naming it, not in a traceback."""
+
+    @pytest.mark.parametrize("output_is_a_directory", [False, True])
+    @pytest.mark.parametrize("command", FIRST_OUTPUT)
+    def test_out_cannot_be_written(self, tmp_path, command, output_is_a_directory):
+        out = tmp_path / "out"
+        if output_is_a_directory:
+            blocked = out / FIRST_OUTPUT[command]
+            blocked.mkdir(parents=True)
+        else:
+            blocked = out
+            out.write_text("")
+        code, err = run_quietly([*writer_argv(command, tmp_path), "--out", str(out)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write output {blocked}: ")
+        assert ("Is a directory" if output_is_a_directory else "File exists") in err
+
+    @pytest.mark.parametrize("parent_is_a_file", [False, True])
+    def test_annotate_out_cannot_be_written(self, tmp_path, parent_is_a_file):
+        sample = tmp_path / "sample.csv"
+        sample.write_text(SAMPLE_HEAD + "g04,4,controvers.standalone,some text,\n")
+        out = tmp_path / "labeled"
+        if parent_is_a_file:
+            out.write_text("")
+            out = out / "c.csv"
+        else:
+            out.mkdir()
+        code, err = run_quietly(["annotate", "--sample", str(sample), "--coder", "c",
+                                 "--out", str(out)])
+        assert code == 2
+        assert f"error: cannot write output {out}: " in err
+        assert ("File exists" if parent_is_a_file else "Is a directory") in err
 
 
 TINY_CORPUS = json.dumps({

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from citequery.catalog import (
     FILTER_SET_NAMES, FILTER_SETS, ExclusionRule, Pattern, QuerySpec, parse_query_file,
 )
-from citequery.engine import CatalogMatcher, Span, run_all
+from citequery.engine import CatalogMatcher, MatchRecord, Span, run_all
+from citequery.ingest import Citance
 from conftest import GOLDEN_MATCHES
 from naive_scanner import scan_all, scan_citance
 from synth import NEUTRAL_WORDS, make_citance, random_citances
@@ -256,6 +257,20 @@ class TestRunAll:
                 for row in csv.DictReader(handle)
             ]
         assert actual == expected
+
+    def test_records_spans_and_citances_are_their_named_tuples(
+        self, catalog_by_id, golden_citances
+    ):
+        # A named tuple equals the plain tuple of its fields, so the equality
+        # tests cannot tell the record types from bare tuples.
+        assert golden_citances and {type(c) for c in golden_citances} == {Citance}
+        records = run_all(golden_citances, list(catalog_by_id.values()))
+        assert records and {type(r) for r in records} == {MatchRecord}
+        for r in records:
+            assert type(r.signal_span) is Span
+            filtered = bool(catalog_by_id[r.query_id].filter_patterns)
+            assert type(r.filter_span) is (Span if filtered else type(None))
+        assert any(r.filter_span for r in records)
 
     def test_filtered_match_appears_under_standalone_too(self, catalog, golden_citances):
         records = run_all(golden_citances, catalog)
