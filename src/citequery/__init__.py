@@ -30,13 +30,11 @@ from .engine import (  # noqa: F401
     run_all,
 )
 from .ingest import (  # noqa: F401
-    AuthorName,
     Citance,
     Document,
     RefLink,
     Sentence,
     extract_citances,
-    is_self_citation,
     iter_citances,
     load_corpus,
     split_sentences,

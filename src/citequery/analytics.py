@@ -19,7 +19,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .catalog import ValidatedSet
 from .engine import MatchRecord
-from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence, is_self_citation
+from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence
 from .ingest import numbered_csv_columns
 
 CitanceKey = tuple[str, int]
@@ -103,10 +103,10 @@ def position_bin(fraction: float) -> str:
     return _POSITION_LABELS[min(POSITION_BINS - 1, int(fraction * POSITION_BINS))]
 
 
-def citance_self_class(doc: Document, sentence: Sentence) -> str:
-    """Self when any reference is a self-citation; unknown only when all
-    references lack cited-author data."""
-    classes = {is_self_citation(doc.authors, r.cited_authors) for r in sentence.refs}
+def citance_self_class(sentence: Sentence) -> str:
+    """Self when any reference is a self-citation; unknown only when every
+    reference's class is unknown."""
+    classes = {r.self_citation for r in sentence.refs}
     if SELF in classes:
         return SELF
     if NON_SELF in classes:
@@ -134,7 +134,7 @@ _DOC_GROUPS = {
     "meso_field": lambda doc: _known(doc.meso_field),
 }
 _CITANCE_GROUPS = {
-    "self_citation": lambda doc, sentence, fraction: (citance_self_class(doc, sentence),),
+    "self_citation": lambda doc, sentence, fraction: (citance_self_class(sentence),),
     "age_bin": lambda doc, sentence, fraction: tuple(
         UNKNOWN if ref.cited_year is None else age_bin(doc.year - ref.cited_year)
         for ref in sentence.refs

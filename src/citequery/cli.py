@@ -16,8 +16,9 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -111,9 +112,10 @@ def _digest(config: dict) -> str:
 
 
 class OutputWriter:
-    """Creates output files with the standard comment header."""
+    """Creates the output files ``names`` with the standard comment header.
+    Each name is checked when ``out_dir`` is made, before any is written."""
 
-    def __init__(self, out_dir: Path, config: dict, seed: int):
+    def __init__(self, out_dir: Path, config: dict, seed: int, names: Sequence[str]):
         self.out_dir = out_dir
         self.header = (
             f"# citequery {__version__}\n"
@@ -122,6 +124,8 @@ class OutputWriter:
         )
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            _check_output(out_dir / name)
 
     @contextmanager
     def open(self, name: str) -> Iterator[IO[str]]:
@@ -172,6 +176,13 @@ def _writing(path) -> Iterator[None]:
         yield
     except OSError as exc:
         raise DataError(f"cannot write output {path}: {exc}") from None
+
+
+def _check_output(path: Path) -> None:
+    """Raise DataError unless ``path`` is absent or opens for writing; it is
+    neither created nor truncated."""
+    with _writing(path), suppress(FileNotFoundError):
+        os.close(os.open(path, os.O_WRONLY))
 
 
 def _print_errors(errors: list[LoadError]) -> None:
@@ -275,9 +286,8 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_match(args) -> int:
     queries, records, texts = _match_records(args)
-    writer = OutputWriter(
-        Path(args.out), _config(args, ("corpus", "mode", "queries")), args.seed
-    )
+    writer = OutputWriter(Path(args.out), _config(args, ("corpus", "mode", "queries")),
+                          args.seed, ("matches.csv", "matches.jsonl", "match_summary.csv"))
 
     writer.write_csv(
         "matches.csv",
@@ -332,9 +342,8 @@ def cmd_match(args) -> int:
 
 def cmd_sample(args) -> int:
     _, records, texts = _match_records(args)
-    writer = OutputWriter(
-        Path(args.out), _config(args, ("corpus", "mode", "queries", "n")), args.seed
-    )
+    writer = OutputWriter(Path(args.out), _config(args, ("corpus", "mode", "queries", "n")),
+                          args.seed, ("sample.csv",))
     by_query: dict[str, list] = {}
     for record in records:
         by_query.setdefault(record.query_id, []).append(record)
@@ -384,6 +393,7 @@ def cmd_annotate(args) -> int:
     out_path = Path(args.out)
     with _writing(out_path):
         out_path.parent.mkdir(parents=True, exist_ok=True)
+    _check_output(out_path)  # before the session, so no label is given in vain
     labeled = 0
     print(f"annotating {len(rows)} citances as coder {args.coder!r}; "
           "keys: v=valid i=invalid s=skip q=quit", file=sys.stderr)
@@ -444,9 +454,8 @@ def cmd_gate(args) -> int:
     except ValueError as exc:
         raise DataError(f"annotation files {' and '.join(args.annotations)}: {exc}")
     validated = gate_queries({s.query_id: s.pct_valid for s in stats}, args.threshold)
-    writer = OutputWriter(
-        Path(args.out), _config(args, ("annotations", "threshold")), args.seed
-    )
+    writer = OutputWriter(Path(args.out), _config(args, ("annotations", "threshold")),
+                          args.seed, ("stats.csv", "validated.txt"))
     writer.write_csv(
         "stats.csv", ("query_id", "n", "pct_agree", "pct_valid", "kappa"),
         ((s.query_id, s.n, s.pct_agree, s.pct_valid, s.kappa) for s in stats),
@@ -558,7 +567,7 @@ def cmd_report(args) -> int:
         Path(args.out),
         _config(args, ("corpus", "mode", "queries", "threshold", "resolution",
                        "stats", "which", "citations", "doc_type", "horizon", "top_n")),
-        args.seed,
+        args.seed, [file_name for file_name, *_ in reports] + ["long.csv"],
     )
     for file_name, header, rows, _ in reports:
         writer.write_csv(file_name, header, rows)

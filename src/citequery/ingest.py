@@ -15,7 +15,7 @@ import re
 import unicodedata
 from bisect import bisect_right
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import dropwhile
 from operator import itemgetter
 from pathlib import Path
@@ -55,30 +55,11 @@ def _fold(value: str) -> str:
 
 
 @dataclass(frozen=True)
-class AuthorName:
-    family: str
-    given_initial: str | None = None
-
-    @classmethod
-    def from_parts(cls, family: str, given: str | None = None) -> "AuthorName":
-        folded = _fold(family)
-        if not folded:
-            raise ValueError("author family name empty after normalization")
-        initial = None
-        if given:
-            for c in _fold(given):
-                if c.isalpha():
-                    initial = c
-                    break
-        return cls(folded, initial)
-
-
-@dataclass(frozen=True)
 class RefLink:
     ref_id: str
     cited_doc_id: str | None = None
     cited_year: int | None = None
-    cited_authors: tuple[AuthorName, ...] | None = None
+    self_citation: str = UNKNOWN  # SELF, NON_SELF or UNKNOWN; see _self_class
     span: tuple[int, int] | None = None  # marker offsets within the sentence text
 
 
@@ -96,7 +77,6 @@ class Document:
     doc_type: str = "other"
     main_field: str | None = None
     meso_field: int | None = None
-    authors: tuple[AuthorName, ...] = ()
     sentences: tuple[Sentence, ...] = ()
 
 
@@ -227,9 +207,7 @@ def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
     boundary is ever placed inside a marker span.
     """
     return [
-        Sentence(index, sentence, tuple(
-            RefLink(r.ref_id, r.cited_doc_id, r.cited_year, r.cited_authors, span)
-            for r, span in links))
+        Sentence(index, sentence, tuple(replace(r, span=span) for r, span in links))
         for index, sentence, links in _sentence_links(text, [(r, r.span) for r in refs])
     ]
 
@@ -241,8 +219,8 @@ def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
 
 def _valid_authors(raw) -> bool:
     """Whether ``raw`` is absent (None) or a list of author objects, each
-    with a string ``family`` that is not empty once folded (as
-    ``AuthorName.from_parts`` folds it) and an optional string ``given``."""
+    with a string ``family`` that is not empty once folded (by ``_fold``)
+    and an optional string ``given``."""
     if raw is None:
         return True
     if not isinstance(raw, list):
@@ -349,28 +327,39 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list]]:
     return sentences
 
 
-def _authors(raw: list) -> tuple[AuthorName, ...]:
-    """The names of an author list ``_valid_authors`` accepts."""
-    return tuple([AuthorName.from_parts(a["family"], a.get("given")) for a in raw])
+def _name_key(author: dict) -> tuple[str, str | None]:
+    """An author object's folded family name and the first letter of its
+    folded given name, or None when that has no letter."""
+    given = _fold(author.get("given") or "")
+    return _fold(author["family"]), next(filter(str.isalpha, given), None)
 
 
-def _ref_link(ref: dict, span: tuple[int, int] | None) -> RefLink:
-    cited = ref.get("cited_authors")
-    return RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
-                   None if cited is None else _authors(cited), span)
+def _self_class(citing: list[tuple[str, str | None]], cited: list | None) -> str:
+    """A ref's self-citation class, from the ``_name_key``s of the citing
+    authors and the ref's ``cited_authors``: self when a cited and a citing
+    author share a family name and, where both have one, a given initial;
+    unknown when no cited author is listed; non-self otherwise."""
+    if not cited:
+        return UNKNOWN
+    return SELF if any(family == other and (initial is None or mine is None or initial == mine)
+                       for family, initial in map(_name_key, cited)
+                       for other, mine in citing) else NON_SELF
 
 
 def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
     """The Document of a record and its ``_checked_sentences``."""
+    citing = [_name_key(author) for author in obj.get("authors") or ()]
     return Document(
         doc_id=obj["doc_id"],
         year=obj["year"],
         doc_type=obj.get("doc_type", "other"),
         main_field=obj.get("main_field"),
         meso_field=obj.get("meso_field"),
-        authors=_authors(obj.get("authors") or ()),
         sentences=tuple([
-            Sentence(index, text, tuple([_ref_link(*link) for link in links]) if links else ())
+            Sentence(index, text, tuple([
+                RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
+                        _self_class(citing, ref.get("cited_authors")), span)
+                for ref, span in links]) if links else ())
             for index, text, links in sentences]),
     )
 
@@ -533,24 +522,3 @@ def extract_citances(doc: Document) -> list[Citance]:
 def iter_citances(documents: Iterable[Document]) -> Iterator[Citance]:
     for doc in documents:
         yield from extract_citances(doc)
-
-
-def is_self_citation(
-    citing: Sequence[AuthorName], cited: Sequence[AuthorName] | None
-) -> str:
-    """Classify a citing/cited author-list pair: self, non-self or unknown.
-
-    Two names agree when their family names match and, where both carry
-    a given initial, the initials match as well. An absent or empty
-    cited list yields ``unknown``.
-    """
-    if not cited:
-        return UNKNOWN
-    for a in citing:
-        for b in cited:
-            if a.family != b.family:
-                continue
-            if a.given_initial and b.given_initial and a.given_initial != b.given_initial:
-                continue
-            return SELF
-    return NON_SELF

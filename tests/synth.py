@@ -8,7 +8,7 @@ import random
 from typing import IO, Iterable
 
 from citequery.catalog import QuerySpec
-from citequery.ingest import AuthorName, Citance, Document
+from citequery.ingest import NON_SELF, SELF, UNKNOWN, Citance, Document
 
 # Vocabulary mixing signal stems and inflections, filter terms, negation,
 # exclusion triggers and neutral filler, so random sentences exercise
@@ -165,19 +165,23 @@ def write_jsonl(records, path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _author_obj(author: AuthorName) -> dict:
-    return {"family": author.family, "given": author.given_initial}
+# A record's one author and, per self-citation class, the cited authors that
+# reload to it.
+_CITING_AUTHORS = [{"family": "Self", "given": None}]
+_CITED_AUTHORS = {SELF: _CITING_AUTHORS, NON_SELF: [{"family": "Other", "given": None}],
+                  UNKNOWN: None}
 
 
 def document_to_record(doc: Document) -> dict:
-    """Presegmented JSON record for a Document (round-trips via load)."""
+    """Presegmented JSON record for a Document (round-trips via load): each
+    ref's self-citation class is written as cited authors that reload to it."""
     return {
         "doc_id": doc.doc_id,
         "year": doc.year,
         "doc_type": doc.doc_type,
         "main_field": doc.main_field,
         "meso_field": doc.meso_field,
-        "authors": [_author_obj(a) for a in doc.authors],
+        "authors": _CITING_AUTHORS,
         "sentences": [
             {
                 "text": s.text,
@@ -186,8 +190,7 @@ def document_to_record(doc: Document) -> dict:
                         "ref_id": r.ref_id,
                         "cited_doc_id": r.cited_doc_id,
                         "cited_year": r.cited_year,
-                        "cited_authors": None if r.cited_authors is None
-                        else [_author_obj(a) for a in r.cited_authors],
+                        "cited_authors": _CITED_AUTHORS[r.self_citation],
                     }
                     for r in s.refs
                 ],

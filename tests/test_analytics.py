@@ -18,7 +18,7 @@ from citequery.analytics import (
 )
 from citequery.catalog import ValidatedSet, default_validated_set
 from citequery.engine import MatchRecord, Span, run_all
-from citequery.ingest import AuthorName, Document, RefLink, Sentence
+from citequery.ingest import NON_SELF, SELF, UNKNOWN, Document, RefLink, Sentence
 from brute import brute_impact
 
 
@@ -32,13 +32,12 @@ def rows_of(flags, docs, grouping):
 
 
 def make_doc(doc_id, n_citances, year=2010, field="BioHealth", meso=None,
-             doc_type="full-article", authors=(), make_ref=None):
+             doc_type="full-article", make_ref=None):
     sentences = []
     for i in range(n_citances):
         ref = make_ref(doc_id, i) if make_ref else RefLink(f"{doc_id}r{i}")
         sentences.append(Sentence(i, f"Sentence {i}.", (ref,)))
-    return Document(doc_id, year, doc_type, field, meso, tuple(authors),
-                    tuple(sentences))
+    return Document(doc_id, year, doc_type, field, meso, tuple(sentences))
 
 
 class TestFlagCitances:
@@ -201,13 +200,10 @@ class TestYearlySlope:
 class TestSelfCitationRatio:
     @staticmethod
     def docs_with_self_split(n_self, n_non_self, flagged_self, flagged_non_self):
-        author = AuthorName("zhao", "g")
-
         def ref(doc_id, i):
-            cited = (author,) if i < n_self else (AuthorName("other"),)
-            return RefLink(f"{doc_id}r{i}", cited_authors=cited)
+            return RefLink(f"{doc_id}r{i}", self_citation=SELF if i < n_self else NON_SELF)
 
-        doc = make_doc("d", n_self + n_non_self, authors=(author,), make_ref=ref)
+        doc = make_doc("d", n_self + n_non_self, make_ref=ref)
         keys = {("d", i) for i in range(flagged_self)}
         keys.update(("d", n_self + i) for i in range(flagged_non_self))
         return [doc], keys
@@ -226,13 +222,10 @@ class TestSelfCitationRatio:
             self_citation_ratio(rows_of(flags, docs, "self_citation"))
 
     def test_unknown_class_excluded(self):
-        author = AuthorName("zhao", "g")
-
         def ref(doc_id, i):
-            cited = {0: (author,), 1: (AuthorName("other"),), 2: None}[i % 3]
-            return RefLink(f"{doc_id}r{i}", cited_authors=cited)
+            return RefLink(f"{doc_id}r{i}", self_citation=(SELF, NON_SELF, UNKNOWN)[i % 3])
 
-        doc = make_doc("d", 30, authors=(author,), make_ref=ref)
+        doc = make_doc("d", 30, make_ref=ref)
         # Flag every unknown citance; they must not affect the ratio.
         keys = {("d", i) for i in range(30) if i % 3 == 2}
         keys.add(("d", 0))   # one self flagged of 10

@@ -787,15 +787,17 @@ class TestHostileInput:
 
 
 # The first file each output-writing command makes in its --out directory.
-FIRST_OUTPUT = {"match": "matches.csv", "sample": "sample.csv", "gate": "stats.csv",
-                "report": "rates.csv"}
+OUTPUTS = {"match": ("matches.csv", "matches.jsonl", "match_summary.csv"),
+           "sample": ("sample.csv",), "gate": ("stats.csv", "validated.txt"),
+           "report": ("rates.csv", "age.csv", "top.csv", "long.csv")}
+FIRST_OUTPUT = {command: names[0] for command, names in OUTPUTS.items()}
 
 
 def writer_argv(command, tmp_dir):
     """A command line for ``command`` that lacks only ``--out``."""
     if command != "gate":
         return [command, "--corpus", str(GOLDEN_CORPUS),
-                *(["--which", "rates"] if command == "report" else [])]
+                *(["--which", "rates,age,top"] if command == "report" else [])]
     paths = []
     for coder in ("alice", "bob"):
         paths.append(Path(tmp_dir) / f"{coder}.csv")
@@ -821,6 +823,37 @@ class TestUnwritableOutput:
         assert code == 2
         assert err.startswith(f"error: cannot write output {blocked}: ")
         assert ("Is a directory" if output_is_a_directory else "File exists") in err
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_writes_exactly_its_outputs(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert run_quietly([*writer_argv(command, tmp_path), "--out", str(out)])[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS[command])
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, names in OUTPUTS.items() for name in names])
+    def test_an_unwritable_output_leaves_no_other(self, tmp_path, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, err = run_quietly([*writer_argv(command, tmp_path), "--out", str(out)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write output {out / name}: ")
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_annotate_refuses_its_out_before_the_first_prompt(self, tmp_path):
+        sample = tmp_path / "sample.csv"
+        sample.write_text(SAMPLE_HEAD + "g04,4,controvers.standalone,some text,\n")
+        code, err = run_quietly(["annotate", "--sample", str(sample), "--coder", "c",
+                                 "--out", str(tmp_path)], stdin="v\n")
+        assert code == 2
+        assert err.startswith(f"error: cannot write output {tmp_path}: ")
+        assert "Is a directory" in err and "label [v/i/s/q]" not in err
+        # The check truncates nothing: a sample can be labeled in place.
+        code, err = run_quietly(["annotate", "--sample", str(sample), "--coder", "c",
+                                 "--out", str(sample)], stdin="v\n")
+        assert code == 0, err
+        assert "label [v/i/s/q]: " in err
+        assert sample.read_text().endswith("g04,4,controvers.standalone,some text,valid\n")
 
     @pytest.mark.parametrize("parent_is_a_file", [False, True])
     def test_annotate_out_cannot_be_written(self, tmp_path, parent_is_a_file):
@@ -914,7 +947,7 @@ coder_names = st.text(alphabet="abcxyz-_.", min_size=1, max_size=8).filter(lambd
 def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
     columns = SAMPLE_COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
-        writer = OutputWriter(Path(tmp), {"corpus": "c"}, 9)  # as `sample` writes
+        writer = OutputWriter(Path(tmp), {"corpus": "c"}, 9, ["sample.csv"])  # as `sample` writes
         writer.write_csv("sample.csv", columns, [(*row, "") for row in rows])
         sample, annotated = Path(tmp) / "sample.csv", Path(tmp) / "annotated.csv"
 
