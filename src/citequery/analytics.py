@@ -6,16 +6,16 @@ set of flagged ``(doc_id, sentence_index)`` keys: rates by
 field/year/meso-field/self-citation/age/position, per-year trend
 slopes, log-ratio data for the meso-field map, top issuer and receiver
 tables, the expected-citation ratio around the first disagreement
-citation, and the issuer citation gap.
+citation, and the issuer citation gap. Floats are summed by ``math.fsum``,
+which gives the same total on every Python; ``sum`` does not (3.12 changed it).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import ValidatedSet
 from .engine import MatchRecord
@@ -30,8 +30,7 @@ POSITION_BINS = 20
 LOG_RATIO_CLAMP = 2.0  # log2 of the 4x truncation
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     group: object
     disagreement_count: int
     citance_count: int
@@ -42,16 +41,14 @@ class RateRow:
         return 100.0 * self.disagreement_count / self.citance_count
 
 
-@dataclass(frozen=True)
-class MesoRow:
+class MesoRow(NamedTuple):
     meso_field: int
     rate: float
     log_ratio: float
     n_citances: int
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     k: int
     records: int
     mean_disagreement: float
@@ -62,8 +59,7 @@ class ImpactReport:
         return self.mean_disagreement / self.mean_expected
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     k: int
     mean_flagged: float
     mean_unflagged: float
@@ -205,9 +201,9 @@ def yearly_slope(rates_by_year: Mapping[int, float]) -> float:
     years = sorted(rates_by_year)
     n = len(years)
     mean_x = sum(years) / n
-    mean_y = sum(rates_by_year[y] for y in years) / n
-    sxx = sum((y - mean_x) ** 2 for y in years)
-    sxy = sum((y - mean_x) * (rates_by_year[y] - mean_y) for y in years)
+    mean_y = math.fsum(rates_by_year[y] for y in years) / n
+    sxx = math.fsum((y - mean_x) ** 2 for y in years)
+    sxy = math.fsum((y - mean_x) * (rates_by_year[y] - mean_y) for y in years)
     return sxy / sxx
 
 
@@ -243,7 +239,7 @@ def meso_log_ratio(rows: Iterable[RateRow]) -> list[MesoRow]:
     rows = [row for row in rows if row.group != UNKNOWN]
     if not rows:
         raise ValueError("no meso-field citances")
-    mean_rate = sum(row.rate for row in rows) / len(rows)
+    mean_rate = math.fsum(row.rate for row in rows) / len(rows)
     out = []
     for row in rows:
         # Rates are never negative, so a positive rate makes the mean positive.
@@ -386,8 +382,10 @@ def impact_ratio(
     for field, group in ordered.items():
         weight = sum(p for p, _, _, _ in group)
         for i, k in enumerate(ks):
-            mean_disagreement = sum(p * (sums_p[i] / p) for p, _, sums_p, _ in group) / weight
-            mean_expected = sum(p * (sums_n[i] / n) for p, n, _, sums_n in group) / weight
+            mean_disagreement = math.fsum(
+                p * (sums_p[i] / p) for p, _, sums_p, _ in group) / weight
+            mean_expected = math.fsum(
+                p * (sums_n[i] / n) for p, n, _, sums_n in group) / weight
             if mean_expected != 0:
                 reports[field, k] = ImpactReport(k, weight, mean_disagreement, mean_expected)
     return reports

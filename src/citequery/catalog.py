@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .ingest import numbered_lines
 
@@ -122,8 +123,7 @@ class QuerySpec:
         return self.signal_patterns[0].contains_negation_token
 
 
-@dataclass(frozen=True)
-class ValidatedSet:
+class ValidatedSet(NamedTuple):
     threshold: float
     query_ids: frozenset[str]
 

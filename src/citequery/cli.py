@@ -17,6 +17,7 @@ import gc
 import hashlib
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -113,7 +114,7 @@ def _digest(config: dict) -> str:
 
 class OutputWriter:
     """Creates the output files ``names`` with the standard comment header.
-    Each name is checked when ``out_dir`` is made, before any is written."""
+    Each name is checked at once if ``out_dir`` exists, else when it is made."""
 
     def __init__(self, out_dir: Path, config: dict, seed: int, names: Sequence[str]):
         self.out_dir = out_dir
@@ -122,13 +123,20 @@ class OutputWriter:
             f"# config {_digest(config)}\n"
             f"# seed {seed}\n"
         )
-        with _writing(out_dir):
-            out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            _check_output(out_dir / name)
+        self.names = names
+        if out_dir.exists():  # so a taken name fails before the corpus is read
+            self._make()
+
+    def _make(self) -> None:
+        with _writing(self.out_dir):
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        for name in self.names:
+            _check_output(self.out_dir / name)
 
     @contextmanager
     def open(self, name: str) -> Iterator[IO[str]]:
+        if not self.out_dir.exists():
+            self._make()
         path = self.out_dir / name
         with _writing(path), open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(self.header)
@@ -179,10 +187,12 @@ def _writing(path) -> Iterator[None]:
 
 
 def _check_output(path: Path) -> None:
-    """Raise DataError unless ``path`` is absent or opens for writing; it is
-    neither created nor truncated."""
+    """Raise DataError unless ``path`` is absent, a FIFO or opens for writing;
+    it is neither created nor truncated. Opening a FIFO would wait for a
+    reader, and closing it would end that reader's input before the write."""
     with _writing(path), suppress(FileNotFoundError):
-        os.close(os.open(path, os.O_WRONLY))
+        if not stat.S_ISFIFO(os.stat(path).st_mode):
+            os.close(os.open(path, os.O_WRONLY))
 
 
 def _print_errors(errors: list[LoadError]) -> None:
@@ -252,11 +262,10 @@ def _config(args, keys: Sequence[str]) -> dict:
     return resolved
 
 
-def _match_records(args):
-    """The queries, their match records in ``run_all``'s order, and the text
+def _match_records(args, queries):
+    """The match records of ``queries`` in ``run_all``'s order, and the text
     of each matched citance. The corpus is streamed: each citance is
     tokenized and matched as it is read, and only matched texts are kept."""
-    queries = _load_queries(args.queries)
     match = CatalogMatcher(queries).match_citance
     records: list[MatchRecord] = []
     texts: dict[tuple[str, int], str] = {}
@@ -268,7 +277,7 @@ def _match_records(args):
                     records += found
                     texts[doc_id, index] = text
     records.sort(key=RECORD_ORDER)
-    return queries, records, texts
+    return records, texts
 
 
 # --- subcommands ----------------------------------------------------------
@@ -285,9 +294,10 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_match(args) -> int:
-    queries, records, texts = _match_records(args)
+    queries = _load_queries(args.queries)
     writer = OutputWriter(Path(args.out), _config(args, ("corpus", "mode", "queries")),
                           args.seed, ("matches.csv", "matches.jsonl", "match_summary.csv"))
+    records, texts = _match_records(args, queries)
 
     writer.write_csv(
         "matches.csv",
@@ -341,9 +351,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _, records, texts = _match_records(args)
+    queries = _load_queries(args.queries)
     writer = OutputWriter(Path(args.out), _config(args, ("corpus", "mode", "queries", "n")),
                           args.seed, ("sample.csv",))
+    records, texts = _match_records(args, queries)
     by_query: dict[str, list] = {}
     for record in records:
         by_query.setdefault(record.query_id, []).append(record)
@@ -468,9 +479,10 @@ def cmd_gate(args) -> int:
 
 
 def _report(name: str, args, docs: list[Document], flags, table: CitationTable | None,
-            rates: dict) -> tuple[str, Sequence[str], list, list]:
-    """Report ``name`` as its file name, header, rows and ``long.csv`` rows.
-    A report the inputs leave undefined raises DataError."""
+            rates: dict) -> tuple[Sequence[str], list, list]:
+    """Report ``name`` as the header and rows of its file, ``name``.csv, and
+    its ``long.csv`` rows; a row from analytics, a named tuple, gives its fields
+    in order. A report the inputs leave undefined raises DataError."""
     rate_columns = ("disagreement_count", "citance_count", "rate")
     if name == "rates":
         rows, long_rows = [], []
@@ -483,34 +495,33 @@ def _report(name: str, args, docs: list[Document], flags, table: CitationTable |
                 rows.append((grouping, group, row.disagreement_count,
                              row.citance_count, row.rate))
                 long_rows.append((group, f"rate_{grouping}", row.rate))
-        return "rates.csv", ("grouping", "group", *rate_columns), rows, long_rows
+        return ("grouping", "group", *rate_columns), rows, long_rows
     if name == "slopes":
         slopes = sorted(field_slopes(rates["field_year"]).items())
-        return ("slopes.csv", ("main_field", "slope"), slopes,
+        return (("main_field", "slope"), slopes,
                 [(field, "slope", value) for field, value in slopes])
     if name in ("selfcite", "age", "position"):
         (grouping,), _ = REPORTS[name]
         groups = rates[grouping]
-        rows = [(r.group, r.disagreement_count, r.citance_count, r.rate) for r in groups]
+        rows = [(*r, r.rate) for r in groups]
         if name != "selfcite":
-            return (f"{name}.csv", ("bin", *rate_columns), rows,
+            return (("bin", *rate_columns), rows,
                     [(r.group, f"rate_{grouping}", r.rate) for r in groups])
         try:
             long_rows = [("all", "selfcite_ratio", self_citation_ratio(groups))]
         except ValueError:
             long_rows = []
-        return "selfcite.csv", ("group", *rate_columns), rows, long_rows
+        return ("group", *rate_columns), rows, long_rows
     if name == "meso":
         try:
             meso = meso_log_ratio(rates["meso_field"])
         except ValueError as exc:
             raise DataError(f"meso report undefined: {exc}")
-        return ("meso.csv", ("meso_field", "rate", "log_ratio", "n_citances"),
-                [(r.meso_field, r.rate, r.log_ratio, r.n_citances) for r in meso],
+        return (("meso_field", "rate", "log_ratio", "n_citances"), meso,
                 [(r.meso_field, "meso_log_ratio", r.log_ratio) for r in meso])
     if name == "top":
         issuers, receivers = top_tables(flags, docs, args.top_n)
-        return ("top.csv", ("table", "doc_id", "count"),
+        return (("table", "doc_id", "count"),
                 [("issuers", d, c) for d, c in issuers]
                 + [("receivers", d, c) for d, c in receivers], [])
     if name == "impact":
@@ -521,28 +532,30 @@ def _report(name: str, args, docs: list[Document], flags, table: CitationTable |
             for field in [None] + fields:
                 if (field, k) in reports:
                     report = reports[field, k]
-                    rows.append((field or "All", k, report.records,
-                                 report.mean_disagreement, report.mean_expected, report.d))
+                    rows.append((field or "All", *report, report.d))
                     long_rows.append((field or "All", f"impact_d_t+{k}", report.d))
-        return ("impact.csv",
-                ("field", "k", "records", "mean_disagreement", "mean_expected", "d"),
+        return (("field", "k", "records", "mean_disagreement", "mean_expected", "d"),
                 rows, long_rows)
     try:  # gap
         gap = citation_gap(flags, docs, table, doc_type=args.doc_type, horizon=args.horizon)
     except ValueError as exc:
         raise DataError(str(exc))
-    return ("gap.csv", ("k", "mean_flagged", "mean_unflagged", "gap"),
-            [(r.k, r.mean_flagged, r.mean_unflagged, r.gap) for r in gap],
+    return (("k", "mean_flagged", "mean_unflagged", "gap"),
+            [(*r, r.gap) for r in gap],
             [(r.k, "citation_gap", r.gap) for r in gap])
 
 
 def cmd_report(args) -> int:
+    if args.which is None:  # every report the inputs can feed
+        args.which = ",".join(name for name, (_, needs_table) in REPORTS.items()
+                              if args.citations or not needs_table)
     which = list(dict.fromkeys(w.strip() for w in args.which.split(",") if w.strip()))
     unknown = [w for w in which if w not in REPORTS]
     if unknown or not which:
         problem = f"unknown report name(s) {unknown}" if unknown else "--which names no report"
         raise UsageError(f"{problem}; valid names: {', '.join(REPORTS)}")
-    # Cheap inputs are checked before the corpus is loaded and matched.
+    # Cheap inputs, and the output names when --out exists, are checked
+    # before the corpus is loaded and matched.
     queries = _load_queries(args.queries)
     validated = _validated_set(args, {q.query_id for q in queries})
     needs_table = [name for name in which if REPORTS[name][1]]
@@ -550,6 +563,12 @@ def cmd_report(args) -> int:
         raise DataError(f"report {needs_table[0]!r} requires --citations")
     with _reading("citations", args.citations):
         table = CitationTable.from_csv(args.citations) if needs_table else None
+    writer = OutputWriter(
+        Path(args.out),
+        _config(args, ("corpus", "mode", "queries", "threshold", "resolution",
+                       "stats", "which", "citations", "doc_type", "horizon", "top_n")),
+        args.seed, [f"{name}.csv" for name in which] + ["long.csv"],
+    )
     gc.freeze()  # the catalog and the citation table live until the process exits
     with _reading("corpus", args.corpus):
         corpus = load_corpus(args.corpus, args.mode)
@@ -563,14 +582,8 @@ def cmd_report(args) -> int:
     rates = rate_by(flags, corpus.documents, groupings) if groupings else {}
     # Every report is computed before --out is made, so an undefined one writes nothing.
     reports = [_report(name, args, corpus.documents, flags, table, rates) for name in which]
-    writer = OutputWriter(
-        Path(args.out),
-        _config(args, ("corpus", "mode", "queries", "threshold", "resolution",
-                       "stats", "which", "citations", "doc_type", "horizon", "top_n")),
-        args.seed, [file_name for file_name, *_ in reports] + ["long.csv"],
-    )
-    for file_name, header, rows, _ in reports:
-        writer.write_csv(file_name, header, rows)
+    for name, (header, rows, _) in zip(which, reports):
+        writer.write_csv(f"{name}.csv", header, rows)
     writer.write_csv("long.csv", ("group", "metric", "value"),
                      [row for *_, long_rows in reports for row in long_rows])
     print(f"wrote {len(reports)} report(s) to {args.out}")
@@ -640,8 +653,8 @@ def build_parser() -> _Parser:
     validated_from.add_argument("--resolution",
                                 help="override the validated-set resolution file")
     validated_from.add_argument("--stats", help="gate from a stats CSV instead of the defaults")
-    p.add_argument("--which", default=",".join(REPORTS),
-                   help="comma-separated report names")
+    p.add_argument("--which", help="comma-separated report names (default: every "
+                   "report the inputs can feed)")
     p.add_argument("--citations", help="per-paper yearly citation counts CSV")
     p.add_argument("--doc-type", dest="doc_type", choices=DOC_TYPES,
                    help="restrict the gap report to one document type")

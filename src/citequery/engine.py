@@ -44,7 +44,6 @@ independent oracle in ``tests/naive_scanner.py``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter, contains
 from typing import Iterable, NamedTuple, Sequence
 
@@ -144,8 +143,7 @@ def _starts(
     ]
 
 
-@dataclass
-class _SignalGroup:
+class _SignalGroup(NamedTuple):
     """A signal definition, compiled, and the queries that share it."""
 
     patterns: tuple[tuple[_Compiled, bool], ...]  # (pattern, negation-exempt)
@@ -154,7 +152,7 @@ class _SignalGroup:
     cooccurrences: tuple[tuple[_Compiled, _Compiled, int], ...]  # (a, b, window)
     context_patterns: tuple[_Compiled, ...]
     # (query_id, filter set name or None for standalone, max_gap), in catalog order.
-    members: list[tuple[str, str | None, int]] = field(default_factory=list)
+    members: list[tuple[str, str | None, int]]
 
     @classmethod
     def of(cls, query: QuerySpec) -> "_SignalGroup":
@@ -181,6 +179,7 @@ class _SignalGroup:
             citance_phrases=tuple(phrases),
             cooccurrences=tuple(cooccurrences),
             context_patterns=tuple(contexts),
+            members=[],
         )
 
     def survivors(

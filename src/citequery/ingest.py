@@ -15,7 +15,6 @@ import re
 import unicodedata
 from bisect import bisect_right
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
 from itertools import dropwhile
 from operator import itemgetter
 from pathlib import Path
@@ -54,8 +53,7 @@ def _fold(value: str) -> str:
     return stripped.casefold().strip()
 
 
-@dataclass(frozen=True)
-class RefLink:
+class RefLink(NamedTuple):
     ref_id: str
     cited_doc_id: str | None = None
     cited_year: int | None = None
@@ -63,15 +61,13 @@ class RefLink:
     span: tuple[int, int] | None = None  # marker offsets within the sentence text
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     index: int
     text: str
     refs: tuple[RefLink, ...] = ()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     year: int
     doc_type: str = "other"
@@ -96,8 +92,7 @@ class RecordError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class LoadError:
+class LoadError(NamedTuple):
     line: int
     code: str
 
@@ -105,10 +100,9 @@ class LoadError:
         return f"line={self.line} error={self.code}"
 
 
-@dataclass
-class LoadResult:
-    documents: list[Document] = field(default_factory=list)
-    errors: list[LoadError] = field(default_factory=list)
+class LoadResult(NamedTuple):
+    documents: list[Document]
+    errors: list[LoadError]
 
 
 def parse_ref_markers(text: str) -> list[tuple[tuple[int, int], dict[str, str]]]:
@@ -207,7 +201,7 @@ def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
     boundary is ever placed inside a marker span.
     """
     return [
-        Sentence(index, sentence, tuple(replace(r, span=span) for r, span in links))
+        Sentence(index, sentence, tuple(r._replace(span=span) for r, span in links))
         for index, sentence, links in _sentence_links(text, [(r, r.span) for r in refs])
     ]
 
@@ -479,7 +473,7 @@ def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
     1-based line numbers; an unreadable file raises OSError, and a line
     that is not UTF-8 a ValueError naming it.
     """
-    result = LoadResult()
+    result = LoadResult([], [])
     result.documents.extend(
         _document(obj, sentences)
         for obj, sentences in _checked_records(path, mode, result.errors))
@@ -509,13 +503,7 @@ def extract_citances(doc: Document) -> list[Citance]:
         if not sentence.refs:
             continue
         spans = sorted(r.span for r in sentence.refs if r.span is not None)
-        citances.append(
-            Citance(
-                doc_id=doc.doc_id,
-                sentence_index=sentence.index,
-                words=tokenize(sentence.text, spans),
-            )
-        )
+        citances.append(Citance(doc.doc_id, sentence.index, tokenize(sentence.text, spans)))
     return citances
 
 

@@ -6,6 +6,7 @@ import pytest
 from citequery.analytics import (
     GROUPINGS,
     CitationTable,
+    RateRow,
     citation_gap,
     first_disagreement_years,
     flag_citances,
@@ -277,6 +278,14 @@ class TestMesoLogRatio:
         docs, flags = self.three_field_fixture()
         rows = meso_log_ratio(rows_of(flags, docs, "meso_field"))
         assert all(-2.0 <= r.log_ratio <= 2.0 for r in rows)
+
+    def test_the_mean_rate_is_one_rounding_of_the_exact_sum(self):
+        # Left to right, 0.2 + 0.4 + 0.3 adds up to 0.9000000000000001; sum()
+        # gives that before Python 3.12 and 0.9 from 3.12 on, so a mean of
+        # 0.30000000000000004 would put the last row's log ratio at -3.2e-16.
+        rows = meso_log_ratio([RateRow(1, 2, 1000), RateRow(2, 4, 1000), RateRow(3, 3, 1000)])
+        assert [r.rate for r in rows] == [0.2, 0.4, 0.3]
+        assert rows[2].log_ratio == 0.0
 
 
 class TestTopTables:

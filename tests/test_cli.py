@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -518,6 +519,24 @@ class TestReport:
         rows = [tuple(r.values()) for r in read_csv(out / "long.csv")]
         assert rows and len(rows) == len(set(rows))
 
+    def test_bare_report_writes_every_report_the_inputs_can_feed(self, golden_args, tmp_path):
+        out = tmp_path / "out"
+        assert main(["report", *golden_args, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{name}.csv" for name, (_, needs_table) in REPORTS.items() if not needs_table]
+            + ["long.csv"])
+
+    def test_with_citations_the_default_is_every_report(self, golden_args, tmp_path):
+        citations = write_golden_citations(tmp_path / "citations.csv")
+        outs = [tmp_path / "default", tmp_path / "every"]
+        for out, which in zip(outs, ([], ["--which", ",".join(REPORTS)])):
+            assert main(["report", *golden_args, "--out", str(out), *which,
+                         "--citations", str(citations)]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted([f"{name}.csv" for name in REPORTS] + ["long.csv"])
+        for name in files:  # the # config line included
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_impact_requires_citations(self, golden_args, tmp_path):
         assert main(["report", *golden_args, "--out", str(tmp_path / "o"),
                      "--which", "impact"]) == 2
@@ -839,6 +858,36 @@ class TestUnwritableOutput:
         assert code == 2
         assert err.startswith(f"error: cannot write output {out / name}: ")
         assert [p.name for p in out.iterdir()] == [name]
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, names in OUTPUTS.items() if command != "gate"
+        for name in names])
+    def test_a_taken_name_fails_before_the_corpus_is_read(
+        self, tmp_path, monkeypatch, command, name
+    ):
+        def unread(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "read_citing", unread)
+        monkeypatch.setattr(cli, "load_corpus", unread)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, err = run_quietly([*writer_argv(command, tmp_path), "--out", str(out)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write output {out / name}: ")
+
+    def test_the_check_leaves_a_fifo_unopened(self, tmp_path):
+        # Opened, a FIFO waits for a reader; closed, it ends the reader's input.
+        fifo = tmp_path / "matches.csv"
+        os.mkfifo(fifo)
+        check = threading.Thread(target=cli._check_output, args=(fifo,), daemon=True)
+        check.start()
+        check.join(timeout=5)
+        blocked = check.is_alive()
+        if blocked:  # a reader lets the check's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            check.join(timeout=5)
+        assert not blocked
 
     def test_annotate_refuses_its_out_before_the_first_prompt(self, tmp_path):
         sample = tmp_path / "sample.csv"

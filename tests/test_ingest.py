@@ -7,11 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citequery.analytics import GROUPINGS, RateRow, rate_by
+from citequery.catalog import ValidatedSet, default_validated_set
 from citequery.ingest import (
     NON_SELF,
     SELF,
     UNKNOWN,
     Document,
+    LoadError,
+    LoadResult,
     RefLink,
     Sentence,
     extract_citances,
@@ -26,6 +30,7 @@ from citequery.ingest import (
     _fold,
 )
 from citequery.tokens import tokenize
+from conftest import GOLDEN_CORPUS
 from synth import write_corpus
 
 
@@ -58,6 +63,23 @@ class TestLoadCorpus:
         result = load_corpus(path)
         assert [d.doc_id for d in result.documents] == ["a", "b"]
         assert result.errors == []
+
+    def test_the_corpus_model_and_rate_rows_are_named_tuples(self, tmp_path):
+        # A named tuple equals the plain tuple of its fields, so the equality
+        # tests cannot tell these types from bare tuples.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(GOLDEN_CORPUS.read_text(encoding="utf-8") + "{}\n", encoding="utf-8")
+        result = load_corpus(path)
+        sentences = [s for d in result.documents for s in d.sentences]
+        rates = rate_by(frozenset(), result.documents, GROUPINGS)
+        for values, kind in (
+            ([result], LoadResult), (result.documents, Document), (sentences, Sentence),
+            ([r for s in sentences for r in s.refs], RefLink), (result.errors, LoadError),
+            ([row for rows in rates.values() for row in rows], RateRow),
+            ([default_validated_set(0.80)], ValidatedSet),
+        ):
+            assert values and {type(v) for v in values} == {kind}, kind
+            assert issubclass(kind, tuple) and kind._fields, kind
 
     def test_refs_but_no_sentences_yields_no_citances(self, tmp_path):
         path = write_lines(tmp_path, [json.dumps(record(sentences=[]))])

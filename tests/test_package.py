@@ -1,6 +1,6 @@
 """The package depends on the standard library only, reads no
-environment variable, and defines no module-level name that nothing
-uses."""
+environment variable, defines no module-level name that nothing uses,
+and keeps ``@dataclass`` for types that validate their fields."""
 
 import ast
 import re
@@ -84,3 +84,17 @@ def test_every_module_level_name_is_used_or_exported():
             if not any(word.search(line) for line in outside):
                 unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_dataclass_validates_its_fields():
+    # A plain value is a NamedTuple; a dataclass earns its machinery by
+    # checking its fields in __post_init__.
+    unchecked = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+            ) and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                          for item in node.body):
+                unchecked.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert unchecked == []
