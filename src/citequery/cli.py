@@ -251,15 +251,20 @@ def _read_stats_csv(path: str, query_ids: set[str]) -> dict[str, float]:
     return stats
 
 
-def _config(args, keys: Sequence[str]) -> dict:
-    resolved = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if key in ("corpus", "queries", "resolution", "stats", "citations", "sample") \
+def _config(args) -> dict:
+    """What the ``# config`` digest hashes: every parsed option but the
+    output directory and the seed, each input path resolved."""
+    config = {}
+    for key, value in vars(args).items():
+        if key in ("out", "seed", "command", "func"):
+            continue
+        if key in ("corpus", "queries", "resolution", "stats", "citations") \
                 and value not in (None, "builtin"):
             value = str(Path(value).resolve())
-        resolved[key] = value
-    return resolved
+        elif key == "annotations":
+            value = [str(Path(path).resolve()) for path in value]
+        config[key] = value
+    return config
 
 
 def _match_records(args, queries):
@@ -271,8 +276,8 @@ def _match_records(args, queries):
     texts: dict[tuple[str, int], str] = {}
     with _citing_documents(args) as (documents, _):
         for doc_id, citing in documents:
-            for index, text, spans in citing:
-                found = match(Citance(doc_id, index, tokenize(text, spans)))
+            for index, text in citing:
+                found = match(Citance(doc_id, index, tokenize(text)))
                 if found:
                     records += found
                     texts[doc_id, index] = text
@@ -295,8 +300,8 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_match(args) -> int:
     queries = _load_queries(args.queries)
-    writer = OutputWriter(Path(args.out), _config(args, ("corpus", "mode", "queries")),
-                          args.seed, ("matches.csv", "matches.jsonl", "match_summary.csv"))
+    writer = OutputWriter(Path(args.out), _config(args), args.seed,
+                          ("matches.csv", "matches.jsonl", "match_summary.csv"))
     records, texts = _match_records(args, queries)
 
     writer.write_csv(
@@ -352,8 +357,7 @@ def cmd_match(args) -> int:
 
 def cmd_sample(args) -> int:
     queries = _load_queries(args.queries)
-    writer = OutputWriter(Path(args.out), _config(args, ("corpus", "mode", "queries", "n")),
-                          args.seed, ("sample.csv",))
+    writer = OutputWriter(Path(args.out), _config(args), args.seed, ("sample.csv",))
     records, texts = _match_records(args, queries)
     by_query: dict[str, list] = {}
     for record in records:
@@ -465,8 +469,8 @@ def cmd_gate(args) -> int:
     except ValueError as exc:
         raise DataError(f"annotation files {' and '.join(args.annotations)}: {exc}")
     validated = gate_queries({s.query_id: s.pct_valid for s in stats}, args.threshold)
-    writer = OutputWriter(Path(args.out), _config(args, ("annotations", "threshold")),
-                          args.seed, ("stats.csv", "validated.txt"))
+    writer = OutputWriter(Path(args.out), _config(args), args.seed,
+                          ("stats.csv", "validated.txt"))
     writer.write_csv(
         "stats.csv", ("query_id", "n", "pct_agree", "pct_valid", "kappa"),
         ((s.query_id, s.n, s.pct_agree, s.pct_valid, s.kappa) for s in stats),
@@ -563,12 +567,8 @@ def cmd_report(args) -> int:
         raise DataError(f"report {needs_table[0]!r} requires --citations")
     with _reading("citations", args.citations):
         table = CitationTable.from_csv(args.citations) if needs_table else None
-    writer = OutputWriter(
-        Path(args.out),
-        _config(args, ("corpus", "mode", "queries", "threshold", "resolution",
-                       "stats", "which", "citations", "doc_type", "horizon", "top_n")),
-        args.seed, [f"{name}.csv" for name in which] + ["long.csv"],
-    )
+    writer = OutputWriter(Path(args.out), _config(args), args.seed,
+                          [f"{name}.csv" for name in which] + ["long.csv"])
     gc.freeze()  # the catalog and the citation table live until the process exits
     with _reading("corpus", args.corpus):
         corpus = load_corpus(args.corpus, args.mode)

@@ -44,6 +44,7 @@ independent oracle in ``tests/naive_scanner.py``:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter, contains
 from typing import Iterable, NamedTuple, Sequence
 
@@ -196,8 +197,10 @@ class _SignalGroup(NamedTuple):
             starts_a = _starts(a, classes, positions)
             if starts_a:
                 starts_b = _starts(b, classes, positions)
-                if any(abs(x - y) <= window for x in starts_a for y in starts_b):
-                    return []
+                for x in starts_a:  # is some y in starts_b within x ± window?
+                    i = bisect_left(starts_b, x - window)
+                    if i < len(starts_b) and starts_b[i] <= x + window:
+                        return []
 
         context_ends: set[int] | None = None
         spans: list[Span] = []
@@ -242,18 +245,24 @@ def _filter_spans(
 def _first_within(
     signals: list[Span], filters: list[Span], max_gap: int
 ) -> tuple[Span, Span] | None:
-    """The first (signal, filter) pair, in span order, at most ``max_gap`` apart."""
+    """The first (signal, filter) pair, in span order, at most ``max_gap`` apart.
+
+    A filter is that close when it ends at most ``max_gap + 1`` words
+    before the signal starts and starts at most that many after it ends.
+    Signals come in start order, so a filter ending too early for one
+    signal ends too early for every later one, and is passed for good;
+    the first filter left is the only one to check, as the rest start
+    no earlier.
+    """
+    i, n = 0, len(filters)
     for signal in signals:
-        s_start, s_end, _ = signal
-        for f in filters:
-            if f[0] > s_end:
-                gap = f[0] - s_end - 1
-            elif s_start > f[1]:
-                gap = s_start - f[1] - 1
-            else:
-                gap = 0
-            if gap <= max_gap:
-                return signal, f
+        lo = signal.start - max_gap - 1
+        while i < n and filters[i].end < lo:
+            i += 1
+        if i == n:
+            return None
+        if filters[i].start <= signal.end + max_gap + 1:
+            return signal, filters[i]
     return None
 
 

@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .tokens import tokenize
+from .tokens import REF_MARKER, tokenize
 
 DOC_TYPES = ("full-article", "review", "short-communication", "other")
 MAIN_FIELDS = ("BioHealth", "LifeEarth", "MathComp", "PhysEngr", "SocHum")
@@ -36,7 +36,6 @@ ABBREVIATIONS = frozenset(
      "dr", "no", "ref", "refs"}
 )
 
-_REF_MARKER = re.compile(r"<ref\b([^<>]*?)/>")
 _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
 _TERMINATORS = ".!?"
 # A JSON \u escape of a UTF-16 surrogate; json.loads keeps an unpaired one
@@ -109,7 +108,7 @@ def parse_ref_markers(text: str) -> list[tuple[tuple[int, int], dict[str, str]]]
     """Find inline ``<ref .../>`` markers; returns (span, attributes) pairs."""
     return [(m.span(), {name: double or single or bare  # findall reads "" for an absent group
                         for name, double, single, bare in _MARKER_ATTR.findall(m[1])})
-            for m in _REF_MARKER.finditer(text)]
+            for m in REF_MARKER.finditer(text)]
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:
@@ -370,14 +369,14 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The lines of a UTF-8 text file, each with its 1-based number.
 
     The file is streamed and decoded one line at a time, so it is never
-    held in memory whole. Lines end at ``\\n`` and keep their terminator.
-    An unreadable file raises OSError, and a line that is not UTF-8 a
-    ValueError naming it.
+    held in memory whole. Lines end at ``\\n`` and keep their terminator,
+    and a UTF-8 byte order mark opening line 1 is dropped. An unreadable
+    file raises OSError, and a line that is not UTF-8 a ValueError naming it.
     """
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                yield lineno, raw.decode("utf-8")
+                yield lineno, raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"line {lineno}: not valid UTF-8") from None
 
@@ -482,29 +481,20 @@ def load_corpus(path: str | Path, mode: str = "presegmented") -> LoadResult:
 
 def read_citing(
     path: str | Path, mode: str, errors: list[LoadError]
-) -> Iterator[tuple[str, list[tuple[int, str, list[tuple[int, int]]]]]]:
+) -> Iterator[tuple[str, list[tuple[int, str]]]]:
     """The documents ``load_corpus`` loads, one at a time and without
-    building them: each is its doc id and, per citance, the sentence index,
-    text and sorted marker spans (``extract_citances`` tokenizes the text
-    with those spans). Load errors are appended to ``errors`` as read, and
-    the file raises as in ``load_corpus``.
+    building them: each is its doc id and, per citance, the sentence index
+    and text. Load errors are appended to ``errors`` as read, and the file
+    raises as in ``load_corpus``.
     """
     for obj, sentences in _checked_records(path, mode, errors):
-        yield obj["doc_id"], [
-            (index, text, sorted(span for _, span in links if span is not None))
-            for index, text, links in sentences if links
-        ]
+        yield obj["doc_id"], [(index, text) for index, text, links in sentences if links]
 
 
 def extract_citances(doc: Document) -> list[Citance]:
     """Citances of a document: its ref-bearing sentences, tokenized."""
-    citances = []
-    for sentence in doc.sentences:
-        if not sentence.refs:
-            continue
-        spans = sorted(r.span for r in sentence.refs if r.span is not None)
-        citances.append(Citance(doc.doc_id, sentence.index, tokenize(sentence.text, spans)))
-    return citances
+    return [Citance(doc.doc_id, sentence.index, tokenize(sentence.text))
+            for sentence in doc.sentences if sentence.refs]
 
 
 def iter_citances(documents: Iterable[Document]) -> Iterator[Citance]:

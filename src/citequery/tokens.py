@@ -4,17 +4,19 @@ A sentence is turned into a flat tuple of words. Words are lowercased
 runs of letters and digits; a hyphen or apostrophe (straight or curly,
 the latter normalized to ``'``) is kept only when it sits between two
 such characters ("co-limit", "al's"), every other character is dropped
-and whitespace separates words. Inline reference markers separate words
-like whitespace and contribute none, so all matching semantics (pattern
-spans, gap counting, negation windows) are defined over positions in
-the word tuple.
+and whitespace separates words. Every inline ``<ref .../>`` marker, a
+repeated one included, separates words like whitespace and contributes
+none, so word positions depend on the words alone and all matching
+semantics (pattern spans, gap counting, negation windows) are defined
+over positions in the word tuple.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
+# An inline reference marker, ``<ref .../>``; group 1 holds its attributes.
+REF_MARKER = re.compile(r"<ref\b([^<>]*?)/>")
 # Everything that is neither alphanumeric, a joiner nor whitespace;
 # ``\w`` also admits ``_``, which is not alphanumeric.
 _DROPPED = re.compile(r"[^\w'\-’\s]|_")
@@ -34,20 +36,10 @@ class _Kept(dict):
 _KEPT = _Kept()
 
 
-def tokenize(text: str, ref_spans: Sequence[tuple[int, int]] = ()) -> tuple[str, ...]:
-    """The words of sentence text, with each ref marker span cut out.
-
-    ``ref_spans`` are character offsets of inline reference markers within
-    ``text``; they must be sorted and non-overlapping.
-    """
-    if ref_spans:
-        segments = []
-        pos = 0
-        for start, end in ref_spans:
-            segments.append(text[pos:start])
-            pos = end
-        segments.append(text[pos:])
-        text = " ".join(segments)
+def tokenize(text: str) -> tuple[str, ...]:
+    """The words of sentence text, with every ref marker cut out."""
+    if "<ref" in text:
+        text = REF_MARKER.sub(" ", text)
     kept = text.lower().translate(_KEPT)
     if "'" in kept or "-" in kept:
         return tuple(_WORD.findall(kept))

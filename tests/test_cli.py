@@ -223,6 +223,20 @@ class TestMatch:
             }
             assert line == json.dumps(record, ensure_ascii=False)
 
+    def test_a_ref_cited_twice_in_a_sentence_matches_as_two_refs(self, tmp_path):
+        """Every marker is cut from the words, a repeated one included."""
+        text = 'This remains controversial <ref id="r1"/> in several recent studies {}.'
+        rows = []
+        for second, refs in (("r1", ["r1"]), ("r2", ["r1", "r2"])):
+            corpus, out = tmp_path / f"{second}.jsonl", tmp_path / second
+            corpus.write_text(json.dumps({"doc_id": "d", "year": 2010, "sentences": [{
+                "text": text.format(f'<ref id="{second}"/>'),
+                "refs": [{"ref_id": r} for r in refs]}]}) + "\n")
+            assert run_quietly(["match", "--corpus", str(corpus), "--out", str(out)])[0] == 0
+            rows.append(read_csv(out / "matches.csv"))
+        assert rows[0] == rows[1]
+        assert "controvers.studies" in {row["query_id"] for row in rows[0]}
+
     @pytest.mark.parametrize("doc_id, query_id", [("d\rx", "q.a"), ("d", "q\ra")],
                              ids=["doc_id", "query_id"])
     def test_a_cell_holding_a_carriage_return_quotes_its_matches_row(
@@ -805,6 +819,55 @@ class TestHostileInput:
             assert "unknown query id 'nonsense.query'" in err
 
 
+# A well-formed input of each kind whose first line is text a BOM would spoil.
+WELL_FORMED = {
+    "corpus": GOLDEN_CORPUS.read_text(encoding="utf-8"),
+    "query": "query craton.standalone\nsignal controvers*|debat*\nfilter none\n",
+    "stats": STATS_HEAD + "controvers.standalone,10,0.9,0.9,0.8\n",
+    "annotation": ANNOTATION_HEAD + "g04,4,controvers.standalone,some text,valid\n",
+    "citations": CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2010,5\n",
+}
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark opening an input file is read past, as
+    spreadsheet programs write one, and lines keep their numbers."""
+
+    @pytest.mark.parametrize("kind", WELL_FORMED)
+    def test_a_bom_changes_no_output(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.input"
+        runs = []
+        for bom in ("", "\ufeff"):
+            path.write_text(bom + WELL_FORMED[kind], encoding="utf-8")
+            run = tmp_path / ("bom" if bom else "plain")
+            run.mkdir()
+            result = run_quietly(reader_argv(kind, path, run))
+            runs.append((result, {
+                p.name: [line for line in p.read_text(encoding="utf-8").splitlines()
+                         if not line.startswith("# config ")]
+                for p in (run / "out").iterdir()}))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == 0
+
+    def test_only_line_1_drops_a_bom(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        first = GOLDEN_CORPUS.read_text(encoding="utf-8").splitlines(True)[0]
+        corpus.write_text("\ufeff" + GOLDEN_CORPUS.read_text(encoding="utf-8")
+                          + "not json\n\ufeff" + first, encoding="utf-8")
+        assert main(["ingest-check", "--corpus", str(corpus)]) == 0
+        out, err = capsys.readouterr()
+        assert "documents=9 citances=51 errors=2" in out
+        assert err == "line=10 error=bad_json\nline=11 error=bad_json\n"
+
+    def test_a_csv_row_keeps_its_line_number(self, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("\ufeff" + STATS_HEAD + "nonsense.query,10,0.9,0.9,0.8\n",
+                         encoding="utf-8")
+        assert main(reader_argv("stats", stats, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: stats file {stats}: line 2: unknown query id 'nonsense.query'\n")
+
+
 # The first file each output-writing command makes in its --out directory.
 OUTPUTS = {"match": ("matches.csv", "matches.jsonl", "match_summary.csv"),
            "sample": ("sample.csv",), "gate": ("stats.csv", "validated.txt"),
@@ -1125,6 +1188,18 @@ class TestDeterminism:
                 for path in sorted(out.iterdir())
             })
         assert outputs[0] == outputs[1]
+
+    def test_gate_hashes_the_annotation_paths_resolved(self, tmp_path, monkeypatch):
+        for coder in ("ann", "bob"):
+            (tmp_path / f"{coder}.csv").write_text(ANNOTATION_HEAD.replace("ann", coder)
+                                                   + "g04,4,controvers.standalone,t,valid\n")
+        monkeypatch.chdir(tmp_path)
+        headers = []
+        for out, prefix in (("relative", ""), ("absolute", f"{tmp_path}/")):
+            assert run_quietly(["gate", "--annotations", f"{prefix}ann.csv", f"{prefix}bob.csv",
+                                "--out", out])[0] == 0
+            headers.append(header_lines(tmp_path / out / "stats.csv"))
+        assert headers[0] == headers[1]
 
 
 def test_python_dash_m_runs_the_cli(golden_args, tmp_path):

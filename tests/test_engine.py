@@ -1,4 +1,5 @@
 import csv
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -481,3 +482,20 @@ def test_matcher_with_shared_groups_agrees_with_oracle(queries, data):
     for index in range(data.draw(st.integers(min_value=1, max_value=4))):
         citance = make_citance("d", index, data.draw(citance_words(queries)))
         assert matcher.match_citance(citance) == scan_citance(citance, queries)
+
+
+@pytest.mark.parametrize("signal, fillers, other, expected", [
+    ("agreement", 11, "disagree", "disagree.standalone"),  # co-occurrence, 12 apart
+    ("controversial", 5, "studies", "controvers.standalone"),  # filter, gap 5
+], ids=["cooccurrence", "proximity"])
+def test_proximity_checks_are_not_quadratic(catalog, signal, fillers, other, expected):
+    """5000 words each side of a near miss: every pair is out of reach, and
+    checking all 25 million pairs takes seconds."""
+    words = [signal] * 5000 + ["the"] * fillers + [other] * 5000
+    citance = make_citance("d", 0, words)
+    matcher = CatalogMatcher(catalog)
+    start = time.perf_counter()
+    records = matcher.match_citance(citance)
+    elapsed = time.perf_counter() - start
+    assert [r.query_id for r in records] == [expected]
+    assert elapsed < 0.5

@@ -760,7 +760,7 @@ def lean_and_full(path, mode):
     errors, lean = [], []
     for doc_id, citing in read_citing(path, mode, errors):
         lean.append(doc_id)
-        lean += [(doc_id, index, tokenize(text, spans), text) for index, text, spans in citing]
+        lean += [(doc_id, index, tokenize(text), text) for index, text in citing]
     result = load_corpus(path, mode)
     full = []
     for doc in result.documents:

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citequery.tokens import tokenize
+from citequery.tokens import REF_MARKER, tokenize
 from legacy_tokenizer import legacy_words
 
 
@@ -32,18 +32,21 @@ def test_boundary_joiners_dropped():
 
 
 def test_ref_spans_are_cut_out():
-    text = 'It fails <ref id="r1"/> badly.'
-    assert tokenize(text, [(9, 23)]) == ("it", "fails", "badly")
+    assert tokenize('It fails <ref id="r1"/> badly.') == ("it", "fails", "badly")
 
 
 def test_ref_span_separates_words():
-    text = 'con<ref id="r1"/>flict'
-    assert tokenize(text, [(3, 17)]) == ("con", "flict")
+    assert tokenize('con<ref id="r1"/>flict') == ("con", "flict")
 
 
 def test_adjacent_ref_spans():
-    text = "cancer <ref id=a/> <ref id=b/>."
-    assert tokenize(text, [(7, 18), (19, 30)]) == ("cancer",)
+    assert tokenize("cancer <ref id=a/> <ref id=b/>.") == ("cancer",)
+
+
+def test_only_whole_markers_are_cut():
+    assert tokenize("a <ref id=r1> b <ref id=r2/><reference/> c") == (
+        "a", "ref", "idr1", "b", "reference", "c",
+    )
 
 
 def test_word_index_sequence():
@@ -76,18 +79,29 @@ _text = st.text(
 )
 
 
+_MARKERS = ('<ref id="r1"/>', "<ref id=a/>", "<ref/>", "<ref\tid='x y' cited_year=2001 />")
+
+
 @st.composite
 def _text_and_spans(draw):
-    text = draw(_text)
+    """Marker-free text with markers inserted at drawn offsets, and the
+    markers' spans in the result."""
+    text = draw(_text.filter(lambda text: REF_MARKER.search(text) is None))
     cuts = sorted(draw(st.lists(
-        st.integers(min_value=0, max_value=len(text)), max_size=6,
+        st.integers(min_value=0, max_value=len(text)), max_size=4,
     )))
-    spans = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts) - 1, 2)]
-    return text, spans
+    marked, spans, pos = "", [], 0
+    for cut in cuts:
+        marker = draw(st.sampled_from(_MARKERS))
+        marked += text[pos:cut]
+        spans.append((len(marked), len(marked) + len(marker)))
+        marked += marker
+        pos = cut
+    return marked + text[pos:], spans
 
 
 @settings(max_examples=1500, deadline=None)
 @given(_text_and_spans())
 def test_matches_legacy_tokenizer(case):
     text, spans = case
-    assert tokenize(text, spans) == tuple(legacy_words(text, spans))
+    assert tokenize(text) == tuple(legacy_words(text, spans))
