@@ -37,6 +37,12 @@ ABBREVIATIONS = frozenset(
 )
 
 _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
+# A plain marker, ``<ref id="X"/>`` or ``<ref id=X/>`` with X not empty and
+# free of quotes, ``<``, ``>`` (and, bare, of whitespace and ``/``), ends at
+# REF_MARKER's ``/>`` and sets group 1 or 2 to X; any other sets group 3.
+_MARKERS = re.compile(r'<ref\s+id=(?:"([^"<>]+)"|([^\s"\'<>/]+))\s*/>|' + REF_MARKER.pattern)
+_INTEGER = re.compile(r"-?[0-9]+")  # the marker cited_year that loads as an int
+_OPTIONAL_STR = (str, type(None))
 _TERMINATORS = ".!?"
 # A JSON \u escape of a UTF-16 surrogate; json.loads keeps an unpaired one
 # as a str that no output file can encode.
@@ -222,42 +228,44 @@ def _valid_authors(raw) -> bool:
         if not isinstance(item, dict):
             return False
         family = item.get("family")
-        if (not isinstance(family, str) or not isinstance(item.get("given"), (str, type(None)))
+        if (not isinstance(family, str) or not isinstance(item.get("given"), _OPTIONAL_STR)
                 or not (family.strip() if family.isascii() else _fold(family))):
             return False
     return True
 
 
-def _check_ref(ref, seen_ids: set[str]) -> str:
-    """The id of one ``refs`` entry, claimed in ``seen_ids``."""
+def _check_ref(ref, seen_ids: set[str]) -> None:
+    """Check one ``refs`` entry and claim its id in ``seen_ids``."""
     ref_id = ref.get("ref_id") if isinstance(ref, dict) else None
-    if isinstance(ref_id, str) and ref_id in seen_ids:  # only ids that passed are seen
+    if not isinstance(ref_id, str) or not ref_id:  # "" is never seen, so is bad_ref
+        raise RecordError("bad_ref")
+    if ref_id in seen_ids:
         raise RecordError("dup_ref_id", ref_id)
-    year, doc = (ref.get("cited_year"), ref.get("cited_doc_id")) if ref_id else (None, None)
-    if (not isinstance(ref_id, str) or not ref_id
-            or (year is not None and type(year) is not int)  # a JSON true is no year
+    year, doc = ref.get("cited_year"), ref.get("cited_doc_id")
+    if ((year is not None and type(year) is not int)  # a JSON true is no year
             or (doc is not None and not isinstance(doc, str))
             or not _valid_authors(ref.get("cited_authors"))):
         raise RecordError("bad_ref")
     seen_ids.add(ref_id)
-    return ref_id
 
 
 def _marker_ref(attrs: dict[str, str], seen_ids: set[str]) -> dict:
     """A ``<ref .../>`` marker's attributes as a checked ``refs`` entry."""
+    year = attrs.get("cited_year")
+    if year is not None and _INTEGER.fullmatch(year):
+        with suppress(ValueError):  # past int's digit limit the string stays, and is refused
+            year = int(year)
     ref = {"ref_id": attrs.get("id", ""), "cited_doc_id": attrs.get("cited_doc_id"),
-           "cited_year": attrs.get("cited_year")}
-    if ref["cited_year"] is not None:
-        with suppress(ValueError):  # else the string stays, and is refused
-            ref["cited_year"] = int(ref["cited_year"])
+           "cited_year": year}
     _check_ref(ref, seen_ids)
     return ref
 
 
-def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list]]:
+def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list, dict]]:
     """Check one decoded JSON record and return its sentences as (index,
-    text, links), each link a checked ``refs`` entry (a marker's attributes
-    in that shape) with its sentence-local marker span or None.
+    text, refs, spans): refs are the checked ``refs`` entries (a marker's
+    attributes in that shape), and spans maps the id of each that has a
+    marker to the sentence-local span of its last one.
 
     Raises RecordError with a stable code for malformed records.
     """
@@ -290,8 +298,9 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list]]:
         body = obj["body"]
         if not isinstance(body, str):
             raise RecordError("bad_body")
-        return _sentence_links(body, [(_marker_ref(attrs, seen_ids), span)
-                                      for span, attrs in parse_ref_markers(body)])
+        links = [(_marker_ref(attrs, seen_ids), span) for span, attrs in parse_ref_markers(body)]
+        return [(index, text, [ref for ref, _ in held], {ref["ref_id"]: span for ref, span in held})
+                for index, text, held in _sentence_links(body, links)]
     if mode != "presegmented":
         raise ValueError(f"unknown mode: {mode!r}")
     if "sentences" not in obj:
@@ -307,41 +316,47 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list]]:
             refs = []
         if not isinstance(text, str) or not isinstance(refs, list):
             raise RecordError("bad_sentences")
-        # Markers in the text give spans, the last of an id its span; ids absent
-        # from the refs array become links of their own, after the array's.
-        markers = parse_ref_markers(text) if "<ref" in text else []
-        spans = {attrs.get("id", ""): span for span, attrs in markers}
-        links = [(ref, spans.get(_check_ref(ref, seen_ids))) for ref in refs]
-        if markers:
+        for ref in refs:
+            _check_ref(ref, seen_ids)
+        spans = {}
+        # The last marker of an id gives its span; ids absent from the refs
+        # array become refs of their own, after the array's.
+        if "<ref" in text:
             listed = {ref["ref_id"] for ref in refs}
-            links += [(_marker_ref(attrs, seen_ids), span)
-                      for span, attrs in markers if attrs.get("id", "") not in listed]
-        sentences.append((index, text, links))
+            for marker in _MARKERS.finditer(text):  # only a plain one is not parsed in full
+                attrs = None if marker[3] is None else parse_ref_markers(marker[0])[0][1]
+                ref_id = marker[1] or marker[2] if attrs is None else attrs.get("id", "")
+                if ref_id not in listed:
+                    refs = [*refs, _marker_ref(attrs or {"id": ref_id}, seen_ids)]
+                spans[ref_id] = marker.span()
+        sentences.append((index, text, refs, spans))
     return sentences
 
 
-def _name_key(author: dict) -> tuple[str, str | None]:
-    """An author object's folded family name and the first letter of its
-    folded given name, or None when that has no letter."""
-    given = _fold(author.get("given") or "")
-    return _fold(author["family"]), next(filter(str.isalpha, given), None)
+def _initial(given) -> str | None:
+    """The first letter of a folded given name, or None when it has none."""
+    return next(filter(str.isalpha, _fold(given or "")), None)
 
 
-def _self_class(citing: list[tuple[str, str | None]], cited: list | None) -> str:
-    """A ref's self-citation class, from the ``_name_key``s of the citing
-    authors and the ref's ``cited_authors``: self when a cited and a citing
-    author share a family name and, where both have one, a given initial;
-    unknown when no cited author is listed; non-self otherwise."""
+def _self_class(initials: dict[str, set[str | None]], cited: list | None) -> str:
+    """A ref's self-citation class, from the citing authors' initials by
+    folded family name and the ref's ``cited_authors``: self when a cited
+    and a citing author share a family name and, where both have one, an
+    initial; unknown when no cited author is listed; non-self otherwise."""
     if not cited:
         return UNKNOWN
-    return SELF if any(family == other and (initial is None or mine is None or initial == mine)
-                       for family, initial in map(_name_key, cited)
-                       for other, mine in citing) else NON_SELF
+    for author in cited:
+        mine = initials.get(_fold(author["family"]))
+        if mine is not None and (None in mine or _initial(author.get("given")) in {None, *mine}):
+            return SELF
+    return NON_SELF
 
 
-def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
+def _document(obj: dict, sentences: list[tuple[int, str, list, dict]]) -> Document:
     """The Document of a record and its ``_checked_sentences``."""
-    citing = [_name_key(author) for author in obj.get("authors") or ()]
+    initials: dict[str, set[str | None]] = {}
+    for author in obj.get("authors") or ():
+        initials.setdefault(_fold(author["family"]), set()).add(_initial(author.get("given")))
     return Document(
         doc_id=obj["doc_id"],
         year=obj["year"],
@@ -351,9 +366,9 @@ def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
         sentences=tuple([
             Sentence(index, text, tuple([
                 RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
-                        _self_class(citing, ref.get("cited_authors")), span)
-                for ref, span in links]) if links else ())
-            for index, text, links in sentences]),
+                        _self_class(initials, ref.get("cited_authors")), spans.get(ref["ref_id"]))
+                for ref in refs]) if refs else ())
+            for index, text, refs, spans in sentences]),
     )
 
 
@@ -437,7 +452,7 @@ def numbered_csv_columns(
 
 def _checked_records(
     path: str | Path, mode: str, errors: list[LoadError]
-) -> Iterator[tuple[dict, list[tuple[int, str, list]]]]:
+) -> Iterator[tuple[dict, list[tuple[int, str, list, dict]]]]:
     """Each record of a corpus file that loads, with its
     ``_checked_sentences``; load errors go to ``errors`` (see load_corpus)."""
     if mode not in ("presegmented", "rawtext"):
@@ -488,7 +503,7 @@ def read_citing(
     raises as in ``load_corpus``.
     """
     for obj, sentences in _checked_records(path, mode, errors):
-        yield obj["doc_id"], [(index, text) for index, text, links in sentences if links]
+        yield obj["doc_id"], [(index, text) for index, text, refs, _ in sentences if refs]
 
 
 def extract_citances(doc: Document) -> list[Citance]:

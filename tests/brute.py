@@ -1,10 +1,24 @@
-"""Brute-force recomputation of the expected-citation ratio.
+"""Brute-force recomputations that pin the package's faster paths.
 
-Independent of citequery.analytics: an explicit double loop over papers
-and cohort cells, used to pin the cohort-weighted aggregation.
+``brute_impact`` recomputes the expected-citation ratio independently of
+citequery.analytics: an explicit double loop over papers and cohort
+cells, used to pin the cohort-weighted aggregation.
+
+``oracle_corpus`` loads corpus records by the definitional route: every
+marker's attributes parsed in full by ``parse_ref_markers``, each
+sentence's refs assembled as (entry, span) links, and the self-citation
+class decided over every pair of a citing and a cited author. It pins
+the reader's plain-marker path, its ref checks and its initials lookup.
 """
 
 from __future__ import annotations
+
+import unicodedata
+
+from citequery.ingest import (
+    DOC_TYPES, MAIN_FIELDS, NON_SELF, SELF, UNKNOWN, Document, LoadError, RecordError,
+    RefLink, Sentence, parse_ref_markers, split_sentences,
+)
 
 
 def brute_impact(
@@ -40,3 +54,136 @@ def brute_impact(
     mean_disagreement = weighted_disagreement / total_weight
     mean_expected = weighted_expected / total_weight
     return mean_disagreement, mean_expected, mean_disagreement / mean_expected
+
+
+def nfkd_fold(value: str) -> str:
+    """Name folding by its definition: NFKD, marks dropped, casefolded, stripped."""
+    decomposed = unicodedata.normalize("NFKD", value)
+    return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold().strip()
+
+
+def oracle_self_class(citing, cited) -> str:
+    """A ref's self-citation class by its definition, over every pair of a
+    citing and a cited author."""
+    def key(author):
+        given = nfkd_fold(author.get("given") or "")
+        return nfkd_fold(author["family"]), next((c for c in given if c.isalpha()), None)
+
+    if not cited:
+        return UNKNOWN
+    for family, initial in map(key, citing or []):
+        for other, theirs in map(key, cited):
+            if family == other and (initial is None or theirs is None or initial == theirs):
+                return SELF
+    return NON_SELF
+
+
+def _authors_ok(raw) -> bool:
+    return raw is None or isinstance(raw, list) and all(
+        isinstance(a, dict) and isinstance(a.get("family"), str) and nfkd_fold(a["family"])
+        and (a.get("given") is None or isinstance(a.get("given"), str)) for a in raw)
+
+
+def _check_ref(ref, seen: set) -> str:
+    ref_id = ref.get("ref_id") if isinstance(ref, dict) else None
+    if isinstance(ref_id, str) and ref_id in seen:
+        raise RecordError("dup_ref_id")
+    if not (isinstance(ref_id, str) and ref_id
+            and (ref.get("cited_year") is None or type(ref["cited_year"]) is int)
+            and (ref.get("cited_doc_id") is None or isinstance(ref["cited_doc_id"], str))
+            and _authors_ok(ref.get("cited_authors"))):
+        raise RecordError("bad_ref")
+    seen.add(ref_id)
+    return ref_id
+
+
+def _marker_ref(attrs: dict, seen: set) -> dict:
+    """A marker as a ``refs`` entry: its cited_year an int only when it is
+    ASCII digits after an optional leading minus."""
+    year = attrs.get("cited_year")
+    digits = year[1:] if year is not None and year.startswith("-") else year
+    if digits and all(c in "0123456789" for c in digits):
+        try:
+            year = int(year)
+        except ValueError:  # past int's digit limit
+            pass
+    ref = {"ref_id": attrs.get("id", ""), "cited_doc_id": attrs.get("cited_doc_id"),
+           "cited_year": year}
+    _check_ref(ref, seen)
+    return ref
+
+
+def oracle_document(obj, mode: str) -> Document:
+    """One record's Document; raises RecordError as the reader does."""
+    if not isinstance(obj, dict):
+        raise RecordError("not_object")
+    if not isinstance(obj.get("doc_id"), str) or not obj["doc_id"]:
+        raise RecordError("missing_doc_id")
+    year = obj.get("year")
+    if year is None:
+        raise RecordError("missing_year")
+    if not isinstance(year, int) or not 1900 <= year <= 2100:
+        raise RecordError("bad_year")
+    if obj.get("doc_type", "other") not in DOC_TYPES:
+        raise RecordError("bad_doc_type")
+    if obj.get("main_field") is not None and obj["main_field"] not in MAIN_FIELDS:
+        raise RecordError("bad_main_field")
+    meso = obj.get("meso_field")
+    if meso is not None and (type(meso) is not int or meso < 0):
+        raise RecordError("bad_meso_field")
+    if not _authors_ok(obj.get("authors")):
+        raise RecordError("bad_authors")
+
+    def link(ref, span):
+        return RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
+                       oracle_self_class(obj.get("authors"), ref.get("cited_authors")), span)
+
+    seen: set = set()
+    if mode == "rawtext":
+        if "body" not in obj:
+            raise RecordError("missing_body")
+        if not isinstance(obj["body"], str):
+            raise RecordError("bad_body")
+        refs = [link(_marker_ref(attrs, seen), span)
+                for span, attrs in parse_ref_markers(obj["body"])]
+        sentences = split_sentences(obj["body"], refs)
+    else:
+        if "sentences" not in obj:
+            raise RecordError("missing_sentences")
+        if not isinstance(obj["sentences"], list):
+            raise RecordError("bad_sentences")
+        sentences = []
+        for index, item in enumerate(obj["sentences"]):
+            text = item.get("text") if isinstance(item, dict) else None
+            refs = item.get("refs") if isinstance(item, dict) else None
+            refs = [] if refs is None else refs
+            if not isinstance(text, str) or not isinstance(refs, list):
+                raise RecordError("bad_sentences")
+            # The last marker of an id gives its span; ids the refs array
+            # does not list are links of their own, after the array's.
+            markers = parse_ref_markers(text)
+            spans = {attrs.get("id", ""): span for span, attrs in markers}
+            links = [(ref, spans.get(_check_ref(ref, seen))) for ref in refs]
+            listed = {ref["ref_id"] for ref in refs}
+            links += [(_marker_ref(attrs, seen), span)
+                      for span, attrs in markers if attrs.get("id", "") not in listed]
+            sentences.append(Sentence(index, text, tuple(link(*pair) for pair in links)))
+    return Document(obj["doc_id"], year, obj.get("doc_type", "other"), obj.get("main_field"),
+                    meso, tuple(sentences))
+
+
+def oracle_corpus(records, mode: str) -> tuple[list[Document], list[LoadError]]:
+    """The documents and load errors of a corpus holding ``records``, one a
+    line: a record repeating a loaded record's doc_id is dup_doc_id."""
+    documents, errors, loaded = [], [], set()
+    for line, obj in enumerate(records, start=1):
+        try:
+            doc = oracle_document(obj, mode)
+            if doc.doc_id in loaded:
+                raise RecordError("dup_doc_id")
+        except RecordError as exc:
+            errors.append(LoadError(line, exc.code))
+        else:
+            loaded.add(doc.doc_id)
+            documents.append(doc)
+    return documents, errors

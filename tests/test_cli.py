@@ -1015,7 +1015,7 @@ def test_readers_exit_0_or_2_on_arbitrary_bytes(kind, with_head, payload):
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 3000) | st.floats(allow_nan=False)
-    | st.text(alphabet="ab <ref id=r1/>.\ud800", max_size=20),  # json.dumps escapes \ud800
+    | st.text(alphabet="ab <ref id=r1/>.\"'\ud800", max_size=20),  # json.dumps escapes \ud800
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["doc_id", "year", "doc_type", "main_field", "meso_field",
                          "authors", "family", "given", "sentences", "body", "text",
@@ -1218,6 +1218,31 @@ def test_python_dash_m_runs_the_cli(golden_args, tmp_path):
     assert files == sorted(path.name for path in (tmp_path / "module").iterdir())
     for name in files:
         assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``match`` and ``report`` print and write the same bytes under two
+    string hash seeds, so no output follows set or dict order of strings."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    citations = write_golden_citations(tmp_path / "citations.csv")
+    seen = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"seed{seed}"
+        printed = []
+        for argv in (["match", "--out", str(out / "match")],
+                     ["report", "--out", str(out / "report"), "--citations", str(citations)]):
+            result = subprocess.run(
+                [sys.executable, "-m", "citequery.cli", argv[0], "--corpus", str(GOLDEN_CORPUS),
+                 *argv[1:]], capture_output=True, timeout=120, env=env)
+            assert result.returncode == 0, result.stderr
+            printed.append((result.stdout.replace(str(out).encode(), b"<out>"), result.stderr))
+        files = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        assert len(files) > 2
+        seen.append((printed, files))
+    assert seen[0] == seen[1]
 
 
 def test_traced_harness_runs_a_full_report(tmp_path):

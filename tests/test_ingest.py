@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +15,7 @@ from citequery.ingest import (
     Document,
     LoadError,
     LoadResult,
+    RecordError,
     RefLink,
     Sentence,
     extract_citances,
@@ -30,6 +30,7 @@ from citequery.ingest import (
     _fold,
 )
 from citequery.tokens import tokenize
+from brute import nfkd_fold, oracle_corpus, oracle_self_class
 from conftest import GOLDEN_CORPUS
 from synth import write_corpus
 
@@ -156,6 +157,25 @@ class TestLoadCorpus:
         assert [text[slice(*r.span)] for r in refs] == [
             "<ref id=r1/>", "<ref id=m2/>", "<ref id=m1 cited_year=1999/>"]
         assert refs[2].cited_year == 1999
+
+    @pytest.mark.parametrize("attribute, year", [
+        ("cited_year=2001", 2001), ('cited_year="-12"', -12), ("cited_year='0042'", 42),
+        ("cited_year=2_001", None), ('cited_year=" 2001 "', None), ("cited_year=+2001", None),
+        ("cited_year=\u0662\u0660\u0660\u0661", None), ("cited_year=2001.0", None),
+        ("cited_year=-", None), ("cited_year=\uff12\uff10\uff10\uff11", None),
+    ], ids=["digits", "negative", "leading_zeros", "underscore", "spaces", "plus",
+            "arabic_indic", "decimal_point", "minus_alone", "fullwidth"])
+    @pytest.mark.parametrize("mode", ["presegmented", "rawtext"])
+    def test_a_marker_year_is_an_ascii_integer_literal(self, attribute, year, mode):
+        # Anything else stays a string, which no cited_year may be: bad_ref.
+        text = f"See <ref id=m {attribute}/>."
+        obj = record(body=text) if mode == "rawtext" else record(sentences=[{"text": text}])
+        if year is None:
+            with pytest.raises(RecordError, match="^bad_ref$"):
+                record_to_document(obj, mode)
+        else:
+            (ref,) = record_to_document(obj, mode).sentences[0].refs
+            assert (ref.ref_id, ref.cited_year) == ("m", year)
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -509,34 +529,12 @@ class TestSelfCitation:
         assert self.self_class(citing, [{"family": "lariviѐre", "given": "W"}]) == NON_SELF
 
 
-def nfkd_fold(value):
-    """Name folding by its definition: NFKD, marks dropped, casefolded, stripped."""
-    decomposed = unicodedata.normalize("NFKD", value)
-    return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold().strip()
-
-
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.text(st.characters(max_codepoint=127)), st.text()))
 @example(" Zhao\t")
 @example("Lariviѐre ÅNGSTRÖM ﬁsher İnan ß")
 def test_fold_equals_the_nfkd_route(value):
     assert _fold(value) == nfkd_fold(value)
-
-
-def oracle_self_class(citing, cited):
-    """A ref's self-citation class by its definition, over every pair of a
-    citing and a cited author."""
-    def key(author):
-        given = nfkd_fold(author.get("given") or "")
-        return nfkd_fold(author["family"]), next((c for c in given if c.isalpha()), None)
-
-    if not cited:
-        return UNKNOWN
-    for family, initial in map(key, citing or []):
-        for other, theirs in map(key, cited):
-            if family == other and (initial is None or theirs is None or initial == theirs):
-                return SELF
-    return NON_SELF
 
 
 # Families that fold together through case and precomposed or combining
@@ -564,6 +562,16 @@ author_lists = st.one_of(
 @given(author_lists, st.lists(author_lists, min_size=1, max_size=4))
 @example([{"family": "Zhao", "given": "G"}], [[{"family": "zhao", "given": "J."}]])
 @example([{"family": "Ünal", "given": "é"}], [[{"family": "U\u0308NAL", "given": "-E"}], []])
+# Two citing authors share a family name with the initials G and J; the
+# third has no given name, under another family name and under the same.
+@example([{"family": "Zhao", "given": "G"}, {"family": "zhao", "given": "J."},
+          {"family": "Sun"}],
+         [[{"family": "Zhao", "given": "J"}], [{"family": "Zhao", "given": "K"}],
+          [{"family": "ZHAO"}], [{"family": "Zhao", "given": "g"}],
+          [{"family": "Sun", "given": "Q"}], [{"family": "Wilde", "given": "G"}]])
+@example([{"family": "Zhao", "given": "G"}, {"family": "Zhao", "given": "J"},
+          {"family": "zhao", "given": "-"}],
+         [[{"family": "Zhao", "given": "K"}], [{"family": "Sun", "given": "G"}]])
 def test_self_citation_equals_the_oracle(authors, cited_lists):
     def setting(obj, key, value):
         return obj if value is ABSENT else {**obj, key: value}
@@ -822,3 +830,72 @@ def test_lean_reader_agrees_with_load_corpus(tmp_path_factory, mode, docs):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     lean, full = lean_and_full(path, mode)
     assert lean == full
+
+
+# --- the reader against the definitional oracle -----------------------------
+
+# Marker forms, each filled with a ref id: plain, bare, single-quoted and
+# spaced; other attributes before or after the id; a repeated id; xid=;
+# an empty id; no attributes; ids holding a slash or a quote; cited_year
+# literals; and texts that are not whole markers.
+MARKER_FORMS = [
+    '<ref id="{}"/>', "<ref id={}/>", "<ref id='{}'/>", '<ref  id = "{}" />',
+    '<ref\nid="{}"\t/>', '<ref cited_year=1999 id="{}"/>',
+    '<ref id="{}" cited_doc_id=x cited_year="2001"/>', '<ref id="r9" id="{}"/>',
+    '<ref id="{}" id="r9"/>', '<ref xid="{}"/>', '<ref xid="r9" id="{}"/>',
+    '<ref id="{}" xid="r9"/>', '<ref id=""/>', "<ref/>", '<ref id="a/{}"/>', '<ref id={}"/>',
+    "<ref id={} cited_year=2_001/>", "<ref id={} cited_year=-3/>", '<ref id="{}">',
+    '<ref id="{}"/ >', '<refs id="{}"/>',
+]
+oracle_sentences = st.lists(
+    st.tuples(
+        st.lists(st.one_of(st.sampled_from(["Debated", "data", "x's.", "No"]),
+                           st.tuples(st.sampled_from(MARKER_FORMS),
+                                     st.sampled_from(["r0", "r1", "r2", "r9"]))
+                           .map(lambda pair: pair[0].format(pair[1]))),
+                 min_size=1, max_size=5),
+        # The refs array: listed ids, each with or without cited authors.
+        st.one_of(st.none(), st.lists(st.tuples(
+            st.sampled_from(["r0", "r1", "r2"]),
+            st.sampled_from([None, "Zhao", "Sun"])), max_size=2)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def oracle_record(doc_id, mode, sentences):
+    texts, arrays = [], []
+    for s, (words, listed) in enumerate(sentences):
+        texts.append(" ".join(words) + ".")
+        arrays.append(None if listed is None else [
+            {"ref_id": ref_id, "cited_year": 2001} if family is None
+            else {"ref_id": ref_id, "cited_authors": [{"family": family, "given": "G"}]}
+            for ref_id, family in listed])
+    obj = {"doc_id": doc_id, "year": 2010, "authors": [{"family": "Zhao", "given": "G"}]}
+    if mode == "rawtext":
+        obj["body"] = " ".join(texts)
+    else:
+        obj["sentences"] = [{"text": t, "refs": a} for t, a in zip(texts, arrays)]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["presegmented", "rawtext"]),
+       st.lists(st.tuples(st.sampled_from(["a", "b"]), oracle_sentences), min_size=1,
+                max_size=3))
+@example("presegmented", [("a", [(['See <ref xid="r1"/>'], [("r1", None)])])])
+@example("presegmented", [("a", [(['See <ref id="r1" id="r2"/>'], [("r1", None)])])])
+@example("rawtext", [("a", [(['See <ref id="r1" id="r2"/>', '<ref id="r1"/>'], None)])])
+def test_the_reader_equals_the_oracle(tmp_path_factory, mode, docs):
+    """``load_corpus`` gives the oracle's documents and load errors, and
+    ``read_citing`` its citing sentences and load errors, over records
+    mixing every marker form, listed and unlisted."""
+    records = [oracle_record(doc_id, mode, sentences) for doc_id, sentences in docs]
+    path = tmp_path_factory.mktemp("oracle") / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    documents, errors = oracle_corpus(records, mode)
+    assert load_corpus(path, mode) == LoadResult(documents, errors)
+    read_errors = []
+    assert list(read_citing(path, mode, read_errors)) == [
+        (doc.doc_id, [(s.index, s.text) for s in doc.sentences if s.refs]) for doc in documents]
+    assert read_errors == errors
