@@ -9,12 +9,10 @@ filter (four words by default).
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .ingest import numbered_lines
+from .ingest import INTEGER, numbered_lines
 
 NEGATION_TOKENS = frozenset({"no", "not", "cannot", "nor", "neither"})
 
@@ -36,21 +34,21 @@ class QueryFileError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple("Pattern", [("tokens", tuple[str, ...])])):
     """A token-sequence pattern; a trailing ``*`` on a token marks a prefix."""
 
-    tokens: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __new__(cls, tokens: tuple[str, ...]):
+        if not tokens:
             raise ValueError("pattern has no tokens")
-        for token in self.tokens:
+        for token in tokens:
             if not token or token != token.lower():
                 raise ValueError(f"pattern token must be non-empty lowercase: {token!r}")
             star = token.find("*")
             if star != -1 and (star != len(token) - 1 or star == 0):
                 raise ValueError(f"wildcard only allowed trailing a stem: {token!r}")
+        return super().__new__(cls, tokens)
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -64,49 +62,46 @@ class Pattern:
     def contains_negation_token(self) -> bool:
         return any(t in NEGATION_TOKENS for t in self.tokens)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
 
+class ExclusionRule(NamedTuple("ExclusionRule", [
+    ("kind", str), ("patterns", tuple[Pattern, ...]), ("window", int | None),
+])):
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ExclusionRule:
-    kind: str
-    patterns: tuple[Pattern, ...]
-    window: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in EXCLUSION_KINDS:
-            raise ValueError(f"unknown exclusion kind: {self.kind!r}")
-        if not self.patterns:
+    def __new__(cls, kind: str, patterns: tuple[Pattern, ...], window: int | None = None):
+        if kind not in EXCLUSION_KINDS:
+            raise ValueError(f"unknown exclusion kind: {kind!r}")
+        if not patterns:
             raise ValueError("exclusion rule has no patterns")
-        if self.kind == TOKEN_CARVEOUT and any(len(p) != 1 for p in self.patterns):
+        if kind == TOKEN_CARVEOUT and any(len(p.tokens) != 1 for p in patterns):
             raise ValueError("token_carveout patterns must be single-token")
-        if self.kind == COOCCURRENCE_WINDOW:
-            if self.window is None or self.window < 1:
+        if kind == COOCCURRENCE_WINDOW:
+            if window is None or window < 1:
                 raise ValueError("cooccurrence_window requires window >= 1")
-            if len(self.patterns) != 2:
+            if len(patterns) != 2:
                 raise ValueError("cooccurrence_window requires exactly 2 pattern groups")
-        elif self.window is not None:
-            raise ValueError(f"window not allowed for {self.kind}")
+        elif window is not None:
+            raise ValueError(f"window not allowed for {kind}")
+        return super().__new__(cls, kind, patterns, window)
 
 
-@dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(NamedTuple("QuerySpec", [
+    ("query_id", str), ("signal_patterns", tuple[Pattern, ...]), ("filter_set", str),
+    ("exclusions", tuple[ExclusionRule, ...]), ("max_gap", int),
+])):
     """One query as its query-file block states it."""
 
-    query_id: str
-    signal_patterns: tuple[Pattern, ...]
-    filter_set: str
-    exclusions: tuple[ExclusionRule, ...] = ()
-    max_gap: int = DEFAULT_MAX_GAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.signal_patterns:
+    def __new__(cls, query_id: str, signal_patterns: tuple[Pattern, ...], filter_set: str,
+                exclusions: tuple[ExclusionRule, ...] = (), max_gap: int = DEFAULT_MAX_GAP):
+        if not signal_patterns:
             raise ValueError("query has no signal patterns")
-        if self.filter_set not in FILTER_SET_NAMES:
-            raise ValueError(f"unknown filter set: {self.filter_set!r}")
-        if self.max_gap < 0:
+        if filter_set not in FILTER_SET_NAMES:
+            raise ValueError(f"unknown filter set: {filter_set!r}")
+        if max_gap < 0:
             raise ValueError("max_gap must be >= 0")
+        return super().__new__(cls, query_id, signal_patterns, filter_set, exclusions, max_gap)
 
     @property
     def signal_id(self) -> str:
@@ -243,7 +238,7 @@ def load_resolution_file(path: str | Path | None = None) -> list[str]:
     raises ValueError naming its line.
     """
     if path is None:
-        path = importlib.resources.files("citequery") / "data" / "resolution_80.txt"
+        path = Path(__file__).with_name("data") / "resolution_80.txt"
     known = catalog_ids()
     ids = []
     for lineno, raw in numbered_lines(path):
@@ -363,10 +358,9 @@ def parse_query_file(text: str) -> list[QuerySpec]:
             window = None
             if " window=" in spec:
                 spec, _, window_text = spec.rpartition(" window=")
-                try:
-                    window = int(window_text)
-                except ValueError:
+                if not INTEGER.fullmatch(window_text):
                     raise QueryFileError(f"bad window value {window_text!r}", lineno)
+                window = int(window_text)
             patterns = tuple(
                 _parse_pattern_or_fail(p.strip(), lineno)
                 for p in spec.split(",") if p.strip()
@@ -377,10 +371,9 @@ def parse_query_file(text: str) -> list[QuerySpec]:
                 raise QueryFileError(str(exc), lineno)
             fields.setdefault("exclusions", []).append(rule)
         elif keyword == "maxgap":
-            try:
-                fields["maxgap"] = int(rest)
-            except ValueError:
+            if not INTEGER.fullmatch(rest):
                 raise QueryFileError(f"bad maxgap value {rest!r}", lineno)
+            fields["maxgap"] = int(rest)
         else:
             raise QueryFileError(f"unknown keyword {keyword!r}", lineno)
     close()

@@ -41,12 +41,15 @@ _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
 # free of quotes, ``<``, ``>`` (and, bare, of whitespace and ``/``), ends at
 # REF_MARKER's ``/>`` and sets group 1 or 2 to X; any other sets group 3.
 _MARKERS = re.compile(r'<ref\s+id=(?:"([^"<>]+)"|([^\s"\'<>/]+))\s*/>|' + REF_MARKER.pattern)
-_INTEGER = re.compile(r"-?[0-9]+")  # the marker cited_year that loads as an int
+INTEGER = re.compile(r"-?[0-9]+")  # an int as inputs write it: cited_year, maxgap, window
 _OPTIONAL_STR = (str, type(None))
 _TERMINATORS = ".!?"
 # A JSON \u escape of a UTF-16 surrogate; json.loads keeps an unpaired one
-# as a str that no output file can encode.
+# as a str that no output file can encode. Scanned left to right, the second
+# regex skips an escaped backslash whole, so only a real escape matches; its
+# group 1 is set by one that is no half of a high-low pair.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_UNPAIRED_SURROGATE = re.compile(r"\\(?:\\|u[dD][89abAB]..\\u[dD][c-fC-F]|(u[dD][89a-fA-F]))")
 
 
 def _fold(value: str) -> str:
@@ -252,7 +255,7 @@ def _check_ref(ref, seen_ids: set[str]) -> None:
 def _marker_ref(attrs: dict[str, str], seen_ids: set[str]) -> dict:
     """A ``<ref .../>`` marker's attributes as a checked ``refs`` entry."""
     year = attrs.get("cited_year")
-    if year is not None and _INTEGER.fullmatch(year):
+    if year is not None and INTEGER.fullmatch(year):
         with suppress(ValueError):  # past int's digit limit the string stays, and is refused
             year = int(year)
     ref = {"ref_id": attrs.get("id", ""), "cited_doc_id": attrs.get("cited_doc_id"),
@@ -463,8 +466,9 @@ def _checked_records(
             continue
         try:
             obj = json.loads(line)
-            if _SURROGATE_ESCAPE.search(line):  # raises on an unpaired surrogate
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            if _SURROGATE_ESCAPE.search(line) and any(
+                    m[1] for m in _UNPAIRED_SURROGATE.finditer(line)):
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")  # raises on a lone one
         except (ValueError, RecursionError):  # also over-long numbers and deep nesting
             errors.append(LoadError(lineno, "bad_json"))
             continue

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import ValidatedSet
 from .engine import MatchRecord
@@ -24,36 +23,35 @@ DEFAULT_SAMPLE_SIZE = 50
 CitanceKey = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    doc_id: str
-    sentence_index: int
-    query_id: str
-    coder_id: str
-    label: str
+class AnnotationRecord(NamedTuple("AnnotationRecord", [
+    ("doc_id", str), ("sentence_index", int), ("query_id", str), ("coder_id", str),
+    ("label", str),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.label not in (VALID, INVALID):
-            raise ValueError(f"label must be {VALID!r} or {INVALID!r}: {self.label!r}")
+    def __new__(cls, doc_id: str, sentence_index: int, query_id: str, coder_id: str, label: str):
+        if label not in (VALID, INVALID):
+            raise ValueError(f"label must be {VALID!r} or {INVALID!r}: {label!r}")
+        return super().__new__(cls, doc_id, sentence_index, query_id, coder_id, label)
 
     @property
     def unit(self) -> tuple[str, int, str]:
         return (self.doc_id, self.sentence_index, self.query_id)
 
 
-@dataclass(frozen=True)
-class ValidationStats:
-    query_id: str
-    n: int
-    pct_agree: float
-    pct_valid: float
-    kappa: float | None
+class ValidationStats(NamedTuple("ValidationStats", [
+    ("query_id", str), ("n", int), ("pct_agree", float), ("pct_valid", float),
+    ("kappa", float | None),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n <= 0:
+    def __new__(cls, query_id: str, n: int, pct_agree: float, pct_valid: float,
+                kappa: float | None):
+        if n <= 0:
             raise ValueError("n must be positive")
-        if not 0.0 <= self.pct_valid <= self.pct_agree <= 1.0:
+        if not 0.0 <= pct_valid <= pct_agree <= 1.0:
             raise ValueError("requires 0 <= pct_valid <= pct_agree <= 1")
+        return super().__new__(cls, query_id, n, pct_agree, pct_valid, kappa)
 
 
 def derive_seed(seed: int, query_id: str) -> int:

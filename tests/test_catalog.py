@@ -1,4 +1,4 @@
-from dataclasses import fields
+import re
 
 import pytest
 
@@ -34,7 +34,7 @@ class TestBuiltinCatalog:
         assert query.negation_exempt
 
     def test_query_holds_only_what_its_block_states(self, catalog_by_id):
-        assert [f.name for f in fields(QuerySpec)] == [
+        assert list(QuerySpec._fields) == [
             "query_id", "signal_patterns", "filter_set", "exclusions", "max_gap",
         ]
         query = catalog_by_id["disagree.methods"]
@@ -192,6 +192,16 @@ class TestQueryFile:
         assert query.max_gap == 2
         assert query.filter_set == "methods"
         assert [p.text for p in query.signal_patterns] == ["foo*", "bar baz"]
+
+    @pytest.mark.parametrize("value", ["1_0", "+4", "\u0664"])
+    @pytest.mark.parametrize("keyword, line", [
+        ("maxgap", "maxgap {}"), ("window", "exclude cooccurrence_window:x,y window={}"),
+    ], ids=["maxgap", "window"])
+    def test_an_integer_is_ascii_digits(self, keyword, line, value):
+        # int() would read each of these; the corpus's cited_year rule refuses them.
+        message = f"line 3: bad {keyword} value {value!r}"
+        with pytest.raises(QueryFileError, match=f"^{re.escape(message)}$"):
+            parse_query_file(f"query a\nsignal foo\n{line.format(value)}\n")
 
     def test_only_a_blank_line_ends_a_block(self):
         (query,) = parse_query_file("query a\nsignal foo\n# note\n  # indented\nmaxgap 3\n")

@@ -1,6 +1,5 @@
 import csv
 import time
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -107,7 +106,7 @@ class TestApplyExclusions:
 
     def check(self, query, words, expected, unexcluded):
         assert signal_span(words, query) == expected
-        assert signal_span(words, replace(query, exclusions=())) == unexcluded
+        assert signal_span(words, query._replace(exclusions=())) == unexcluded
 
     def test_citance_phrase_rejects(self, catalog_by_id):
         self.check(catalog_by_id["disagree.standalone"],
@@ -460,10 +459,10 @@ def shared_catalogs(draw):
         query = draw(query_specs(pool))
         if queries and draw(st.booleans()):
             source = draw(st.sampled_from(queries))
-            query = replace(
-                query, signal_patterns=source.signal_patterns, exclusions=source.exclusions,
+            query = query._replace(
+                signal_patterns=source.signal_patterns, exclusions=source.exclusions,
             )
-        queries.append(replace(query, query_id=f"q{i}"))
+        queries.append(query._replace(query_id=f"q{i}"))
     return queries
 
 

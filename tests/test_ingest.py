@@ -233,7 +233,13 @@ class TestLoadCorpus:
         ("presegmented", {"authors": [{"family": "Zh\udbffao"}]}),
         ("rawtext", {"doc_id": "d\udc80"}),
         ("rawtext", {"body": "Lone \ud800 here <ref id=r1/>."}),
-    ], ids=["doc_id", "text", "cited_doc_id", "author", "rawtext_doc_id", "rawtext_body"])
+        # As JSON: "d\\ud83d\ude00" and "d\ud83d\\ude00" are escaped text beside a
+        # lone escape, and "d\ud83d\ud83d\ude00" a lone escape before a pair.
+        ("presegmented", {"doc_id": "d\\ud83d\ude00"}),
+        ("presegmented", {"doc_id": "d\ud83d\\ude00"}),
+        ("presegmented", {"doc_id": "d\ud83d\U0001F600"}),
+    ], ids=["doc_id", "text", "cited_doc_id", "author", "rawtext_doc_id", "rawtext_body",
+            "escaped_high_then_low", "high_then_escaped_low", "high_then_pair"])
     def test_unpaired_surrogate_is_bad_json(self, tmp_path, mode, mutation):
         # json.dumps escapes the surrogate, so the file is valid UTF-8 and JSON.
         body = {"body": "Plain <ref id=r1/>."} if mode == "rawtext" else {}
@@ -244,9 +250,13 @@ class TestLoadCorpus:
         assert (errors, lean) == (full_errors, full)
         assert full[0] == "good"
 
-    def test_paired_and_escaped_surrogates_load(self, tmp_path):
-        # A pair is one non-BMP character; "\\ud800" is a backslash and text.
-        text = "Debated \\ud800 \U0001F600 <ref id=r1/>."
+    @pytest.mark.parametrize("text", [
+        "Debated \\ud800 \U0001F600 <ref id=r1/>.",
+        "Debated \\\U0001F600 <ref id=r1/>.",
+    ], ids=["escaped_then_pair", "backslash_then_pair"])
+    def test_paired_and_escaped_surrogates_load(self, tmp_path, text):
+        # A pair is one non-BMP character; "\\ud800" is a backslash and text,
+        # and "\\\ud83d\ude00" a backslash and a pair.
         line = json.dumps(record("d\U0001F600", sentences=[{"text": text}]))
         assert "\\ud83d\\ude00" in line
         result = load_corpus(write_lines(tmp_path, [line]))

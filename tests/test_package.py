@@ -1,11 +1,18 @@
 """The package depends on the standard library only, reads no
 environment variable, defines no module-level name that nothing uses,
-and keeps ``@dataclass`` for types that validate their fields."""
+starts without ``dataclasses`` or ``inspect``, and its five validating
+types refuse each bad field when built."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from citequery.catalog import ExclusionRule, Pattern, QuerySpec
+from citequery.validation import AnnotationRecord, ValidationStats
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "citequery"
 
@@ -86,15 +93,54 @@ def test_every_module_level_name_is_used_or_exported():
     assert unused == []
 
 
-def test_every_dataclass_validates_its_fields():
-    # A plain value is a NamedTuple; a dataclass earns its machinery by
-    # checking its fields in __post_init__.
-    unchecked = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
-            ) and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
-                          for item in node.body):
-                unchecked.append(f"{path.name}:{node.lineno}: {node.name}")
-    assert unchecked == []
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # Every command pays its imports. dataclasses pulls in inspect, ast, dis
+    # and tokenize, and builds each class's methods anew in every process.
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import citequery.cli; "
+            "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent), *heavy],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+WORD = Pattern(("word",))
+
+BAD_FIELDS = {
+    "pattern_empty": (Pattern, ((),), "pattern has no tokens"),
+    "pattern_empty_token": (Pattern, (("",),), "pattern token must be non-empty lowercase: ''"),
+    "pattern_upper": (Pattern, (("Word",),), "pattern token must be non-empty lowercase: 'Word'"),
+    "pattern_lone_star": (Pattern, (("*",),), "wildcard only allowed trailing a stem: '*'"),
+    "pattern_inner_star": (Pattern, (("a*b",),), "wildcard only allowed trailing a stem: 'a*b'"),
+    "rule_kind": (ExclusionRule, ("sometimes", (WORD,)), "unknown exclusion kind: 'sometimes'"),
+    "rule_no_patterns": (ExclusionRule, ("citance_phrase", ()), "exclusion rule has no patterns"),
+    "rule_carveout_phrase": (ExclusionRule, ("token_carveout", (Pattern(("a", "b")),)),
+                             "token_carveout patterns must be single-token"),
+    "rule_no_window": (ExclusionRule, ("cooccurrence_window", (WORD, WORD)),
+                       "cooccurrence_window requires window >= 1"),
+    "rule_zero_window": (ExclusionRule, ("cooccurrence_window", (WORD, WORD), 0),
+                         "cooccurrence_window requires window >= 1"),
+    "rule_one_group": (ExclusionRule, ("cooccurrence_window", (WORD,), 3),
+                       "cooccurrence_window requires exactly 2 pattern groups"),
+    "rule_window_not_allowed": (ExclusionRule, ("citance_phrase", (WORD,), 3),
+                                "window not allowed for citance_phrase"),
+    "query_no_signal": (QuerySpec, ("q", (), "standalone"), "query has no signal patterns"),
+    "query_filter_set": (QuerySpec, ("q", (WORD,), "opinions"), "unknown filter set: 'opinions'"),
+    "query_negative_gap": (QuerySpec, ("q", (WORD,), "studies", (), -1),
+                           "max_gap must be >= 0"),
+    "annotation_label": (AnnotationRecord, ("d", 0, "q", "alice", "maybe"),
+                         "label must be 'valid' or 'invalid': 'maybe'"),
+    "stats_no_n": (ValidationStats, ("q", 0, 1.0, 1.0, None), "n must be positive"),
+    "stats_negative_valid": (ValidationStats, ("q", 2, 0.5, -0.5, None),
+                             "requires 0 <= pct_valid <= pct_agree <= 1"),
+    "stats_valid_over_agree": (ValidationStats, ("q", 2, 0.5, 1.0, None),
+                               "requires 0 <= pct_valid <= pct_agree <= 1"),
+    "stats_agree_over_one": (ValidationStats, ("q", 2, 1.5, 1.0, None),
+                             "requires 0 <= pct_valid <= pct_agree <= 1"),
+}
+
+
+@pytest.mark.parametrize("cls, args, message", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_each_validating_type_refuses_each_bad_field(cls, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(*args)
