@@ -13,7 +13,10 @@ which gives the same total on every Python; ``sum`` does not (3.12 changed it).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cache
+from itertools import compress, count, repeat
+from operator import add
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
@@ -95,19 +98,10 @@ _POSITION_LABELS = tuple(f"{low}-{low + 100 // POSITION_BINS}"
                          for low in range(0, 100, 100 // POSITION_BINS))
 
 
-def position_bin(fraction: float) -> str:
-    return _POSITION_LABELS[min(POSITION_BINS - 1, int(fraction * POSITION_BINS))]
-
-
 def citance_self_class(sentence: Sentence) -> str:
-    """Self when any reference is a self-citation; unknown only when every
-    reference's class is unknown."""
+    """Self when any reference is a self-citation; unknown only when all are unknown."""
     classes = {r.self_citation for r in sentence.refs}
-    if SELF in classes:
-        return SELF
-    if NON_SELF in classes:
-        return NON_SELF
-    return UNKNOWN
+    return SELF if SELF in classes else NON_SELF if NON_SELF in classes else UNKNOWN
 
 
 def _iter_citing_sentences(documents: Iterable[Document]):
@@ -122,7 +116,8 @@ def _known(value):
 
 
 # Per grouping, the group all citances of a document count in, or else the
-# groups one citance counts in, given its position fraction in its document.
+# groups of a list of its citances, given the document and its position
+# denominator: one per citance, or one per reference for ``age_bin``.
 _DOC_GROUPS = {
     "main_field": lambda doc: _known(doc.main_field),
     "year": lambda doc: doc.year,
@@ -130,12 +125,14 @@ _DOC_GROUPS = {
     "meso_field": lambda doc: _known(doc.meso_field),
 }
 _CITANCE_GROUPS = {
-    "self_citation": lambda doc, sentence, fraction: (citance_self_class(sentence),),
-    "age_bin": lambda doc, sentence, fraction: tuple(
+    "self_citation": lambda doc, sentences, denominator: [
+        s.refs[0].self_citation if len(s.refs) == 1 else citance_self_class(s) for s in sentences],
+    "age_bin": lambda doc, sentences, denominator: [
         UNKNOWN if ref.cited_year is None else age_bin(doc.year - ref.cited_year)
-        for ref in sentence.refs
-    ),
-    "position_bin": lambda doc, sentence, fraction: (position_bin(fraction),),
+        for s in sentences for ref in s.refs],
+    "position_bin": lambda doc, sentences, denominator: [
+        _POSITION_LABELS[min(POSITION_BINS - 1, int(s.index / denominator * POSITION_BINS))]
+        for s in sentences],
 }
 GROUPINGS = (*_DOC_GROUPS, *_CITANCE_GROUPS)
 
@@ -164,26 +161,26 @@ def rate_by(
     bins); every other grouping counts citances. Age bins are 5-year
     bins plus ``<0`` for citations of younger papers; position bins are
     twenty 5%-wide bins over the citance's position in its document.
+    ``groupings`` may be any iterable; a repeated name is read once.
     """
-    tallies = {grouping: ({}, {}) for grouping in groupings}  # (citances, flagged) per group
+    tallies = {grouping: (Counter(), Counter()) for grouping in groupings}  # citances, flagged
     unknown = tallies.keys() - set(GROUPINGS)
     if unknown:
         raise ValueError(f"unknown groupings {sorted(unknown)}; one of {GROUPINGS}")
     per_doc = [(_DOC_GROUPS[g], *tallies[g]) for g in tallies if g in _DOC_GROUPS]
     per_citance = [(_CITANCE_GROUPS[g], *tallies[g]) for g in tallies if g in _CITANCE_GROUPS]
     for doc in documents:
-        denominator = max(1, len(doc.sentences) - 1)
         citing = [sentence for sentence in doc.sentences if sentence.refs]
-        marks = [(doc.doc_id, sentence.index) in flags for sentence in citing]
+        flagged = [sentence for sentence in citing if (doc.doc_id, sentence.index) in flags]
         for group_of, totals, positives in per_doc if citing else ():
             group = group_of(doc)
-            totals[group] = totals.get(group, 0) + len(citing)
-            positives[group] = positives.get(group, 0) + sum(marks)
+            totals[group] += len(citing)
+            positives[group] += len(flagged)
+        denominator = max(1, len(doc.sentences) - 1)
         for groups_of, totals, positives in per_citance:
-            for sentence, flagged in zip(citing, marks):
-                for group in groups_of(doc, sentence, sentence.index / denominator):
-                    totals[group] = totals.get(group, 0) + 1
-                    positives[group] = positives.get(group, 0) + flagged
+            totals.update(groups_of(doc, citing, denominator))
+            if flagged:
+                positives.update(groups_of(doc, flagged, denominator))
 
     return {
         grouping: [
@@ -351,32 +348,39 @@ def impact_ratio(
     A (field, k) without first-flagged papers or expected citations is left out.
     """
     fields = {d.doc_id: (None, d.main_field) if d.main_field else (None,) for d in documents}
-    # doc_id -> (pub year, {year: citations}, the fields it counts in)
-    papers = {doc_id: (pub, table.yearly.get(doc_id, {}), fields.get(doc_id, (None,)))
-              for doc_id, pub in table.pub_years.items()}
-    # (c, t) -> field -> [p first-flagged papers, n papers in the cell, and per
+    # t -> c -> field -> [p first-flagged papers, n papers in the cell, and per
     # k the citations at t + k summed over the p (sums_p) and the n (sums_n)]
-    cells: dict[tuple[int, int], dict] = {}
+    cells: dict[int, dict[int, dict]] = {}
     for doc_id, year in first_disagreement_years(flags, documents).items():
-        if doc_id in papers:
-            pub, counts, in_fields = papers[doc_id]
-            by_field = cells.setdefault((counts.get(year, 0), year - pub), {})
-            for field in in_fields:
-                cell = by_field.setdefault(field, [0, 0, [0] * len(ks), [0] * len(ks)])
+        pub = table.pub_years.get(doc_id)
+        if pub is not None:
+            counts = table.yearly.get(doc_id, {})
+            by_field = cells.setdefault(year - pub, {}).setdefault(counts.get(year, 0), {})
+            for field in fields.get(doc_id, (None,)):
+                cell = by_field.setdefault(field, [0, [], [0] * len(ks), None])
                 cell[0] += 1
                 cell[2] = [s + counts.get(year + k, 0) for s, k in zip(cell[2], ks)]
-    for t in {t for _, t in cells}:
-        for pub, counts, in_fields in papers.values():
-            by_field = cells.get((counts.get(pub + t, 0), t))
-            if by_field is not None:
-                ahead = [counts.get(pub + t + k, 0) for k in ks]
-                for cell in filter(None, map(by_field.get, in_fields)):
-                    cell[1] += 1
-                    cell[3] = [s + a for s, a in zip(cell[3], ahead)]
+    # The population: every tabulated paper's publication year, counts and fields.
+    pubs = list(table.pub_years.values())
+    yearly = [table.yearly.get(doc_id, {}) for doc_id in table.pub_years]
+    fields_of = [fields.get(doc_id, (None,)) for doc_id in table.pub_years]
+    for t, by_c in cells.items():
+        # Until this t ends, a cell's n slot lists the indexes of its papers;
+        # then it becomes their number, and their sums at t + k fill sums_n.
+        at_t = list(map(dict.get, yearly, map(add, pubs, repeat(t)), repeat(0)))
+        for i in compress(count(), map(by_c.__contains__, at_t)):
+            for cell in filter(None, map(by_c[at_t[i]].get, fields_of[i])):
+                cell[1].append(i)
+        for by_field in by_c.values():
+            for cell in by_field.values():
+                counts = list(map(yearly.__getitem__, cell[1]))
+                at = list(map(pubs.__getitem__, cell[1]))
+                cell[1], cell[3] = len(at), [
+                    sum(map(dict.get, counts, map(add, at, repeat(t + k)), repeat(0))) for k in ks]
 
     ordered: dict[str | None, list] = {}
-    for key in sorted(cells):
-        for field, cell in cells[key].items():
+    for c, t in sorted((c, t) for t, by_c in cells.items() for c in by_c):
+        for field, cell in cells[t][c].items():
             ordered.setdefault(field, []).append(cell)
     reports = {}
     for field, group in ordered.items():

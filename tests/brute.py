@@ -4,6 +4,10 @@
 citequery.analytics: an explicit double loop over papers and cohort
 cells, used to pin the cohort-weighted aggregation.
 
+``brute_rates`` recounts one ``rate_by`` grouping citance by citance
+(reference by reference for ``age_bin``) with plain loops and its own bin
+labels and group order.
+
 ``oracle_corpus`` loads corpus records by the definitional route: every
 marker's attributes parsed in full by ``parse_ref_markers``, each
 sentence's refs assembled as (entry, span) links, and the self-citation
@@ -54,6 +58,63 @@ def brute_impact(
     mean_disagreement = weighted_disagreement / total_weight
     mean_expected = weighted_expected / total_weight
     return mean_disagreement, mean_expected, mean_disagreement / mean_expected
+
+
+def brute_rates(flags, documents, grouping: str) -> list[tuple[object, int, int]]:
+    """(group, flagged, citances) rows of ``grouping``, in ``rate_by``'s order."""
+    def known(value):
+        return UNKNOWN if value is None else value
+
+    flagged: dict[object, int] = {}
+    totals: dict[object, int] = {}
+    for doc in documents:
+        last = len(doc.sentences) - 1
+        for sentence in doc.sentences:
+            if not sentence.refs:
+                continue
+            if grouping == "main_field":
+                groups = [known(doc.main_field)]
+            elif grouping == "year":
+                groups = [doc.year]
+            elif grouping == "field_year":
+                groups = [(known(doc.main_field), doc.year)]
+            elif grouping == "meso_field":
+                groups = [known(doc.meso_field)]
+            elif grouping == "self_citation":
+                classes = [ref.self_citation for ref in sentence.refs]
+                groups = [SELF if SELF in classes else NON_SELF if NON_SELF in classes
+                          else UNKNOWN]
+            elif grouping == "age_bin":
+                groups = []
+                for ref in sentence.refs:
+                    if ref.cited_year is None:
+                        groups.append(UNKNOWN)
+                    elif doc.year < ref.cited_year:
+                        groups.append("<0")
+                    else:
+                        low = (doc.year - ref.cited_year) // 5 * 5
+                        groups.append(f"{low}-{low + 4}")
+            elif grouping == "position_bin":
+                fraction = sentence.index / max(1, last)
+                low = 5 * min(19, int(fraction * 20))
+                groups = [f"{low}-{low + 5}"]
+            else:
+                raise ValueError(grouping)
+            for group in groups:
+                totals[group] = totals.get(group, 0) + 1
+                if (doc.doc_id, sentence.index) in flags:
+                    flagged[group] = flagged.get(group, 0) + 1
+
+    def order(group):
+        if group == UNKNOWN:
+            return (1, 0, "")
+        if grouping == "age_bin":
+            return (0, -1 if group == "<0" else int(group.split("-")[0]), "")
+        if grouping == "position_bin":
+            return (0, int(group.split("-")[0]), "")
+        return (0, 0, str(group))
+
+    return [(group, flagged.get(group, 0), totals[group]) for group in sorted(totals, key=order)]
 
 
 def nfkd_fold(value: str) -> str:

@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citequery.analytics import (
     GROUPINGS,
@@ -20,7 +23,7 @@ from citequery.analytics import (
 from citequery.catalog import ValidatedSet, default_validated_set
 from citequery.engine import MatchRecord, Span, run_all
 from citequery.ingest import NON_SELF, SELF, UNKNOWN, Document, RefLink, Sentence
-from brute import brute_impact
+from brute import brute_impact, brute_rates
 
 
 def match(doc_id, index, query_id):
@@ -176,6 +179,65 @@ class TestRateBy:
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
             rate_by(frozenset(), [], ["main_field", "made_up"])
+
+    # Always present: a document without a citing sentence, and a one-sentence
+    # document whose flagged citance cites a self and a non-self paper, one
+    # of them younger than it and the other of unknown year.
+    EDGE_DOCS = (
+        Document("none", 2000, sentences=(Sentence(0, "s"), Sentence(1, "s"))),
+        Document("one", 2000, sentences=(Sentence(0, "s", (
+            RefLink("a", cited_year=2003, self_citation=SELF),
+            RefLink("b", self_citation=NON_SELF))),)),
+    )
+
+    @staticmethod
+    @st.composite
+    def corpora(draw):
+        docs = []
+        for i in range(draw(st.integers(0, 6))):
+            sentences = []
+            for index in range(draw(st.integers(1, 8))):
+                refs = tuple(
+                    RefLink(f"r{j}", cited_year=draw(st.none() | st.integers(1985, 2010)),
+                            self_citation=draw(st.sampled_from((SELF, NON_SELF, UNKNOWN))))
+                    for j in range(draw(st.integers(0, 3))))
+                sentences.append(Sentence(index, "s", refs))
+            docs.append(Document(
+                f"d{i}", draw(st.integers(1995, 2005)), "other",
+                draw(st.sampled_from((None, "SocHum", "MathComp"))),
+                draw(st.sampled_from((None, 1, 2))), tuple(sentences)))
+        docs.extend(TestRateBy.EDGE_DOCS)
+        keys = [(doc.doc_id, sentence.index) for doc in docs for sentence in doc.sentences]
+        flags = set(draw(st.lists(st.sampled_from(keys))))
+        return docs, frozenset(flags | {("one", 0), ("absent", 0), ("d0", 99)})
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_every_grouping_equals_brute_force(self, corpus):
+        docs, flags = corpus
+        repeated = (g for g in (*GROUPINGS, "year", "age_bin"))
+        rates = rate_by(flags, docs, repeated)
+        assert list(rates) == list(GROUPINGS)
+        for grouping in GROUPINGS:
+            assert rates[grouping] == brute_rates(flags, docs, grouping), grouping
+
+    def test_peak_memory_does_not_grow_with_documents(self):
+        def ref(doc_id, i):
+            return RefLink(f"{doc_id}r{i}", cited_year=1990 + i % 10,
+                           self_citation=(SELF, NON_SELF, UNKNOWN)[i % 3])
+
+        peaks = []
+        for n in (100, 400):
+            docs = [make_doc(f"d{i}", 20, year=2000 + i % 5, field=("SocHum", None)[i % 2],
+                             meso=i % 3, make_ref=ref) for i in range(n)]
+            flags = frozenset((doc.doc_id, j) for doc in docs for j in range(0, 20, 7))
+            tracemalloc.start()
+            try:
+                rate_by(flags, docs, GROUPINGS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
 
 class TestYearlySlope:
@@ -527,6 +589,46 @@ class TestImpactRatio:
                     assert abs(a - b) <= 1e-12 * abs(b), (field, k)
         assert set(reports) == expected_keys
         assert ("PhysEngr", 1) not in reports and ("SocHum", 1) in reports
+
+    def test_every_entry_matches_brute_force_with_zero_count_cells(self):
+        # First disagreements in years without a row and in years whose row
+        # is 0, so c = 0 cells exist; t spans 0-25 and k reaches 10 years.
+        rng = random.Random(2121)
+        fields = ("BioHealth", "MathComp", "SocHum")
+        pub_years = {f"P{i:04d}": 1990 + rng.randrange(6) for i in range(400)}
+        paper_fields = {p: rng.choice(fields) for p in pub_years if rng.random() < 0.8}
+        counts = {
+            (paper, pub + offset): rng.randrange(4)
+            for paper, pub in pub_years.items() for offset in range(36) if rng.random() < 0.6
+        }
+        docs = [Document(p, pub_years[p], main_field=f) for p, f in paper_fields.items()]
+        flags = set()
+        for i, paper in enumerate(rng.sample(sorted(pub_years), 200)):
+            doc = citing_doc(f"c{i:04d}", pub_years[paper] + rng.randrange(26), [paper])
+            docs.append(doc)
+            flags.add((doc.doc_id, 0))
+        table = CitationTable(pub_years, counts)
+        first = first_disagreement_years(flags, docs)
+        assert {year - pub_years[p] for p, year in first.items()} == set(range(26))
+        assert any((p, year) not in counts for p, year in first.items())
+        assert any(counts.get((p, year)) == 0 for p, year in first.items())
+
+        ks = (1, 5, 10)
+        reports = impact_ratio(flags, docs, table, ks)
+        expected_keys = set()
+        for field in (None, *fields):
+            field_pub = {p: y for p, y in pub_years.items()
+                         if field is None or paper_fields.get(p) == field}
+            field_first = {p: y for p, y in first.items() if p in field_pub}
+            for k in ks:
+                expected_keys.add((field, k))
+                report = reports[field, k]
+                want = brute_impact(field_first, field_pub, counts, k)
+                assert report.records == len(field_first)
+                got = (report.mean_disagreement, report.mean_expected, report.d)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b), (field, k)
+        assert set(reports) == expected_keys
 
     def test_empty_undefined(self):
         table = CitationTable({"P": 2000}, {("P", 2001): 1})

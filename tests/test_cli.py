@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -486,6 +487,14 @@ class TestReport:
         fields = {r["group"] for r in rows if r["grouping"] == "main_field"}
         assert fields == {"BioHealth", "LifeEarth", "MathComp", "PhysEngr", "SocHum"}
         assert not (out / "selfcite.csv").exists()
+
+    def test_the_collector_is_back_on_after_the_corpus_load(self, golden_args, tmp_path):
+        assert main(["report", *golden_args, "--out", str(tmp_path / "a"),
+                     "--which", "rates"]) == 0
+        assert gc.isenabled()
+        assert main(["report", "--corpus", str(tmp_path / "absent.jsonl"),
+                     "--out", str(tmp_path / "b"), "--which", "rates"]) == 2
+        assert gc.isenabled()
 
     def test_unknown_report_name(self, golden_args, tmp_path, capsys):
         code = main(["report", *golden_args, "--out", str(tmp_path / "o"),
