@@ -23,7 +23,7 @@ from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 from .catalog import ValidatedSet
 from .engine import MatchRecord
 from .ingest import NON_SELF, SELF, UNKNOWN, Document, Sentence
-from .ingest import numbered_csv_columns
+from .ingest import Integers, numbered_csv_columns
 
 CitanceKey = tuple[str, int]
 Flags = AbstractSet[CitanceKey]
@@ -292,20 +292,25 @@ class CitationTable:
         """Read ``doc_id,pub_year,year,citations`` rows; a malformed or
         repeated row, or a negative count, raises ValueError naming its line."""
         table = cls({}, {})
-        for line, (doc_id, pub_year, year, citations) in numbered_csv_columns(
-                path, ("doc_id", "pub_year", "year", "citations")):
-            try:
-                pub_year, year, citations = int(pub_year), int(year), int(citations)
-            except ValueError as exc:
-                raise ValueError(f"line {line}: bad row ({exc})") from None
-            if citations < 0:
-                raise ValueError(f"line {line}: bad row (negative citations {citations})")
-            if table.pub_years.setdefault(doc_id, pub_year) != pub_year:
-                raise ValueError(f"line {line}: conflicting pub_year for {doc_id!r}")
-            years = table.yearly.setdefault(doc_id, {})
-            if year in years:
-                raise ValueError(f"line {line}: repeated row for {(doc_id, year)!r}")
-            years[year] = citations
+        pub_years, yearly = table.pub_years, table.yearly
+        numbers = Integers()  # each distinct cell text is checked once
+        with numbered_csv_columns(path, ("doc_id", "pub_year", "year", "citations")) as (
+                rows, line):
+            for doc_id, pub_year, year, citations in rows:
+                try:
+                    pub_year, year, citations = numbers[pub_year], numbers[year], numbers[citations]
+                except ValueError as exc:
+                    raise ValueError(f"line {line()}: bad row ({exc})") from None
+                if citations < 0:
+                    raise ValueError(f"line {line()}: bad row (negative citations {citations})")
+                if pub_years.setdefault(doc_id, pub_year) != pub_year:
+                    raise ValueError(f"line {line()}: conflicting pub_year for {doc_id!r}")
+                years = yearly.get(doc_id)
+                if years is None:
+                    years = yearly[doc_id] = {}
+                elif year in years:
+                    raise ValueError(f"line {line()}: repeated row for {(doc_id, year)!r}")
+                years[year] = citations
         return table
 
     def citations(self, doc_id: str, year: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .ingest import INTEGER, numbered_lines
+from .ingest import integer, numbered_lines
 
 NEGATION_TOKENS = frozenset({"no", "not", "cannot", "nor", "neither"})
 
@@ -358,9 +358,10 @@ def parse_query_file(text: str) -> list[QuerySpec]:
             window = None
             if " window=" in spec:
                 spec, _, window_text = spec.rpartition(" window=")
-                if not INTEGER.fullmatch(window_text):
-                    raise QueryFileError(f"bad window value {window_text!r}", lineno)
-                window = int(window_text)
+                try:
+                    window = integer(window_text)
+                except ValueError:
+                    raise QueryFileError(f"bad window value {window_text!r}", lineno) from None
             patterns = tuple(
                 _parse_pattern_or_fail(p.strip(), lineno)
                 for p in spec.split(",") if p.strip()
@@ -371,9 +372,10 @@ def parse_query_file(text: str) -> list[QuerySpec]:
                 raise QueryFileError(str(exc), lineno)
             fields.setdefault("exclusions", []).append(rule)
         elif keyword == "maxgap":
-            if not INTEGER.fullmatch(rest):
-                raise QueryFileError(f"bad maxgap value {rest!r}", lineno)
-            fields["maxgap"] = int(rest)
+            try:
+                fields["maxgap"] = integer(rest)
+            except ValueError:
+                raise QueryFileError(f"bad maxgap value {rest!r}", lineno) from None
         else:
             raise QueryFileError(f"unknown keyword {keyword!r}", lineno)
     close()

@@ -45,8 +45,8 @@ from .catalog import (
 )
 from .engine import RECORD_ORDER, CatalogMatcher, MatchRecord, run_all
 from .ingest import (
-    DOC_TYPES, Citance, Document, LoadError, iter_citances, load_corpus, numbered_csv_columns,
-    numbered_lines, read_citing,
+    DECIMAL, DOC_TYPES, Citance, Document, LoadError, integer, iter_citances, load_corpus,
+    numbered_csv_columns, numbered_lines, read_citing,
 )
 from .tokens import tokenize
 from .validation import (
@@ -88,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
 def _count(text: str) -> int:
     """argparse type of the count options: an integer of at least 1."""
     try:
-        value = int(text)
+        value = integer(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -96,13 +96,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _unit_interval(text: str) -> float | None:
+    """``text`` as a number in [0, 1] if DECIMAL writes it, else None."""
+    value = float(text) if DECIMAL.fullmatch(text) else -1.0
+    return value if 0.0 <= value <= 1.0 else None  # an overflow to inf is out too
+
+
 def _fraction(text: str) -> float:
     """argparse type of the threshold options: a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value <= 1.0:  # also refuses nan
+    value = _unit_interval(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
     return value
 
@@ -236,18 +239,16 @@ def _validated_set(args, query_ids: set[str]) -> ValidatedSet:
 def _read_stats_csv(path: str, query_ids: set[str]) -> dict[str, float]:
     """Percent valid by query id; every id must be one of ``query_ids``."""
     stats = {}
-    for line, (query_id, cell) in numbered_csv_columns(path, ("query_id", "pct_valid")):
-        try:
-            pct_valid = float(cell)
-        except ValueError as exc:
-            raise ValueError(f"line {line}: bad row ({exc})") from None
-        if not 0.0 <= pct_valid <= 1.0:  # also refuses nan
-            raise ValueError(f"line {line}: pct_valid {cell!r} is not in [0, 1]")
-        if query_id not in query_ids:
-            raise ValueError(f"line {line}: unknown query id {query_id!r}")
-        if query_id in stats:
-            raise ValueError(f"line {line}: repeated row for {query_id!r}")
-        stats[query_id] = pct_valid
+    with numbered_csv_columns(path, ("query_id", "pct_valid")) as (rows, line):
+        for query_id, cell in rows:
+            pct_valid = _unit_interval(cell)
+            if pct_valid is None:
+                raise ValueError(f"line {line()}: pct_valid {cell!r} is not in [0, 1]")
+            if query_id not in query_ids:
+                raise ValueError(f"line {line()}: unknown query id {query_id!r}")
+            if query_id in stats:
+                raise ValueError(f"line {line()}: repeated row for {query_id!r}")
+            stats[query_id] = pct_valid
     return stats
 
 
@@ -388,8 +389,8 @@ def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, lis
             coder = text[len("# coder "):].strip()
         else:
             provenance.append(text)
-    rows = [(line, dict(zip(SAMPLE_COLUMNS, cells))) for line, cells in
-            numbered_csv_columns(path, SAMPLE_COLUMNS[:-1], SAMPLE_COLUMNS[-1:])]
+    with numbered_csv_columns(path, SAMPLE_COLUMNS[:-1], SAMPLE_COLUMNS[-1:]) as (cells, line):
+        rows = [(line(), dict(zip(SAMPLE_COLUMNS, row_cells))) for row_cells in cells]
     return rows, coder, provenance
 
 
@@ -447,7 +448,7 @@ def _annotations_from_file(path: str) -> tuple[str, list[AnnotationRecord]]:
         if label not in ("valid", "invalid"):
             continue  # unlabeled or skipped rows are left to the metrics to flag
         try:
-            index = int(row["sentence_index"])
+            index = integer(row["sentence_index"])
         except ValueError as exc:
             raise ValueError(f"line {line}: bad row ({exc})") from None
         records.append(
@@ -612,7 +613,7 @@ def _add_query_args(parser):
 
 def _add_common_out(parser):
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=integer, default=0)
 
 
 def build_parser() -> _Parser:

@@ -14,11 +14,11 @@ import json
 import re
 import unicodedata
 from bisect import bisect_right
-from contextlib import suppress
-from itertools import dropwhile
+from contextlib import contextmanager, suppress
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .tokens import REF_MARKER, tokenize
 
@@ -41,7 +41,11 @@ _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
 # free of quotes, ``<``, ``>`` (and, bare, of whitespace and ``/``), ends at
 # REF_MARKER's ``/>`` and sets group 1 or 2 to X; any other sets group 3.
 _MARKERS = re.compile(r'<ref\s+id=(?:"([^"<>]+)"|([^\s"\'<>/]+))\s*/>|' + REF_MARKER.pattern)
-INTEGER = re.compile(r"-?[0-9]+")  # an int as inputs write it: cited_year, maxgap, window
+# The one form of every integer and every decimal number an input or option
+# gives: ASCII digits after an optional "-" (a decimal may hold a "." and an
+# exponent), so "1_0", "+4", " 4 ", "٤", "nan" and "inf" are no numbers.
+INTEGER = re.compile(r"-?[0-9]+")
+DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 _OPTIONAL_STR = (str, type(None))
 _TERMINATORS = ".!?"
 # A JSON \u escape of a UTF-16 surrogate; json.loads keeps an unpaired one
@@ -50,6 +54,23 @@ _TERMINATORS = ".!?"
 # group 1 is set by one that is no half of a high-low pair.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _UNPAIRED_SURROGATE = re.compile(r"\\(?:\\|u[dD][89abAB]..\\u[dD][c-fC-F]|(u[dD][89a-fA-F]))")
+
+
+def integer(text: str) -> int:
+    """``text`` as an int if INTEGER writes it, else ValueError."""
+    if INTEGER.fullmatch(text):
+        return int(text)  # past int's digit limit this raises ValueError too
+    raise ValueError(f"{text!r} is not an integer")
+
+
+class Integers(dict):
+    """``integer`` of each text looked up, worked out once per distinct text."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        self[text] = value = integer(text)
+        return value
 
 
 def _fold(value: str) -> str:
@@ -255,9 +276,9 @@ def _check_ref(ref, seen_ids: set[str]) -> None:
 def _marker_ref(attrs: dict[str, str], seen_ids: set[str]) -> dict:
     """A ``<ref .../>`` marker's attributes as a checked ``refs`` entry."""
     year = attrs.get("cited_year")
-    if year is not None and INTEGER.fullmatch(year):
-        with suppress(ValueError):  # past int's digit limit the string stays, and is refused
-            year = int(year)
+    if year is not None:
+        with suppress(ValueError):  # a string that is no integer stays, and is refused
+            year = integer(year)
     ref = {"ref_id": attrs.get("id", ""), "cited_doc_id": attrs.get("cited_doc_id"),
            "cited_year": year}
     _check_ref(ref, seen_ids)
@@ -399,12 +420,14 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 raise ValueError(f"line {lineno}: not valid UTF-8") from None
 
 
+@contextmanager
 def numbered_csv_columns(
     path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
-) -> Iterator[tuple[int, tuple[str | None, ...]]]:
-    """Each non-blank data row of a UTF-8 CSV file as its cells under the
-    columns ``required`` and then ``optional``, paired with the 1-based
-    number of the row's last line.
+) -> Iterator[tuple[Iterator[tuple[str | None, ...]], Callable[[], int]]]:
+    """A context manager over a UTF-8 CSV file giving ``(rows, line)``:
+    ``rows`` iterates each non-blank data row as its cells under the
+    columns ``required`` and then ``optional``, and ``line()`` is the
+    1-based number of the last line of the row read last.
 
     ``#`` lines before the header row are comments. After the header every
     line is data, so a quoted field may hold lines that start with ``#``.
@@ -412,45 +435,56 @@ def numbered_csv_columns(
     row raises ValueError("no header row"), a header without a required
     column ValueError("line N: bad header (no 'column')"), and a row too
     short to reach one ValueError("line N: bad row (no 'column')"); a
-    missing optional cell reads None. Malformed CSV raises ValueError
-    naming its line.
+    missing optional cell reads None. A line that is not UTF-8 or
+    malformed CSV raises, while its row is read, a ValueError naming its
+    line. The file is decoded one line at a time, as the rows are read.
     """
     # A citance text may pass csv's 128 KiB default field limit; this is
     # the largest limit every platform accepts.
     csv.field_size_limit(2**31 - 1)
-    last = 0
-
-    def data() -> Iterator[str]:
-        nonlocal last
-        for last, text in dropwhile(lambda item: item[1].startswith("#"),
-                                    numbered_lines(path)):
-            yield text
-
     names = (*required, *optional)
-    try:
-        rows = csv.reader(data())
-        header = next(rows, None)
-        if header is None:
-            raise ValueError("no header row")
-        at = {name: i for i, name in enumerate(header)}
-        indices = [at.get(name) for name in names]
-        if None in indices[:len(required)]:
-            raise ValueError(f"line {last}: bad header (no {names[indices.index(None)]!r})")
-        # A row reaching every column is read in one call, any other cell by
-        # cell (as is every row of one column: itemgetter(i) gives no tuple).
-        whole = len(indices) > 1 and None not in indices
-        width = max(indices) + 1 if whole else 0
-        get = itemgetter(*indices)
-        for row in filter(None, rows):
-            if whole and len(row) >= width:
-                yield last, get(row)
-                continue
-            cells = tuple(None if i is None or i >= len(row) else row[i] for i in indices)
-            if None in cells[:len(required)]:
-                raise ValueError(f"line {last}: bad row (no {names[cells.index(None)]!r})")
-            yield last, cells
-    except csv.Error as exc:
-        raise ValueError(f"line {last}: {exc}") from None
+    comments = 0
+    reader = None
+
+    def line() -> int:
+        return comments + (reader.line_num if reader else 0)
+
+    with open(path, "rb") as handle:
+        lines = map(bytes.decode, handle)
+        try:
+            text = handle.readline().decode("utf-8-sig")
+            while text.startswith("#"):
+                comments += 1
+                text = next(lines, "")
+            if not text:
+                raise ValueError("no header row")
+            reader = csv.reader(chain((text,), lines))
+            at = {name: i for i, name in enumerate(next(reader))}
+            indices = [at.get(name) for name in names]
+            if None in indices[:len(required)]:
+                raise ValueError(f"line {line()}: bad header (no {names[indices.index(None)]!r})")
+            # A row reaching every column is read in one itemgetter call, any
+            # other cell by cell (as is every row of one column: itemgetter(i)
+            # gives no tuple). Rows come in runs of one length, so the choice
+            # is made once a run, and a run of whole rows is read in C.
+            get = itemgetter(*indices) if len(indices) > 1 and None not in indices else None
+            width = max(indices) + 1 if get else 0
+
+            def cells(run: tuple[int, Iterator[list[str]]]) -> Iterator[tuple[str | None, ...]]:
+                length, rows = run
+                if get and length >= width:
+                    return map(get, rows)
+                for name, i in zip(required, indices):
+                    if i >= length:
+                        raise ValueError(f"line {line()}: bad row (no {name!r})")
+                return (tuple(None if i is None or i >= length else row[i] for i in indices)
+                        for row in rows)
+
+            yield chain.from_iterable(map(cells, groupby(filter(None, reader), len))), line
+        except csv.Error as exc:
+            raise ValueError(f"line {line()}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"line {line() + 1}: not valid UTF-8") from None
 
 
 def _checked_records(

@@ -13,11 +13,20 @@ marker's attributes parsed in full by ``parse_ref_markers``, each
 sentence's refs assembled as (entry, span) links, and the self-citation
 class decided over every pair of a citing and a cited author. It pins
 the reader's plain-marker path, its ref checks and its initials lookup.
+
+``oracle_citation_table`` reads a citation counts CSV the way
+``CitationTable.from_csv`` did before it moved to one C-level pass: each
+line decoded and numbered by a generator, the leading ``#`` block
+dropped, a ``csv.reader`` over what is left and each row's cells picked
+and converted one at a time, with every numeric cell checked against the
+integer rule spelled out by hand.
 """
 
 from __future__ import annotations
 
+import csv
 import unicodedata
+from itertools import dropwhile
 
 from citequery.ingest import (
     DOC_TYPES, MAIN_FIELDS, NON_SELF, SELF, UNKNOWN, Document, LoadError, RecordError,
@@ -248,3 +257,61 @@ def oracle_corpus(records, mode: str) -> tuple[list[Document], list[LoadError]]:
             loaded.add(doc.doc_id)
             documents.append(doc)
     return documents, errors
+
+
+def _is_integer(cell: str) -> bool:
+    digits = cell[1:] if cell.startswith("-") else cell
+    return digits != "" and all(c in "0123456789" for c in digits)
+
+
+def oracle_citation_table(path) -> tuple[dict[str, int], dict[str, dict[int, int]]]:
+    """``(pub_years, yearly)`` of a citation counts CSV, or the ValueError
+    ``CitationTable.from_csv`` must raise for it."""
+    csv.field_size_limit(2**31 - 1)
+    names = ("doc_id", "pub_year", "year", "citations")
+    last = 0
+
+    def lines():
+        nonlocal last
+        with open(path, "rb") as handle:
+            for last, raw in enumerate(handle, start=1):
+                try:
+                    yield raw.decode("utf-8-sig" if last == 1 else "utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"line {last}: not valid UTF-8") from None
+
+    pub_years: dict[str, int] = {}
+    yearly: dict[str, dict[int, int]] = {}
+    try:
+        rows = csv.reader(dropwhile(lambda text: text.startswith("#"), lines()))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("no header row")
+        at = {name: i for i, name in enumerate(header)}
+        for name in names:
+            if name not in at:
+                raise ValueError(f"line {last}: bad header (no {name!r})")
+        for row in rows:
+            if not row:
+                continue
+            cells = []
+            for name in names:
+                if at[name] >= len(row):
+                    raise ValueError(f"line {last}: bad row (no {name!r})")
+                cells.append(row[at[name]])
+            doc_id = cells[0]
+            for cell in cells[1:]:
+                if not _is_integer(cell):
+                    raise ValueError(f"line {last}: bad row ({cell!r} is not an integer)")
+            pub_year, year, citations = (int(cell) for cell in cells[1:])
+            if citations < 0:
+                raise ValueError(f"line {last}: bad row (negative citations {citations})")
+            if pub_years.setdefault(doc_id, pub_year) != pub_year:
+                raise ValueError(f"line {last}: conflicting pub_year for {doc_id!r}")
+            years = yearly.setdefault(doc_id, {})
+            if year in years:
+                raise ValueError(f"line {last}: repeated row for {(doc_id, year)!r}")
+            years[year] = citations
+    except csv.Error as exc:
+        raise ValueError(f"line {last}: {exc}") from None
+    return pub_years, yearly

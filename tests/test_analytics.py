@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citequery.analytics import (
@@ -23,7 +25,7 @@ from citequery.analytics import (
 from citequery.catalog import ValidatedSet, default_validated_set
 from citequery.engine import MatchRecord, Span, run_all
 from citequery.ingest import NON_SELF, SELF, UNKNOWN, Document, RefLink, Sentence
-from brute import brute_impact, brute_rates
+from brute import brute_impact, brute_rates, oracle_citation_table
 
 
 def match(doc_id, index, query_id):
@@ -400,6 +402,79 @@ class TestCitationTableCsv:
         assert expected.yearly == {"P1": {2001: 3, 2002: 0}, "Q2": {2004: 7}}
         table = CitationTable.from_csv(shuffled)
         assert (table.pub_years, table.yearly) == (expected.pub_years, expected.yearly)
+
+
+# Cell texts a number column may hold: forms the integer rule refuses, and
+# "07" beside "7", which read as one year.
+NUMBER_FORMS = ["07", "7", "-3", "0", "1_0", "+4", "\u0664", " 4 ", "", "x", "4\n"]
+# Lines a CSV file may hold that no row writer makes: not UTF-8, malformed.
+FAULTS = [b"p9,2000,caf\xe9,1\n", b"p9,2000,20\r01,1\n", b'p9,"2000\n']
+
+
+@st.composite
+def citation_files(draw):
+    """The bytes of a citation counts CSV: an optional byte order mark and
+    comment block, the columns reordered, repeated, extra or missing, rows
+    quoted or not, multi-line cells, CRLF, blank and short rows, and at most
+    one fault line."""
+    header = list(draw(st.permutations(["doc_id", "pub_year", "year", "citations", "note"])))
+    header += draw(st.lists(st.sampled_from(header), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        del header[draw(st.integers(0, len(header) - 1))]
+    cells = {
+        "doc_id": st.sampled_from(["p1", "p2", "p,3", 'p"4', "p\n5", "#p6"]),
+        "pub_year": st.sampled_from(["2000", "2000", "2000", "1999"]),
+        "year": st.integers(1995, 2010).map(str),
+        "citations": st.integers(0, 9).map(str),
+        "note": st.sampled_from(["", "n", "a\nb", "#"]),
+    }
+    lines = [f"# {draw(st.sampled_from(['exported', 'a,b', '']))}\n"
+             for _ in range(draw(st.integers(0, 2)))]
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(cells[name]) for name in header]
+        if draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NUMBER_FORMS))
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:draw(st.integers(0, len(row)))]  # short, or blank when empty
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        ending = draw(st.sampled_from(["\n", "\r\n"]))
+        csv.writer(buffer, lineterminator=ending, quoting=quoting).writerow(row)
+    parts = [line.encode("utf-8") for line in lines]
+    parts += io.BytesIO(buffer.getvalue().encode("utf-8")).readlines()
+    fault = draw(st.sampled_from([None, None, None, *FAULTS]))
+    if fault is not None:
+        parts.insert(draw(st.integers(0, len(parts))), fault)
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + b"".join(parts)
+
+
+def _read_or_refuse(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(citation_files())
+@example(b"doc_id,pub_year,year,citations\np1,2000,7,1\np1,2000,07,2\n")
+@example(b"doc_id,pub_year,year,citations\np1,2000,2001,x\np2,2000,caf\xe9,1\n")
+@example(b"#\xe9\ndoc_id,pub_year,year,citations\n")
+@example(b"\xef\xbb\xbf# a\r\ncitations,year,doc_id,pub_year,year\r\n\r\n"
+         b'"1","x","""p\n1""","2000","2001"\r\n')
+def test_the_table_reader_equals_the_oracle(tmp_path_factory, content):
+    """``from_csv`` reads the table, or refuses the file with the message
+    and line, that the definitional reader does, the first fault in line
+    order winning."""
+    path = tmp_path_factory.getbasetemp() / "citations.csv"
+    path.write_bytes(content)
+
+    def read(path):
+        table = CitationTable.from_csv(path)
+        return table.pub_years, table.yearly
+
+    assert _read_or_refuse(read, path) == _read_or_refuse(oracle_citation_table, path)
 
 
 def citing_doc(doc_id, year, cited_ids):

@@ -656,6 +656,9 @@ SAMPLE_HEAD = "# seed 0\ndoc_id,sentence_index,query_id,text,label\n"
 ANNOTATION_HEAD = "# seed 0\n# coder ann\ndoc_id,sentence_index,query_id,text,label\n"
 STATS_HEAD = "query_id,n,pct_agree,pct_valid,kappa\n"
 CITATIONS_HEAD = "# exported\ndoc_id,pub_year,year,citations\n"
+# The test files are written as Latin-1, so a character past it is given as its UTF-8 bytes.
+ARABIC_4 = "\u0664".encode("utf-8").decode("latin-1")
+ARABIC_DECIMAL = "\u0660.\u0668".encode("utf-8").decode("latin-1")
 
 # kind -> (problem -> (file content, or None for no file; the line the
 # message must name)). A malformed corpus record is a load error, not a
@@ -682,6 +685,7 @@ HOSTILE = {
         "repeated_signal": ("query a\nsignal foo\nsignal bar\n", 3),
         "repeated_filter": ("query a\nsignal foo\nfilter none\nfilter studies\n", 4),
         "repeated_maxgap": ("query a\nsignal foo\nmaxgap 2\nfilter none\nmaxgap 3\n", 5),
+        "huge_maxgap": ("query a\nsignal foo\nmaxgap " + "9" * 5000 + "\n", 3),
         "no_query": ("# comments only\n\n  # and blanks\n", None),
     },
     "resolution": {
@@ -702,6 +706,10 @@ HOSTILE = {
                        "nonsense.query,50,1.0,0.9,1.0\n", 3),
         "short_row": (STATS_HEAD + "controvers.standalone,50,1.0\n", 2),
         "header_only": ("q,p\n", 1),
+        "decimal_underscore": (STATS_HEAD + "controvers.standalone,50,1.0,0.8_0,1.0\n", 2),
+        "decimal_spaces": (STATS_HEAD + 'controvers.standalone,50,1.0," 0.8 ",1.0\n', 2),
+        "decimal_arabic": (STATS_HEAD + f"controvers.standalone,50,1.0,{ARABIC_DECIMAL},1.0\n",
+                           2),
     },
     "sample": {
         "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
@@ -716,6 +724,11 @@ HOSTILE = {
                                "g04,4,controvers.standalone,t,invalid\n", None),
         "missing_label": (ANNOTATION_HEAD + "g04,4,controvers.standalone,t,valid\n"
                           "g05,4,controvers.standalone,t,valid\n", None),
+        "index_underscore": (ANNOTATION_HEAD + "g04,0_4,controvers.standalone,t,valid\n", 4),
+        "index_plus": (ANNOTATION_HEAD + "g04,4,controvers.standalone,t,valid\n"
+                       "g05,+4,controvers.standalone,t,valid\n", 5),
+        "index_arabic": (ANNOTATION_HEAD + f"g04,{ARABIC_4},controvers.standalone,t,valid\n", 4),
+        "index_spaces": (ANNOTATION_HEAD + 'g04," 4 ",controvers.standalone,t,valid\n', 4),
     },
     "citations": {
         "non_utf8": (CITATIONS_HEAD + "g01,2008,2009,3\ncaf\xe9,2008,2009,3\n", 4),
@@ -728,6 +741,10 @@ HOSTILE = {
         "short_row": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009\n", 4),
         "short_row_reordered": ("# exported\npub_year,year,citations,doc_id\n2008,2009,3\n", 3),
         "negative_count": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,-5\n", 4),
+        "underscore": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009,1_0\n", 4),
+        "plus_sign": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,+4,3\n", 4),
+        "arabic_digit": (CITATIONS_HEAD + f"g01,{ARABIC_4},2009,3\n", 3),
+        "spaces": (CITATIONS_HEAD + "g01,2008,2009,3\ng02,2008,2009, 4 \n", 4),
     },
 }
 # The whole message, after its location, of each (kind, problem) that pins one.
@@ -746,6 +763,7 @@ MESSAGES = {
     ("query", "repeated_signal"): "repeated 'signal' line",
     ("query", "repeated_filter"): "repeated 'filter' line",
     ("query", "repeated_maxgap"): "repeated 'maxgap' line",
+    ("query", "huge_maxgap"): f"bad maxgap value {'9' * 5000!r}",
     ("query", "no_query"): "no query",
     ("annotation", "conflicting_labels"):
         "conflicting labels for ('g04', 4, 'controvers.standalone') by ann",
@@ -754,12 +772,23 @@ MESSAGES = {
     ("citations", "conflicting_pub_year"): "conflicting pub_year for 'p1'",
     ("stats", "short_row"): "bad row (no 'pct_valid')",
     ("stats", "header_only"): "bad header (no 'query_id')",
+    ("stats", "decimal_underscore"): "pct_valid '0.8_0' is not in [0, 1]",
+    ("stats", "decimal_spaces"): "pct_valid ' 0.8 ' is not in [0, 1]",
+    ("stats", "decimal_arabic"): "pct_valid '\u0660.\u0668' is not in [0, 1]",
     ("sample", "bad_row"): "bad row (no 'text')",
     ("annotation", "short_row"): "bad row (no 'text')",
     ("citations", "missing_column"): "bad header (no 'citations')",
     ("citations", "header_only"): "bad header (no 'doc_id')",
     ("citations", "short_row"): "bad row (no 'citations')",
     ("citations", "short_row_reordered"): "bad row (no 'doc_id')",
+    ("citations", "underscore"): "bad row ('1_0' is not an integer)",
+    ("citations", "plus_sign"): "bad row ('+4' is not an integer)",
+    ("citations", "arabic_digit"): "bad row ('\u0664' is not an integer)",
+    ("citations", "spaces"): "bad row (' 4 ' is not an integer)",
+    ("annotation", "index_underscore"): "bad row ('0_4' is not an integer)",
+    ("annotation", "index_plus"): "bad row ('+4' is not an integer)",
+    ("annotation", "index_arabic"): "bad row ('\u0664' is not an integer)",
+    ("annotation", "index_spaces"): "bad row (' 4 ' is not an integer)",
 }
 HOSTILE_CASES = [
     pytest.param(kind, problem, content, line, id=f"{kind}-{problem}")
@@ -1103,6 +1132,10 @@ def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
     ["report", "--which", "gap", "--horizon", "-3"],
     ["report", "--which", "gap", "--horizon", "0"],
     ["report", "--which", "gap", "--horizon", "ten"],
+    ["report", "--which", "gap", "--horizon", "1_0"],
+    ["report", "--which", "top", "--top-n", "+4"],
+    ["report", "--which", "top", "--top-n", " 4 "],
+    ["sample", "--n", "\u0664"],
 ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
 def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
     # The corpus does not exist: a count is refused before any file is read.
@@ -1135,12 +1168,24 @@ def test_report_options_are_refused_before_any_file_is_read(options, message, tm
     ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "1.5"],
     ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "inf"],
     ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "high"],
+    ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "0.8_0"],
+    ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", " 0.8 "],
+    ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "\u0660.\u0668"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 def test_thresholds_outside_zero_one_are_usage_errors(argv, tmp_path, capsys):
     # None of the named files exists: a threshold is refused before any read.
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
     assert "is not a number in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["1_0", "+4", " 4 ", "\u0664", "four"])
+def test_a_seed_not_written_as_an_integer_is_a_usage_error(seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["match", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out),
+                 "--seed", seed]) == 1
+    assert f"argument --seed: invalid integer value: {seed!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

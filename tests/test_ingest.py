@@ -35,6 +35,12 @@ from conftest import GOLDEN_CORPUS
 from synth import write_corpus
 
 
+def csv_columns(path, required, optional=()):
+    """Every row ``numbered_csv_columns`` reads, as (line, cells) pairs."""
+    with numbered_csv_columns(path, required, optional) as (rows, line):
+        return [(line(), cells) for cells in rows]
+
+
 def write_lines(tmp_path, lines, name="corpus.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -285,7 +291,7 @@ class TestNumberedReaders:
             '# one\n# two\nkey,text\n#k,plain\nk2,"first\n# coder mallory\nlast"\n',
             encoding="utf-8",
         )
-        assert list(numbered_csv_columns(path, ("key", "text"))) == [
+        assert csv_columns(path, ("key", "text")) == [
             (4, ("#k", "plain")),
             (7, ("k2", "first\n# coder mallory\nlast")),
         ]
@@ -294,29 +300,29 @@ class TestNumberedReaders:
         path = tmp_path / "f.csv"
         text = "x" * 200_000
         path.write_text(f"key,text\nk,{text}\n", encoding="utf-8")
-        assert list(numbered_csv_columns(path, ("key", "text"))) == [(2, ("k", text))]
+        assert csv_columns(path, ("key", "text")) == [(2, ("k", text))]
 
     def test_malformed_csv_is_named(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"key,text\nk,fine\nk,bare\rreturn\n")
         with pytest.raises(ValueError, match="^line 3: new-line character"):
-            list(numbered_csv_columns(path, ("key", "text")))
+            csv_columns(path, ("key", "text"))
 
     @pytest.mark.parametrize("text", ["", "# only\n# comments\n"])
     def test_a_file_without_a_header_row_is_refused(self, tmp_path, text):
         path = tmp_path / "f.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=r"^no header row$"):
-            list(numbered_csv_columns(path, (), ("key",)))
+            csv_columns(path, (), ("key",))
 
     def test_cells_follow_the_named_columns_not_the_header_order(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("b,a,b,c\n1,2,3,4\n5,6,7\n8,9\n", encoding="utf-8")
-        rows = numbered_csv_columns(path, ("a", "b"), ("c", "d"))
-        assert next(rows) == (2, ("2", "3", "4", None))
-        assert next(rows) == (3, ("6", "7", None, None))
-        with pytest.raises(ValueError, match=r"^line 4: bad row \(no 'b'\)$"):
-            next(rows)
+        with numbered_csv_columns(path, ("a", "b"), ("c", "d")) as (rows, line):
+            assert (next(rows), line()) == (("2", "3", "4", None), 2)
+            assert (next(rows), line()) == (("6", "7", None, None), 3)
+            with pytest.raises(ValueError, match=r"^line 4: bad row \(no 'b'\)$"):
+                next(rows)
 
 
 csv_cells = st.text(alphabet=st.one_of(st.sampled_from(list(',"#\n\r x')),
@@ -369,7 +375,8 @@ def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail, name
     path.write_bytes(text.encode("utf-8"))
     found = []
     try:
-        found.extend(numbered_csv_columns(path, required, optional))
+        with numbered_csv_columns(path, required, optional) as (rows, line):
+            found.extend((line(), cells) for cells in rows)
     except ValueError as exc:
         found.append(str(exc))
     assert found == expected
