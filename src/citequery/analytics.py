@@ -295,7 +295,7 @@ class CitationTable:
         pub_years, yearly = table.pub_years, table.yearly
         numbers = Integers()  # each distinct cell text is checked once
         with numbered_csv_columns(path, ("doc_id", "pub_year", "year", "citations")) as (
-                rows, line):
+                rows, line, _):
             for doc_id, pub_year, year, citations in rows:
                 try:
                     pub_year, year, citations = numbers[pub_year], numbers[year], numbers[citations]

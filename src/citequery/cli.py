@@ -239,7 +239,7 @@ def _validated_set(args, query_ids: set[str]) -> ValidatedSet:
 def _read_stats_csv(path: str, query_ids: set[str]) -> dict[str, float]:
     """Percent valid by query id; every id must be one of ``query_ids``."""
     stats = {}
-    with numbered_csv_columns(path, ("query_id", "pct_valid")) as (rows, line):
+    with numbered_csv_columns(path, ("query_id", "pct_valid")) as (rows, line, _):
         for query_id, cell in rows:
             pct_valid = _unit_interval(cell)
             if pct_valid is None:
@@ -376,21 +376,24 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _read_sample_csv(path: str) -> tuple[list[tuple[int, dict]], str | None, list[str]]:
-    """Numbered rows by column name (a missing label reads None), the coder
-    named in a ``# coder`` line of the leading comment block, and the
-    block's other lines."""
-    coder = None
-    provenance: list[str] = []
-    for _, text in numbered_lines(path):
-        if not text.startswith("#"):
-            break
+def _read_sample_csv(path: str) -> tuple[list[list], str | None, list[str]]:
+    """The rows as ``SAMPLE_COLUMNS`` lists (``sentence_index`` an int, checked
+    as its row is read; a missing label None), the coder named in a ``# coder``
+    line of the leading comment block, and the block's other lines."""
+    rows = []
+    with numbered_csv_columns(path, SAMPLE_COLUMNS[:-1], SAMPLE_COLUMNS[-1:]) as (
+            cells, line, comments):
+        for doc_id, index, query_id, text, label in cells:
+            try:
+                rows.append([doc_id, integer(index), query_id, text, label])
+            except ValueError as exc:
+                raise ValueError(f"line {line()}: bad row ({exc})") from None
+    coder, provenance = None, []
+    for text in comments:
         if text.startswith("# coder "):
             coder = text[len("# coder "):].strip()
         else:
             provenance.append(text)
-    with numbered_csv_columns(path, SAMPLE_COLUMNS[:-1], SAMPLE_COLUMNS[-1:]) as (cells, line):
-        rows = [(line(), dict(zip(SAMPLE_COLUMNS, row_cells))) for row_cells in cells]
     return rows, coder, provenance
 
 
@@ -404,8 +407,7 @@ def cmd_annotate(args) -> int:
         raise UsageError(f"--coder {coder!r}: must be non-empty, not '--', valid UTF-8, on "
                          "one line, with no leading or trailing whitespace")
     with _reading("sample", args.sample):
-        numbered, _, provenance = _read_sample_csv(args.sample)
-    rows = [row for _, row in numbered]
+        rows, _, provenance = _read_sample_csv(args.sample)
     out_path = Path(args.out)
     with _writing(out_path):
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -414,10 +416,11 @@ def cmd_annotate(args) -> int:
     print(f"annotating {len(rows)} citances as coder {args.coder!r}; "
           "keys: v=valid i=invalid s=skip q=quit", file=sys.stderr)
     for i, row in enumerate(rows):
-        if row.get("label"):
+        _, _, query_id, text, label = row
+        if label:
             continue
-        print(f"\n[{i + 1}/{len(rows)}] query {row['query_id']}", file=sys.stderr)
-        print(row["text"], file=sys.stderr)
+        print(f"\n[{i + 1}/{len(rows)}] query {query_id}", file=sys.stderr)
+        print(text, file=sys.stderr)
         answer = None
         while answer not in _ANSWERS.values():
             print("label [v/i/s/q]: ", end="", file=sys.stderr, flush=True)
@@ -427,13 +430,13 @@ def cmd_annotate(args) -> int:
         if answer == "quit":
             break
         if answer != "skip":
-            row["label"] = answer
+            row[-1] = answer
             labeled += 1
     with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as handle:
         # Sampling provenance (version, config digest, seed) rides along.
         handle.writelines(provenance)
         handle.write(f"# coder {args.coder}\n")
-        _write_csv(handle, SAMPLE_COLUMNS, ([r.get(c) for c in SAMPLE_COLUMNS] for r in rows))
+        _write_csv(handle, SAMPLE_COLUMNS, rows)
     print(f"\nlabeled {labeled} citances -> {out_path}", file=sys.stderr)
     return 0
 
@@ -443,16 +446,10 @@ def _annotations_from_file(path: str) -> tuple[str, list[AnnotationRecord]]:
     rows, coder, _ = _read_sample_csv(path)
     coder_id = coder or Path(path).stem
     records = []
-    for line, row in rows:
-        label = (row.get("label") or "").strip().lower()
-        if label not in ("valid", "invalid"):
-            continue  # unlabeled or skipped rows are left to the metrics to flag
-        try:
-            index = integer(row["sentence_index"])
-        except ValueError as exc:
-            raise ValueError(f"line {line}: bad row ({exc})") from None
-        records.append(
-            AnnotationRecord(row["doc_id"], index, row["query_id"], coder_id, label))
+    for doc_id, index, query_id, _, label in rows:
+        label = (label or "").strip().lower()
+        if label in ("valid", "invalid"):  # unlabeled or skipped rows are left to the metrics
+            records.append(AnnotationRecord(doc_id, index, query_id, coder_id, label))
     return coder_id, records
 
 

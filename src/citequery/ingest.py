@@ -423,38 +423,38 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 @contextmanager
 def numbered_csv_columns(
     path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
-) -> Iterator[tuple[Iterator[tuple[str | None, ...]], Callable[[], int]]]:
-    """A context manager over a UTF-8 CSV file giving ``(rows, line)``:
-    ``rows`` iterates each non-blank data row as its cells under the
-    columns ``required`` and then ``optional``, and ``line()`` is the
-    1-based number of the last line of the row read last.
+) -> Iterator[tuple[Iterator[tuple[str | None, ...]], Callable[[], int], list[str]]]:
+    """A context manager over a UTF-8 CSV file giving ``(rows, line,
+    comments)``: ``rows`` iterates each non-blank data row as its cells
+    under the columns ``required`` and then ``optional``, ``line()`` is the
+    1-based number of the last line of the row read last, and ``comments``
+    the ``#`` lines before the header row as read (a byte order mark dropped).
 
-    ``#`` lines before the header row are comments. After the header every
-    line is data, so a quoted field may hold lines that start with ``#``.
-    A repeated column name reads its last column. A file with no header
-    row raises ValueError("no header row"), a header without a required
-    column ValueError("line N: bad header (no 'column')"), and a row too
-    short to reach one ValueError("line N: bad row (no 'column')"); a
-    missing optional cell reads None. A line that is not UTF-8 or
-    malformed CSV raises, while its row is read, a ValueError naming its
-    line. The file is decoded one line at a time, as the rows are read.
+    After the header every line is data, so a quoted field may hold lines
+    that start with ``#``. A repeated column name reads its last column.
+    A file with no header row raises ValueError("no header row"), a header
+    without a required column ValueError("line N: bad header (no
+    'column')"), and a row too short to reach one ValueError("line N: bad
+    row (no 'column')"); a missing optional cell reads None. A line that is
+    not UTF-8 or malformed CSV raises, while its row is read, a ValueError
+    naming its line. The file is decoded one line at a time, as rows are read.
     """
     # A citance text may pass csv's 128 KiB default field limit; this is
     # the largest limit every platform accepts.
     csv.field_size_limit(2**31 - 1)
     names = (*required, *optional)
-    comments = 0
+    comments: list[str] = []
     reader = None
 
     def line() -> int:
-        return comments + (reader.line_num if reader else 0)
+        return len(comments) + (reader.line_num if reader else 0)
 
     with open(path, "rb") as handle:
         lines = map(bytes.decode, handle)
         try:
             text = handle.readline().decode("utf-8-sig")
             while text.startswith("#"):
-                comments += 1
+                comments.append(text)
                 text = next(lines, "")
             if not text:
                 raise ValueError("no header row")
@@ -480,7 +480,8 @@ def numbered_csv_columns(
                 return (tuple(None if i is None or i >= length else row[i] for i in indices)
                         for row in rows)
 
-            yield chain.from_iterable(map(cells, groupby(filter(None, reader), len))), line
+            rows = chain.from_iterable(map(cells, groupby(filter(None, reader), len)))
+            yield rows, line, comments
         except csv.Error as exc:
             raise ValueError(f"line {line()}: {exc}") from None
         except UnicodeDecodeError:

@@ -23,6 +23,7 @@ from citequery.cli import (
     main,
 )
 from citequery.engine import run_all
+from citequery.ingest import load_corpus, numbered_csv_columns
 from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES, write_golden_citations
 
 
@@ -496,6 +497,39 @@ class TestReport:
                      "--out", str(tmp_path / "b"), "--which", "rates"]) == 2
         assert gc.isenabled()
 
+    @pytest.mark.parametrize("mode", ["presegmented", "rawtext"])
+    def test_the_corpus_load_makes_no_cyclic_garbage(self, tmp_path, mode):
+        # report runs load_corpus with the collector off; that pays only if a
+        # collection after it would find nothing unreachable.
+        corpus = GOLDEN_CORPUS
+        if mode == "rawtext":
+            corpus = tmp_path / "raw.jsonl"
+            corpus.write_text("\n".join([
+                json.dumps({"doc_id": "d1", "year": 2010, "doc_type": "other",
+                            "authors": [{"family": "Zhao", "given": "G"}],
+                            "body": "This works <ref id=r1/>. It fails <ref id=r2/> "
+                                    "<ref id='r3'/>.",
+                            "refs": [{"ref_id": "r1", "cited_year": 2001}]}),
+                "not json",
+                json.dumps({"doc_id": "d1", "year": 2011, "body": "Again <ref id=r1/>."}),
+                json.dumps({"doc_id": "d2", "year": "2011", "body": "Bad year."}),
+            ]) + "\n", encoding="utf-8")
+        gc.collect()
+        debug = gc.get_debug()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        gc.disable()
+        try:
+            result = load_corpus(corpus, mode)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+            gc.set_debug(debug)
+        garbage, gc.garbage[:] = gc.garbage[:], []
+        assert (unreachable, garbage) == (0, [])
+        assert len(result.documents) == {"presegmented": 9, "rawtext": 1}[mode]
+        if mode == "rawtext":  # load errors, which raise inside the load, are covered too
+            assert [e.code for e in result.errors] == ["bad_json", "dup_doc_id", "bad_year"]
+
     def test_unknown_report_name(self, golden_args, tmp_path, capsys):
         code = main(["report", *golden_args, "--out", str(tmp_path / "o"),
                      "--which", "rates,nonsense"])
@@ -715,6 +749,7 @@ HOSTILE = {
         "non_utf8": (SAMPLE_HEAD + "g04,4,controvers.standalone,caf\xe9,\n", 3),
         "bad_row": (SAMPLE_HEAD + 'g04,4,controvers.standalone,"two\nlines",\n'
                     "g05,4,controvers.standalone\n", 5),
+        "bad_index": (SAMPLE_HEAD + "g04,four,controvers.standalone,t,\n", 3),
     },
     "annotation": {
         "non_utf8": (ANNOTATION_HEAD + "g04,4,controvers.standalone,caf\xe9,valid\n", 4),
@@ -729,6 +764,8 @@ HOSTILE = {
                        "g05,+4,controvers.standalone,t,valid\n", 5),
         "index_arabic": (ANNOTATION_HEAD + f"g04,{ARABIC_4},controvers.standalone,t,valid\n", 4),
         "index_spaces": (ANNOTATION_HEAD + 'g04," 4 ",controvers.standalone,t,valid\n', 4),
+        "index_before_non_utf8": (ANNOTATION_HEAD + "g04,four,controvers.standalone,t,valid\n"
+                                  "g05,4,controvers.standalone,caf\xe9,valid\n", 4),
     },
     "citations": {
         "non_utf8": (CITATIONS_HEAD + "g01,2008,2009,3\ncaf\xe9,2008,2009,3\n", 4),
@@ -789,6 +826,8 @@ MESSAGES = {
     ("annotation", "index_plus"): "bad row ('+4' is not an integer)",
     ("annotation", "index_arabic"): "bad row ('\u0664' is not an integer)",
     ("annotation", "index_spaces"): "bad row (' 4 ' is not an integer)",
+    ("annotation", "index_before_non_utf8"): "bad row ('four' is not an integer)",
+    ("sample", "bad_index"): "bad row ('four' is not an integer)",
 }
 HOSTILE_CASES = [
     pytest.param(kind, problem, content, line, id=f"{kind}-{problem}")
@@ -828,7 +867,8 @@ def run_quietly(argv, stdin=""):
 
 class TestHostileInput:
     """Every input file that is missing, not UTF-8 or malformed exits 2
-    with a message naming the file and, where one applies, the line."""
+    with a message naming the file and, where one applies, the line, and
+    leaves no output (``--out`` included)."""
 
     @pytest.mark.parametrize("kind, problem, content, line", HOSTILE_CASES)
     def test_located_exit_2(self, tmp_path, capsys, kind, problem, content, line):
@@ -836,6 +876,7 @@ class TestHostileInput:
         if content is not None:
             path.write_bytes(content.encode("latin-1"))
         assert main(reader_argv(kind, path, tmp_path)) == 2
+        assert not list(tmp_path.glob("out*"))
         err = capsys.readouterr().err
         if content is None:
             where = f"cannot read {kind} file {path}"
@@ -1100,23 +1141,25 @@ def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
         writer = OutputWriter(Path(tmp), {"corpus": "c"}, 9, ["sample.csv"])  # as `sample` writes
         writer.write_csv("sample.csv", columns, [(*row, "") for row in rows])
         sample, annotated = Path(tmp) / "sample.csv", Path(tmp) / "annotated.csv"
+        sample.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())  # a BOM, as spreadsheets save
+        header = writer.header.splitlines(keepends=True)
+        with numbered_csv_columns(sample, columns) as (_, _, comments):
+            assert comments == header
 
-        numbered, sample_coder, provenance = _read_sample_csv(sample)
-        assert [tuple(r[c] for c in columns) for _, r in numbered] == [
-            (d, str(i), q, t, "") for d, i, q, t in rows
-        ]
+        sample_rows, sample_coder, provenance = _read_sample_csv(sample)
+        assert sample_rows == [[d, i, q, t, ""] for d, i, q, t in rows]
         assert sample_coder is None
-        assert "".join(provenance) == writer.header
+        assert provenance == header
 
         code, err = run_quietly(["annotate", "--sample", str(sample), f"--coder={coder}",
                                  "--out", str(annotated)], stdin="v\n" * len(rows))
         assert code == 0, err
-        numbered, annotated_coder, provenance = _read_sample_csv(annotated)
-        assert [tuple(r[c] for c in columns) for _, r in numbered] == [
-            (d, str(i), q, t, "valid") for d, i, q, t in rows
-        ]
+        with numbered_csv_columns(annotated, columns) as (_, _, comments):
+            assert comments == [*header, f"# coder {coder}\n"]
+        annotated_rows, annotated_coder, provenance = _read_sample_csv(annotated)
+        assert annotated_rows == [[d, i, q, t, "valid"] for d, i, q, t in rows]
         assert annotated_coder == coder
-        assert "".join(provenance) == writer.header
+        assert provenance == header
         file_coder, records = _annotations_from_file(str(annotated))
         assert file_coder == coder
     assert [(r.doc_id, r.sentence_index, r.query_id, r.coder_id) for r in records] == [

@@ -37,7 +37,7 @@ from synth import write_corpus
 
 def csv_columns(path, required, optional=()):
     """Every row ``numbered_csv_columns`` reads, as (line, cells) pairs."""
-    with numbered_csv_columns(path, required, optional) as (rows, line):
+    with numbered_csv_columns(path, required, optional) as (rows, line, _):
         return [(line(), cells) for cells in rows]
 
 
@@ -295,6 +295,8 @@ class TestNumberedReaders:
             (4, ("#k", "plain")),
             (7, ("k2", "first\n# coder mallory\nlast")),
         ]
+        with numbered_csv_columns(path, ("key",)) as (_, _, comments):
+            assert comments == ["# one\n", "# two\n"]
 
     def test_field_over_csv_default_limit_reads_back(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -318,7 +320,8 @@ class TestNumberedReaders:
     def test_cells_follow_the_named_columns_not_the_header_order(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("b,a,b,c\n1,2,3,4\n5,6,7\n8,9\n", encoding="utf-8")
-        with numbered_csv_columns(path, ("a", "b"), ("c", "d")) as (rows, line):
+        with numbered_csv_columns(path, ("a", "b"), ("c", "d")) as (rows, line, comments):
+            assert comments == []
             assert (next(rows), line()) == (("2", "3", "4", None), 2)
             assert (next(rows), line()) == (("6", "7", None, None), 3)
             with pytest.raises(ValueError, match=r"^line 4: bad row \(no 'b'\)$"):
@@ -375,7 +378,7 @@ def test_csv_rows_read_as_dict_reader(tmp_path_factory, header, rows, tail, name
     path.write_bytes(text.encode("utf-8"))
     found = []
     try:
-        with numbered_csv_columns(path, required, optional) as (rows, line):
+        with numbered_csv_columns(path, required, optional) as (rows, line, _):
             found.extend((line(), cells) for cells in rows)
     except ValueError as exc:
         found.append(str(exc))
