@@ -207,10 +207,6 @@ def _print_errors(errors: list[LoadError]) -> None:
 def _citing_documents(args) -> Iterator[tuple[Iterator, list[LoadError]]]:
     """``read_citing`` over ``--corpus`` and its load errors, which are
     printed once the corpus has been read through."""
-    # What exists now (modules, catalog, matcher) lives until the process
-    # exits: freezing it spares every later collection, the one at interpreter
-    # shutdown included, from traversing it.
-    gc.freeze()
     errors: list[LoadError] = []
     with _reading("corpus", args.corpus):
         yield read_citing(args.corpus, args.mode, errors), errors
@@ -527,8 +523,8 @@ def _report(name: str, args, docs: list[Document], flags, table: CitationTable |
                 [("issuers", d, c) for d, c in issuers]
                 + [("receivers", d, c) for d, c in receivers], [])
     if name == "impact":
-        fields = sorted({d.main_field for d in docs if d.main_field})
         reports = impact_ratio(flags, docs, table, (1, 2, 3))
+        fields = sorted({field for field, _ in reports if field})
         rows, long_rows = [], []
         for k in (1, 2, 3):
             for field in [None] + fields:
@@ -567,17 +563,9 @@ def cmd_report(args) -> int:
         table = CitationTable.from_csv(args.citations) if needs_table else None
     writer = OutputWriter(Path(args.out), _config(args), args.seed,
                           [f"{name}.csv" for name in which] + ["long.csv"])
-    gc.freeze()  # the catalog and the citation table live until the process exits
-    # The load makes no cyclic garbage (a full collection after it finds nothing
-    # unreachable) and its graph lives until the command ends: collecting would only rewalk it.
-    gc.disable()
-    try:
-        with _reading("corpus", args.corpus):
-            corpus = load_corpus(args.corpus, args.mode)
-    finally:
-        gc.enable()
+    with _reading("corpus", args.corpus):
+        corpus = load_corpus(args.corpus, args.mode)
     _print_errors(corpus.errors)
-    gc.freeze()  # the corpus lives until the command ends: full collections skip it
     # Only a validated query can flag a citance, and no query's records
     # depend on the others, so the rest are never matched.
     queries = [q for q in queries if q.query_id in validated.query_ids]
@@ -670,9 +658,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    # No command makes cyclic garbage (a test runs each under gc.DEBUG_SAVEALL),
+    # so a collection would only walk live objects: the collector stays off
+    # until the command returns, then is left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -680,9 +672,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_EXIT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:
+    gc.freeze()  # module state lives until exit: the shutdown collection skips it
     raise SystemExit(main())
 
 

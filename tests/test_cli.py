@@ -23,7 +23,7 @@ from citequery.cli import (
     main,
 )
 from citequery.engine import run_all
-from citequery.ingest import load_corpus, numbered_csv_columns
+from citequery.ingest import numbered_csv_columns
 from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES, write_golden_citations
 
 
@@ -489,47 +489,6 @@ class TestReport:
         assert fields == {"BioHealth", "LifeEarth", "MathComp", "PhysEngr", "SocHum"}
         assert not (out / "selfcite.csv").exists()
 
-    def test_the_collector_is_back_on_after_the_corpus_load(self, golden_args, tmp_path):
-        assert main(["report", *golden_args, "--out", str(tmp_path / "a"),
-                     "--which", "rates"]) == 0
-        assert gc.isenabled()
-        assert main(["report", "--corpus", str(tmp_path / "absent.jsonl"),
-                     "--out", str(tmp_path / "b"), "--which", "rates"]) == 2
-        assert gc.isenabled()
-
-    @pytest.mark.parametrize("mode", ["presegmented", "rawtext"])
-    def test_the_corpus_load_makes_no_cyclic_garbage(self, tmp_path, mode):
-        # report runs load_corpus with the collector off; that pays only if a
-        # collection after it would find nothing unreachable.
-        corpus = GOLDEN_CORPUS
-        if mode == "rawtext":
-            corpus = tmp_path / "raw.jsonl"
-            corpus.write_text("\n".join([
-                json.dumps({"doc_id": "d1", "year": 2010, "doc_type": "other",
-                            "authors": [{"family": "Zhao", "given": "G"}],
-                            "body": "This works <ref id=r1/>. It fails <ref id=r2/> "
-                                    "<ref id='r3'/>.",
-                            "refs": [{"ref_id": "r1", "cited_year": 2001}]}),
-                "not json",
-                json.dumps({"doc_id": "d1", "year": 2011, "body": "Again <ref id=r1/>."}),
-                json.dumps({"doc_id": "d2", "year": "2011", "body": "Bad year."}),
-            ]) + "\n", encoding="utf-8")
-        gc.collect()
-        debug = gc.get_debug()
-        gc.set_debug(debug | gc.DEBUG_SAVEALL)
-        gc.disable()
-        try:
-            result = load_corpus(corpus, mode)
-            unreachable = gc.collect()
-        finally:
-            gc.enable()
-            gc.set_debug(debug)
-        garbage, gc.garbage[:] = gc.garbage[:], []
-        assert (unreachable, garbage) == (0, [])
-        assert len(result.documents) == {"presegmented": 9, "rawtext": 1}[mode]
-        if mode == "rawtext":  # load errors, which raise inside the load, are covered too
-            assert [e.code for e in result.errors] == ["bad_json", "dup_doc_id", "bad_year"]
-
     def test_unknown_report_name(self, golden_args, tmp_path, capsys):
         code = main(["report", *golden_args, "--out", str(tmp_path / "o"),
                      "--which", "rates,nonsense"])
@@ -896,6 +855,114 @@ class TestHostileInput:
             assert "is not in [0, 1]" in err
         if problem == "unknown_id":
             assert "unknown query id 'nonsense.query'" in err
+
+
+RAWTEXT_WITH_LOAD_ERRORS = "\n".join([
+    json.dumps({"doc_id": "d1", "year": 2010, "doc_type": "other",
+                "authors": [{"family": "Zhao", "given": "G"}],
+                "body": "This works <ref id=r1/>. It fails <ref id=r2/> <ref id='r3'/>.",
+                "refs": [{"ref_id": "r1", "cited_year": 2001}]}),
+    "not json",
+    json.dumps({"doc_id": "d1", "year": 2011, "body": "Again <ref id=r1/>."}),
+    json.dumps({"doc_id": "d2", "year": "2011", "body": "Bad year."}),
+]) + "\n"
+LABELED = ("# coder {}\ndoc_id,sentence_index,query_id,text,label\n"
+           "g04,4,controvers.standalone,t,valid\ng05,4,controvers.standalone,t,{}\n")
+
+
+def premise_case(name, tmp_dir):
+    """Command line, stdin, exit code and a fragment of its output of the
+    ``name`` case of test_no_command_makes_cyclic_garbage."""
+    def write(file_name, text):  # as Latin-1, like the HOSTILE contents
+        (tmp_dir / file_name).write_bytes(text.encode("latin-1"))
+        return str(tmp_dir / file_name)
+
+    out = str(tmp_dir / "out")
+    golden = ["--corpus", str(GOLDEN_CORPUS), "--out", out]
+    if name.endswith(("-deep", "-surrogate")):
+        corpus = write("corpus.jsonl", "[" * 100000 + "\n" if name.endswith("-deep")
+                       else '{"doc_id": "\\ud800", "year": 2001, "sentences": []}\n')
+        argv = [name.rsplit("-", 1)[0], "--corpus", corpus]
+        if argv[0] == "report":
+            argv += ["--out", out, "--which", "rates"]
+        return argv, "", 0, "error=bad_json"
+    if name == "report-bad-citations":
+        path = write("citations.csv", HOSTILE["citations"]["bad_row"][0])
+        return reader_argv("citations", path, tmp_dir), "", 2, ""
+    if name == "gate-index-before-non-utf8":
+        path = write("labeled.csv", HOSTILE["annotation"]["index_before_non_utf8"][0])
+        return reader_argv("annotation", path, tmp_dir), "", 2, ""
+    return {
+        "ingest-check": (["ingest-check", "--corpus", str(GOLDEN_CORPUS)], "", 0,
+                         "documents=9 citances=51 errors=0"),
+        "match": (["match", *golden], "", 0, "records: "),
+        "sample": (["sample", *golden, "--n", "2"], "", 0, "sampled "),
+        "report-presegmented": (
+            ["report", *golden, "--citations",
+             str(write_golden_citations(tmp_dir / "citations.csv"))], "", 0, "wrote 9 report(s)"),
+        "report-rawtext": (["report", "--corpus", write("raw.jsonl", RAWTEXT_WITH_LOAD_ERRORS),
+                            "--mode", "rawtext", "--out", out, "--which", "rates"], "", 0,
+                           "error=dup_doc_id"),
+        "annotate": (["annotate", "--sample", write("sample.csv", LABELED.format("x", "")),
+                      "--coder", "ann", "--out", out + ".csv"], "v\ni\n", 0, "labeled 1"),
+        "gate": (["gate", "--annotations", write("a.csv", LABELED.format("ann", "valid")),
+                  write("b.csv", LABELED.format("bob", "invalid")), "--out", out], "", 0,
+                 "gated 1 queries"),
+    }[name]
+
+
+class TestCollectorPolicy:
+    """main() runs every command with the cyclic collector off: that is
+    safe only while no command makes cyclic garbage, and in-process callers
+    must find the collector as they left it."""
+
+    @pytest.mark.parametrize("name", [
+        "ingest-check", "match", "sample", "report-presegmented", "report-rawtext",
+        "annotate", "gate", "ingest-check-deep", "report-deep", "ingest-check-surrogate",
+        "report-surrogate", "report-bad-citations", "gate-index-before-non-utf8",
+    ])
+    def test_no_command_makes_cyclic_garbage(self, tmp_path, capsys, monkeypatch, name):
+        argv, stdin, code, fragment = premise_case(name, tmp_path)
+        args = cli.build_parser().parse_args(argv)  # argparse's parser is cyclic itself
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        collecting, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        gc.disable()
+        try:
+            try:
+                result = args.func(args)
+            except cli.DataError:
+                result = 2
+            unreachable = gc.collect()
+        finally:
+            gc.set_debug(debug)
+            if collecting:
+                gc.enable()
+        garbage, gc.garbage[:] = gc.garbage[:], []
+        assert (result, unreachable, garbage) == (code, 0, [])
+        assert fragment in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["ingest-check", "--corpus", str(GOLDEN_CORPUS)], 0),
+        (["report", "--corpus", str(GOLDEN_CORPUS), "--which", "rates"], 0),
+        (["report", "--corpus", "absent.jsonl", "--which", "rates"], 2),
+        (["ingest-check", "--corpus", str(GOLDEN_CORPUS), "--nonsense"], 1),
+    ], ids=["ingest-check", "report", "missing-corpus", "unknown-option"])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, monkeypatch,
+                                                      argv, code, collecting):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "report":
+            argv = [*argv, "--out", "out"]
+        was, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            result = main(argv)
+            after = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (result, *after) == (code, collecting, frozen)
 
 
 # A well-formed input of each kind whose first line is text a BOM would spoil.
