@@ -19,7 +19,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import AbstractContextManager, contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -167,26 +167,32 @@ def _write_csv(handle: IO[str], header: Sequence[str], rows) -> None:
             writer.writerow(row)
 
 
-@contextmanager
-def _reading(kind: str, path) -> Iterator[None]:
+class _reading(AbstractContextManager):
     """Turn a failure to read or parse the ``kind`` input file at ``path``
     into a DataError naming the file (and the line, which the readers'
-    ValueErrors carry)."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(f"cannot read {kind} file {path}: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{kind} file {path}: {exc}") from None
+    ValueErrors carry). This and ``_writing`` are classes because, from
+    Python 3.12, a generator context manager raising in place of the error
+    thrown into it leaves a cycle through its frame: cyclic garbage."""
+
+    def __init__(self, kind: str, path) -> None:
+        self.kind, self.path = kind, path
+
+    def __exit__(self, _, exc, __) -> None:
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot read {self.kind} file {self.path}: {exc}") from None
+        if isinstance(exc, ValueError):
+            raise DataError(f"{self.kind} file {self.path}: {exc}") from None
 
 
-@contextmanager
-def _writing(path) -> Iterator[None]:
+class _writing(AbstractContextManager):
     """Turn a failure to create or write the output ``path`` into a DataError."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(f"cannot write output {path}: {exc}") from None
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def __exit__(self, _, exc, __) -> None:
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write output {self.path}: {exc}") from None
 
 
 def _check_output(path: Path) -> None:
@@ -267,14 +273,19 @@ def _config(args) -> dict:
 def _match_records(args, queries):
     """The match records of ``queries`` in ``run_all``'s order, and the text
     of each matched citance. The corpus is streamed: each citance is
-    tokenized and matched as it is read, and only matched texts are kept."""
-    match = CatalogMatcher(queries).match_citance
+    tokenized as it is read, and dropped at once if no word of it can start a
+    signal, else matched; only matched texts are kept."""
+    matcher = CatalogMatcher(queries)
+    match, lead_free = matcher.match_citance, matcher.lead_free
     records: list[MatchRecord] = []
     texts: dict[tuple[str, int], str] = {}
     with _citing_documents(args) as (documents, _):
         for doc_id, citing in documents:
             for index, text in citing:
-                found = match(Citance(doc_id, index, tokenize(text)))
+                words = tokenize(text)
+                if lead_free.issuperset(words):
+                    continue
+                found = match(Citance(doc_id, index, words))
                 if found:
                     records += found
                     texts[doc_id, index] = text

@@ -10,14 +10,14 @@ citance each candidate group's surviving signal spans, and each needed
 filter set's spans, are computed once and the members' records are
 built from them. Groups whose lead tokens never occur are skipped.
 
-Most citances hold no cue at all. The classifier also remembers each
-word whose token set holds no signal lead token (the first token of a
-signal pattern), and a citance made only of such words is rejected with
-one set lookup, before any word is indexed. That is exact: with no
-lead token among its words' classes, no query is a candidate, and the
-full path returns no records either. Whether a word is lead-less
-depends on the word alone, so records never depend on what the matcher
-has seen before.
+Most citances hold no cue at all. The classifier also remembers, in
+``CatalogMatcher.lead_free``, each word whose token set holds no signal
+lead token (the first token of a signal pattern). A citance made only of
+such words has no records, and ``run_all`` and the CLI skip it after one
+set test, before any word is indexed. That is exact: with no lead token
+among its words' classes, no query is a candidate. Whether a word is
+lead-less depends on the word alone, so records never depend on what
+the matcher has seen before.
 
 Matching conventions. They are the specification, pinned by the
 independent oracle in ``tests/naive_scanner.py``:
@@ -83,7 +83,7 @@ RECORD_ORDER = attrgetter("doc_id", "sentence_index", "query_id")  # sort key of
 
 class _TokenClassifier:
     """Maps each distinct word to the set of pattern tokens it satisfies,
-    memoized in ``cache``, and keeps in ``leadless`` every classified word
+    memoized in ``cache``, and keeps in ``lead_free`` every classified word
     that satisfies none of the ``lead_tokens``."""
 
     def __init__(self, pattern_tokens: Iterable[str], lead_tokens: Iterable[str]):
@@ -99,7 +99,7 @@ class _TokenClassifier:
         self.cache: dict[str, frozenset[str]] = {}
         self._empty: frozenset[str] = frozenset()
         self._leads = frozenset(lead_tokens)
-        self.leadless: set[str] = set()
+        self.lead_free: set[str] = set()
 
     def classify(self, word: str) -> frozenset[str]:
         """Classify a word not yet in ``cache`` and memoize it."""
@@ -113,7 +113,7 @@ class _TokenClassifier:
         result = frozenset(matched) if matched else self._empty
         self.cache[word] = result
         if self._leads.isdisjoint(result):
-            self.leadless.add(word)
+            self.lead_free.add(word)
         return result
 
 
@@ -279,7 +279,8 @@ class CatalogMatcher:
     lead tokens occurred computes its surviving signal spans once and
     builds its members' records from them, with each filter set's spans
     computed at most once. Groups are evaluated in catalog order, and so
-    are their records.
+    are their records. ``lead_free``, read-only, is the set of the words
+    classified so far that can start no signal pattern.
     """
 
     def __init__(self, queries: Sequence[QuerySpec]):
@@ -312,12 +313,13 @@ class CatalogMatcher:
             for (lead, *_), _ in group.patterns:
                 self._groups_by_lead.setdefault(lead, []).append(index)
         self._classifier = _TokenClassifier(tokens, self._groups_by_lead)
+        self.lead_free = self._classifier.lead_free
 
     def match_citance(self, citance: Citance) -> list[MatchRecord]:
         words = citance.words
-        classifier = self._classifier
-        if classifier.leadless.issuperset(words):
+        if self.lead_free.issuperset(words):
             return []  # no word can start a signal: no query is a candidate
+        classifier = self._classifier
         cache = classifier.cache
         classes: list[frozenset[str]] = []
         positions: dict[str, list[int]] = {}
@@ -368,11 +370,11 @@ def run_all(
 
     Output is sorted by (doc_id, sentence_index, query_id).
     """
-    match = CatalogMatcher(queries).match_citance
+    matcher = CatalogMatcher(queries)
+    match, lead_free = matcher.match_citance, matcher.lead_free
     records: list[MatchRecord] = []
     for citance in citances:
-        found = match(citance)
-        if found:
-            records.extend(found)
+        if not lead_free.issuperset(citance.words):
+            records += match(citance)
     records.sort(key=RECORD_ORDER)
     return records

@@ -497,15 +497,14 @@ def _checked_records(
         raise ValueError(f"unknown mode: {mode!r}")
     loaded: set[str] = set()
     for lineno, line in numbered_lines(path):
-        if not line.strip():
-            continue
         try:
             obj = json.loads(line)
             if _SURROGATE_ESCAPE.search(line) and any(
                     m[1] for m in _UNPAIRED_SURROGATE.finditer(line)):
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")  # raises on a lone one
         except (ValueError, RecursionError):  # also over-long numbers and deep nesting
-            errors.append(LoadError(lineno, "bad_json"))
+            if line.strip(" \t\r\n"):  # a line of JSON whitespace alone is blank
+                errors.append(LoadError(lineno, "bad_json"))
             continue
         try:
             sentences = _checked_sentences(obj, mode)

@@ -20,27 +20,23 @@ REF_MARKER = re.compile(r"<ref\b([^<>]*?)/>")
 # Everything that is neither alphanumeric, a joiner nor whitespace;
 # ``\w`` also admits ``_``, which is not alphanumeric.
 _DROPPED = re.compile(r"[^\w'\-’\s]|_")
+# The ASCII characters ``_DROPPED`` matches, as bytes. No byte of a UTF-8
+# multi-byte sequence is ASCII, so deleting these bytes from UTF-8 text
+# deletes those characters and touches no other.
+_ASCII_DROPPED = bytes(c for c in range(128) if _DROPPED.match(chr(c)))
 _WORD = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*")
-
-
-class _Kept(dict):
-    """``str.translate`` table dropping what ``_DROPPED`` matches and turning
-    ``’`` into ``'``, filled in one code point at a time."""
-
-    def __missing__(self, code: int) -> int | None:
-        c = chr(code)
-        self[code] = kept = None if _DROPPED.match(c) else ord("'") if c == "’" else code
-        return kept
-
-
-_KEPT = _Kept()
 
 
 def tokenize(text: str) -> tuple[str, ...]:
     """The words of sentence text, with every ref marker cut out."""
     if "<ref" in text:
         text = REF_MARKER.sub(" ", text)
-    kept = text.lower().translate(_KEPT)
+    # ``surrogatepass`` carries a lone surrogate, which JSON can deliver,
+    # through unchanged; the non-ASCII pass below then drops it.
+    kept = text.lower().encode("utf-8", "surrogatepass").translate(None, _ASCII_DROPPED)
+    kept = kept.decode("utf-8", "surrogatepass")
+    if not kept.isascii():
+        kept = _DROPPED.sub("", kept).replace("’", "'")
     if "'" in kept or "-" in kept:
         return tuple(_WORD.findall(kept))
     # Else all is alphanumeric (sre's ``[^\W_]`` is ``str.isalnum``) or

@@ -9,6 +9,7 @@ from typing import IO, Iterable
 
 from citequery.catalog import QuerySpec
 from citequery.ingest import NON_SELF, SELF, UNKNOWN, Citance, Document
+from naive_scanner import token_ok
 
 # Vocabulary mixing signal stems and inflections, filter terms, negation,
 # exclusion triggers and neutral filler, so random sentences exercise
@@ -72,6 +73,38 @@ def random_citances(count: int, seed: int, min_len: int = 1, max_len: int = 40):
         words = rng.choices(vocab, k=length)
         citances.append(make_citance(f"d{i // 20:05d}", i % 20, words))
     return citances
+
+
+def lead_words(queries: Iterable[QuerySpec]) -> set[str]:
+    """The lead tokens of ``queries``: each signal pattern's first token."""
+    return {p.tokens[0] for q in queries for p in q.signal_patterns}
+
+
+def lead_last_citances(citances: Iterable[Citance], leads: set[str]) -> list[Citance]:
+    """``citances``, renumbered, with each one that holds a word matching a
+    token of ``leads`` preceded by a lead-less citance of its other words:
+    a matcher meets every other word, and can mark it lead-free, before
+    the lead word that makes the citance a candidate."""
+    stream = []
+    for citance in citances:
+        other = [w for w in citance.words if not any(token_ok(t, w) for t in leads)]
+        stream += [other] if len(other) == len(citance.words) else [other, citance.words]
+    return [make_citance(f"d{i // 20:05d}", i % 20, words) for i, words in enumerate(stream)]
+
+
+def citance_records(citances: Iterable[Citance]) -> list[dict]:
+    """Presegmented JSON records whose citances are ``citances``, in order:
+    sentence i of a document is its citance of index i, words joined by
+    spaces and ended by a marker and a full stop."""
+    records: dict[str, dict] = {}
+    for citance in citances:
+        record = records.setdefault(
+            citance.doc_id, {"doc_id": citance.doc_id, "year": 2010, "sentences": []})
+        assert len(record["sentences"]) == citance.sentence_index
+        rid = f"r{citance.sentence_index}"
+        record["sentences"].append({"text": " ".join(citance.words) + f" <ref id={rid}/>.",
+                                    "refs": [{"ref_id": rid}]})
+    return list(records.values())
 
 
 NEUTRAL_WORDS = (

@@ -22,9 +22,11 @@ from citequery.cli import (
     REPORTS, SAMPLE_COLUMNS, OutputWriter, _annotations_from_file, _read_sample_csv,
     main,
 )
-from citequery.engine import run_all
+from citequery.engine import RECORD_ORDER, Span, run_all
 from citequery.ingest import numbered_csv_columns
 from conftest import GOLDEN_CORPUS, GOLDEN_MATCHES, write_golden_citations
+from naive_scanner import scan_all
+from synth import citance_records, lead_last_citances, lead_words, random_citances, write_jsonl
 
 
 def read_csv(path):
@@ -107,6 +109,26 @@ class TestMatch:
         first = lines[0]
         assert first["doc_id"] == "g01"
         assert "challenge" in first["text"]
+
+    def test_lead_words_met_after_lead_less_citances(self, tmp_path, catalog):
+        """``match`` and ``sample`` drop a citance whose words are all known
+        to start no signal; each lead word here first comes right after a
+        lead-less citance of the same other words, so a word wrongly known
+        as lead-free drops a matched citance."""
+        citances = lead_last_citances(random_citances(150, seed=6), lead_words(catalog))
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+        write_jsonl(citance_records(citances), corpus)
+        expected = scan_all(citances, catalog)
+        assert main(["match", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert main(["sample", "--corpus", str(corpus), "--out", str(out / "s"),
+                     "--n", "1000"]) == 0
+        spans = [(r.signal_span, r.filter_span or Span("", "", "")) for r in expected]
+        assert [tuple(row.values()) for row in read_csv(out / "matches.csv")] == [
+            tuple(map(str, (*RECORD_ORDER(r), s.start, s.end, f.start, f.end)))
+            for r, (s, f) in zip(expected, spans)]
+        assert sorted((r["doc_id"], int(r["sentence_index"]), r["query_id"])
+                      for r in read_csv(out / "s" / "sample.csv")) \
+            == sorted(map(RECORD_ORDER, expected))
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
@@ -892,6 +914,9 @@ def premise_case(name, tmp_dir):
     if name == "gate-index-before-non-utf8":
         path = write("labeled.csv", HOSTILE["annotation"]["index_before_non_utf8"][0])
         return reader_argv("annotation", path, tmp_dir), "", 2, ""
+    if name == "match-output-is-a-directory":
+        (tmp_dir / "out" / "matches.csv").mkdir(parents=True)
+        return ["match", *golden], "", 2, ""
     return {
         "ingest-check": (["ingest-check", "--corpus", str(GOLDEN_CORPUS)], "", 0,
                          "documents=9 citances=51 errors=0"),
@@ -920,6 +945,7 @@ class TestCollectorPolicy:
         "ingest-check", "match", "sample", "report-presegmented", "report-rawtext",
         "annotate", "gate", "ingest-check-deep", "report-deep", "ingest-check-surrogate",
         "report-surrogate", "report-bad-citations", "gate-index-before-non-utf8",
+        "match-output-is-a-directory",
     ])
     def test_no_command_makes_cyclic_garbage(self, tmp_path, capsys, monkeypatch, name):
         argv, stdin, code, fragment = premise_case(name, tmp_path)
@@ -1303,7 +1329,7 @@ class TestReportSpeed:
     def test_full_report_set_on_10k_citances_under_10s(self, tmp_path):
         import time
 
-        from synth import planted_field_corpus, write_jsonl
+        from synth import planted_field_corpus
 
         records, _ = planted_field_corpus(
             {"SocHum": (5000, 0.61), "BioHealth": (5000, 0.41)}

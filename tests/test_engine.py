@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from citequery.catalog import (
     FILTER_SET_NAMES, FILTER_SETS, ExclusionRule, Pattern, QuerySpec, parse_query_file,
 )
-from citequery.engine import CatalogMatcher, MatchRecord, Span, run_all
+from citequery.engine import RECORD_ORDER, CatalogMatcher, MatchRecord, Span, run_all
 from citequery.ingest import Citance
 from conftest import GOLDEN_MATCHES
-from naive_scanner import scan_all, scan_citance
-from synth import NEUTRAL_WORDS, make_citance, random_citances
+from naive_scanner import scan_all, scan_citance, token_ok
+from synth import (
+    NEUTRAL_WORDS, lead_last_citances, lead_words, make_citance, random_citances,
+)
 
 
 def pattern(text):
@@ -371,6 +373,19 @@ class TestOracleEquivalence:
             assert matcher.match_citance(cued) == scan_citance(cued, catalog) != []
             assert lookups == list(cued.words)
             assert classify.call_args_list == [mock.call("controversial")]
+
+    def test_lead_free_words_are_classified_and_start_no_signal(self, catalog):
+        leads = lead_words(catalog)
+        citances = lead_last_citances(random_citances(150, seed=5), leads)
+        expected = scan_all(citances, catalog)
+        assert run_all(citances, catalog) == expected
+        matcher = CatalogMatcher(catalog)
+        records = [r for c in citances for r in matcher.match_citance(c)]
+        assert sorted(records, key=RECORD_ORDER) == expected
+        cache = matcher._classifier.cache
+        assert len(matcher.lead_free) > 100
+        assert [w for w in matcher.lead_free if w not in cache or not cache[w].isdisjoint(leads)
+                or any(token_ok(t, w) for t in leads)] == []
 
     def test_negation_exempt_queries_never_suppressed(self, catalog):
         exempt = [q for q in catalog if q.negation_exempt]

@@ -131,6 +131,19 @@ class TestLoadCorpus:
         assert [e.code for e in result.errors] == ["bad_json"]
         assert len(result.documents) == 1
 
+    @pytest.mark.parametrize("line, codes", [
+        ("", []), (" \t\r", []),
+        ("\f", ["bad_json"]), ("\u00a0", ["bad_json"]), ("\u2028", ["bad_json"]),
+    ], ids=["empty", "json_whitespace", "form_feed", "nbsp", "line_separator"])
+    def test_only_json_whitespace_makes_a_blank_line(self, tmp_path, line, codes):
+        # str.strip() would empty each of these lines; JSON allows only
+        # space, tab, CR and LF between values.
+        path = write_lines(tmp_path, [json.dumps(record("a")), line, json.dumps(record("b"))])
+        (errors, lean), (full_errors, full) = lean_and_full(path, "presegmented")
+        assert [(e.line, e.code) for e in full_errors] == [(2, code) for code in codes]
+        assert (errors, lean) == (full_errors, full)
+        assert [d for d in full if isinstance(d, str)] == ["a", "b"]
+
     def test_duplicate_ref_id(self, tmp_path):
         bad = record(sentences=[
             {"text": "One <ref id=r1/>.", "refs": [{"ref_id": "r1"}]},

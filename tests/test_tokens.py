@@ -105,3 +105,12 @@ def _text_and_spans(draw):
 def test_matches_legacy_tokenizer(case):
     text, spans = case
     assert tokenize(text) == tuple(legacy_words(text, spans))
+
+
+def test_every_bmp_code_point_matches_legacy_tokenizer():
+    # Each code point alone, between two letters and after a curly
+    # apostrophe, by the Unicode tables of the Python running the test;
+    # surrogates are included, as JSON can deliver a lone one.
+    texts = [shape.format(chr(code)) for code in range(0x10000)
+             for shape in ("{}", "a{}b", "a’{}")]
+    assert [t for t in texts if tokenize(t) != tuple(legacy_words(t))] == []
