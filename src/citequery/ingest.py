@@ -258,8 +258,8 @@ def _valid_authors(raw) -> bool:
     return True
 
 
-def _check_ref(ref, seen_ids: set[str]) -> None:
-    """Check one ``refs`` entry and claim its id in ``seen_ids``."""
+def _check_ref(ref, seen_ids: set[str]) -> str:
+    """Check one ``refs`` entry, claim its id in ``seen_ids`` and return it."""
     ref_id = ref.get("ref_id") if isinstance(ref, dict) else None
     if not isinstance(ref_id, str) or not ref_id:  # "" is never seen, so is bad_ref
         raise RecordError("bad_ref")
@@ -271,6 +271,7 @@ def _check_ref(ref, seen_ids: set[str]) -> None:
             or not _valid_authors(ref.get("cited_authors"))):
         raise RecordError("bad_ref")
     seen_ids.add(ref_id)
+    return ref_id
 
 
 def _marker_ref(attrs: dict[str, str], seen_ids: set[str]) -> dict:
@@ -340,13 +341,24 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list, dict]]:
             refs = []
         if not isinstance(text, str) or not isinstance(refs, list):
             raise RecordError("bad_sentences")
+        # The plain marker of a listed id free of '"', '<' and '>' is one that
+        # _MARKERS reads as that id. When each is found after the one before (so
+        # the search stays linear) and the text holds no other "<ref", they are
+        # all its markers, once each: the regex is skipped.
+        spans, end = {}, 0
+        marked = plain = "<ref" in text
         for ref in refs:
-            _check_ref(ref, seen_ids)
-        spans = {}
-        # The last marker of an id gives its span; ids absent from the refs
-        # array become refs of their own, after the array's.
-        if "<ref" in text:
-            listed = {ref["ref_id"] for ref in refs}
+            ref_id = _check_ref(ref, seen_ids)
+            if plain:
+                marker = f'<ref id="{ref_id}"/>'
+                at = text.find(marker, end)
+                end = at + len(marker)
+                spans[ref_id] = (at, end)
+                plain = at >= 0 and '"' not in ref_id and "<" not in ref_id and ">" not in ref_id
+        # Else the last marker of an id gives its span; ids absent from the
+        # refs array become refs of their own, after the array's.
+        if marked and not (plain and text.count("<ref") == len(refs)):
+            spans, listed = {}, {ref["ref_id"] for ref in refs}
             for marker in _MARKERS.finditer(text):  # only a plain one is not parsed in full
                 attrs = None if marker[3] is None else parse_ref_markers(marker[0])[0][1]
                 ref_id = marker[1] or marker[2] if attrs is None else attrs.get("id", "")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import re
 
-# An inline reference marker, ``<ref .../>``; group 1 holds its attributes.
-REF_MARKER = re.compile(r"<ref\b([^<>]*?)/>")
+# An inline reference marker, ``<ref .../>``; group 1 holds its attributes
+# (``[^<>]*`` stops at the first ">", so greedy matches what lazy would).
+REF_MARKER = re.compile(r"<ref\b([^<>]*)/>")
 # Everything that is neither alphanumeric, a joiner nor whitespace;
 # ``\w`` also admits ``_``, which is not alphanumeric.
 _DROPPED = re.compile(r"[^\w'\-’\s]|_")
@@ -38,7 +39,14 @@ def tokenize(text: str) -> tuple[str, ...]:
     if not kept.isascii():
         kept = _DROPPED.sub("", kept).replace("’", "'")
     if "'" in kept or "-" in kept:
-        return tuple(_WORD.findall(kept))
+        # ``_WORD`` spans no whitespace: only a chunk holding a joiner needs it.
+        words = []
+        for chunk in kept.split():
+            if chunk.isalnum():
+                words.append(chunk)
+            else:
+                words += _WORD.findall(chunk)
+        return tuple(words)
     # Else all is alphanumeric (sre's ``[^\W_]`` is ``str.isalnum``) or
     # whitespace (``\s`` is ``str.isspace``, on which ``split`` splits).
     return tuple(kept.split())

@@ -880,16 +880,20 @@ MARKER_FORMS = [
     "<ref id={} cited_year=2_001/>", "<ref id={} cited_year=-3/>", '<ref id="{}">',
     '<ref id="{}"/ >', '<refs id="{}"/>',
 ]
+# Ids, listed and filled into the forms, holding a quote, "<", ">", "/" or a
+# space: the marker regex reads the plain marker of some as another id or
+# as no marker, and that of others as the id itself.
+ODD_IDS = ['a"b', "p<q", "x>y", "s/t", "u v"]
 oracle_sentences = st.lists(
     st.tuples(
         st.lists(st.one_of(st.sampled_from(["Debated", "data", "x's.", "No"]),
                            st.tuples(st.sampled_from(MARKER_FORMS),
-                                     st.sampled_from(["r0", "r1", "r2", "r9"]))
+                                     st.sampled_from(["r0", "r1", "r2", "r9", *ODD_IDS]))
                            .map(lambda pair: pair[0].format(pair[1]))),
                  min_size=1, max_size=5),
         # The refs array: listed ids, each with or without cited authors.
         st.one_of(st.none(), st.lists(st.tuples(
-            st.sampled_from(["r0", "r1", "r2"]),
+            st.sampled_from(["r0", "r1", "r2", *ODD_IDS]),
             st.sampled_from([None, "Zhao", "Sun"])), max_size=2)),
     ),
     min_size=1, max_size=3,
@@ -919,6 +923,18 @@ def oracle_record(doc_id, mode, sentences):
 @example("presegmented", [("a", [(['See <ref xid="r1"/>'], [("r1", None)])])])
 @example("presegmented", [("a", [(['See <ref id="r1" id="r2"/>'], [("r1", None)])])])
 @example("rawtext", [("a", [(['See <ref id="r1" id="r2"/>', '<ref id="r1"/>'], None)])])
+# Listed ids whose plain marker the marker regex reads as the ref a or as
+# no marker; a listed plain marker written twice; and a sentence holding as
+# many "<ref" as refs, one of them no marker, or its refs listed out of
+# marker order.
+@example("presegmented", [("a", [(['See <ref id="a"b"/>'], [('a"b', None)])])])
+@example("presegmented", [("a", [(['See <ref id="p<q"/>'], [("p<q", None)])])])
+@example("presegmented", [("a", [(['See <ref id="x>y"/>'], [("x>y", None)])])])
+@example("presegmented", [("a", [(['See <ref id="r1"/>', '<ref id="r1"/>'], [("r1", None)])])])
+@example("presegmented", [("a", [(['See <ref id="r1"/>', '<refs id="r2"/>'],
+                                  [("r1", None), ("r2", None)])])])
+@example("presegmented", [("a", [(['See <ref id="r2"/>', '<ref id="r1"/>'],
+                                  [("r1", None), ("r2", None)])])])
 def test_the_reader_equals_the_oracle(tmp_path_factory, mode, docs):
     """``load_corpus`` gives the oracle's documents and load errors, and
     ``read_citing`` its citing sentences and load errors, over records

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,21 @@ def test_curly_apostrophe_normalized():
 
 def test_underscore_and_soft_hyphen_dropped():
     assert tokenize("snake_case co­operate") == ("snakecase", "cooperate")
+
+
+@pytest.mark.parametrize("text", [
+    "-a", "a-", "a--b", "'s", "al’s", "x-'y", "-a a- a--b 's al’s x-'y",
+    "We -a, b- 'in' al’s x-'y end.", "well-{m}known", "al’{m}s", "{m}-a a-{m}", "x-{m}'y",
+])
+def test_joiners_at_chunk_edges_match_legacy_tokenizer(text):
+    # "{m}" is where a ref marker goes.
+    marker = '<ref id="r1"/>'
+    first, *rest = text.split("{m}")
+    marked, spans = first, []
+    for part in rest:
+        spans.append((len(marked), len(marked) + len(marker)))
+        marked += marker + part
+    assert tokenize(marked) == tuple(legacy_words(marked, spans))
 
 
 # Characters on which a regex tokenizer could part ways with the
