@@ -138,7 +138,9 @@ GROUPINGS = (*_DOC_GROUPS, *_CITANCE_GROUPS)
 
 
 def _label_sort_key(group) -> tuple:
-    return (1, "") if group == UNKNOWN else (0, str(group))
+    """Known labels in their own order (a grouping's known labels share one
+    type, so meso field 7 comes before 10), ``unknown`` last."""
+    return (1, "") if group == UNKNOWN else (0, group)
 
 
 # Groupings whose groups do not sort by their label, ``unknown`` last.

@@ -15,11 +15,15 @@ import argparse
 import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import stat
 import sys
+from collections import Counter
 from contextlib import AbstractContextManager, contextmanager, suppress
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -152,19 +156,28 @@ class OutputWriter:
 
 def _write_csv(handle: IO[str], header: Sequence[str], rows) -> None:
     """csv writes None as an empty cell, a float by ``repr`` and any other
-    value by ``str``."""
+    value by ``str``. Rows are formatted in runs of up to 4096, one csv
+    call per run; a run whose text holds a "\r" is formatted row by row."""
     writer = csv.writer(handle, lineterminator="\n")
     # With a "\n" terminator csv leaves a bare "\r" unquoted, and no reader
     # could tell it from a line break, so such rows are quoted in full.
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
-    for row in rows:
-        for cell in row:
-            if isinstance(cell, str) and "\r" in cell:
-                quoted.writerow(row)
-                break
-        else:
-            writer.writerow(row)
+    rows = iter(rows)
+    while run := list(islice(rows, 4096)):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(run)
+        text = buffer.getvalue()
+        if "\r" not in text:
+            handle.write(text)
+            continue
+        for row in run:
+            for cell in row:
+                if isinstance(cell, str) and "\r" in cell:
+                    quoted.writerow(row)
+                    break
+            else:
+                writer.writerow(row)
 
 
 class _reading(AbstractContextManager):
@@ -342,24 +355,21 @@ def cmd_match(args) -> int:
             handle.write(f'{head}{query_ids[r.query_id]}, "signal": [{s.start}, {s.end}], '
                          f'"filter": {filtered}{tail}')
 
-    by_query: dict[str, int] = {}
-    for r in records:
-        by_query[r.query_id] = by_query.get(r.query_id, 0) + 1
-    signals: dict[str, dict[str, int]] = {}
+    # A cell sums the records of every query with its signal and filter set.
+    by_query = Counter(map(attrgetter("query_id"), records))
+    signals: dict[str, Counter[str]] = {}
     filter_sets: list[str] = []
     for q in queries:
-        signals.setdefault(q.signal_id, {})[q.filter_set] = by_query.get(q.query_id, 0)
+        signals.setdefault(q.signal_id, Counter())[q.filter_set] += by_query[q.query_id]
         if q.filter_set not in filter_sets:
             filter_sets.append(q.filter_set)
     writer.write_csv(
         "match_summary.csv",
         ["signal"] + filter_sets,
-        ([signal] + [cells.get(f, 0) for f in filter_sets]
-         for signal, cells in signals.items()),
+        ([signal] + [cells[f] for f in filter_sets] for signal, cells in signals.items()),
     )
 
-    print(f"citances matched: {len({(r.doc_id, r.sentence_index) for r in records})}; "
-          f"records: {len(records)}")
+    print(f"citances matched: {len(texts)}; records: {len(records)}")
     return 0
 
 

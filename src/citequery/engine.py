@@ -45,6 +45,7 @@ independent oracle in ``tests/naive_scanner.py``:
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 from operator import attrgetter, contains
 from typing import Iterable, NamedTuple, Sequence
 
@@ -206,8 +207,9 @@ class _SignalGroup(NamedTuple):
         spans: list[Span] = []
         carveouts = self.carveout_tokens
         for pattern, exempt in self.patterns:
-            _, _, last, text = pattern
-            for start in _starts(pattern, classes, positions):
+            first, rest, last, text = pattern
+            starts = _starts(pattern, classes, positions) if rest else positions.get(first, ())
+            for start in starts:
                 if carveouts and not all(
                     map(carveouts.isdisjoint, classes[start:start + last + 1])
                 ):
@@ -234,36 +236,18 @@ def _filter_spans(
     patterns: tuple[_Compiled, ...],
     classes: list[frozenset[str]],
     positions: dict[str, list[int]],
-) -> list[Span]:
-    return sorted([
-        Span(s, s + p[2], p[3])
-        for p in patterns if p[0] in positions  # most filter patterns do not occur
-        for s in _starts(p, classes, positions)
-    ])
-
-
-def _first_within(
-    signals: list[Span], filters: list[Span], max_gap: int
-) -> tuple[Span, Span] | None:
-    """The first (signal, filter) pair, in span order, at most ``max_gap`` apart.
-
-    A filter is that close when it ends at most ``max_gap + 1`` words
-    before the signal starts and starts at most that many after it ends.
-    Signals come in start order, so a filter ending too early for one
-    signal ends too early for every later one, and is passed for good;
-    the first filter left is the only one to check, as the rest start
-    no earlier.
-    """
-    i, n = 0, len(filters)
-    for signal in signals:
-        lo = signal.start - max_gap - 1
-        while i < n and filters[i].end < lo:
-            i += 1
-        if i == n:
-            return None
-        if filters[i].start <= signal.end + max_gap + 1:
-            return signal, filters[i]
-    return None
+) -> list[tuple[int, int, str]]:
+    """Sorted spans of ``patterns``, as plain ``(start, end, text)`` tuples."""
+    spans = []
+    for pattern in patterns:
+        first, rest, last, text = pattern
+        starts = positions.get(first)
+        if starts:  # most filter patterns do not occur
+            if rest:
+                starts = _starts(pattern, classes, positions)
+            spans += [(s, s + last, text) for s in starts]
+    spans.sort()
+    return spans
 
 
 class CatalogMatcher:
@@ -320,20 +304,14 @@ class CatalogMatcher:
         if self.lead_free.issuperset(words):
             return []  # no word can start a signal: no query is a candidate
         classifier = self._classifier
-        cache = classifier.cache
-        classes: list[frozenset[str]] = []
+        classes = list(map(classifier.cache.get, words))
+        if None in classes:  # classify each word not seen before
+            classes = [classifier.classify(w) if c is None else c
+                       for w, c in zip(words, classes)]
         positions: dict[str, list[int]] = {}
-        for i, word in enumerate(words):
-            c = cache.get(word)
-            if c is None:
-                c = classifier.classify(word)
-            classes.append(c)
-            for token in c:
-                hits = positions.get(token)
-                if hits is None:
-                    positions[token] = [i]
-                else:
-                    hits.append(i)
+        for i in compress(range(len(classes)), classes):
+            for token in classes[i]:
+                positions.setdefault(token, []).append(i)
         candidates: set[int] = set()
         for token in positions:
             hits = self._groups_by_lead.get(token)
@@ -341,7 +319,7 @@ class CatalogMatcher:
                 candidates.update(hits)
 
         doc_id, sentence_index = citance.doc_id, citance.sentence_index
-        filters: dict[str, list[Span]] = {}
+        filters: dict[str, list[tuple[int, int, str]]] = {}
         records = []
         for group_index in sorted(candidates):
             group = self._groups[group_index]
@@ -357,9 +335,23 @@ class CatalogMatcher:
                     spans = filters[filter_set] = _filter_spans(
                         self._filters[filter_set], classes, positions
                     )
-                pair = _first_within(signals, spans, max_gap)
-                if pair is not None:
-                    records.append(MatchRecord(doc_id, sentence_index, query_id, *pair))
+                # The record holds the first (signal, filter) pair in span order
+                # at most max_gap apart: the filter ends at most max_gap + 1
+                # words before the signal starts and starts at most that many
+                # after it ends. A filter ending too early for one signal ends
+                # too early for every later one, and the first filter left is
+                # the only one to check, as the rest start no earlier.
+                i, n = 0, len(spans)
+                for signal in signals:
+                    start, end, _ = signal
+                    while i < n and spans[i][1] < start - max_gap - 1:
+                        i += 1
+                    if i == n:
+                        break
+                    if spans[i][0] <= end + max_gap + 1:
+                        records.append(MatchRecord(doc_id, sentence_index, query_id,
+                                                   signal, Span(*spans[i])))
+                        break
         return records
 
 

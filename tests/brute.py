@@ -121,7 +121,7 @@ def brute_rates(flags, documents, grouping: str) -> list[tuple[object, int, int]
             return (0, -1 if group == "<0" else int(group.split("-")[0]), "")
         if grouping == "position_bin":
             return (0, int(group.split("-")[0]), "")
-        return (0, 0, str(group))
+        return (0, 0, group)  # each grouping's known labels share one type
 
     return [(group, flagged.get(group, 0), totals[group]) for group in sorted(totals, key=order)]
 

@@ -130,6 +130,13 @@ class TestRateBy:
         (row,) = rows_of(set(), docs, "main_field")
         assert row.group == "unknown"
 
+    def test_number_labels_sort_as_numbers(self):
+        docs = [make_doc("a", 2, meso=10), make_doc("b", 2), make_doc("c", 2, meso=7)]
+        flags = {("a", 0), ("c", 0), ("c", 1)}
+        assert [r.group for r in rows_of(flags, docs, "meso_field")] == [7, 10, "unknown"]
+        assert [r.meso_field for r in meso_log_ratio(rows_of(flags, docs, "meso_field"))] \
+            == [7, 10]
+
     def test_age_bins_count_reference_pairs(self):
         def ref(doc_id, i):
             years = {0: 2008, 1: 2012, 2: None}
@@ -207,7 +214,7 @@ class TestRateBy:
             docs.append(Document(
                 f"d{i}", draw(st.integers(1995, 2005)), "other",
                 draw(st.sampled_from((None, "SocHum", "MathComp"))),
-                draw(st.sampled_from((None, 1, 2))), tuple(sentences)))
+                draw(st.sampled_from((None, 1, 2, 7, 10))), tuple(sentences)))
         docs.extend(TestRateBy.EDGE_DOCS)
         keys = [(doc.doc_id, sentence.index) for doc in docs for sentence in doc.sentences]
         flags = set(draw(st.lists(st.sampled_from(keys))))

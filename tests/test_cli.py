@@ -167,6 +167,23 @@ class TestMatch:
         assert [r["signal"] for r in read_csv(out / "match_summary.csv")] == [
             "controvers*", "no consensus"]
 
+    def test_summary_cell_sums_the_queries_sharing_it(self, golden_args, tmp_path, capsys):
+        """Two queries with one main signal and one filter set share a cell,
+        which counts the records of both."""
+        queries = tmp_path / "queries.txt"
+        queries.write_text("query a\nsignal controvers*\n\n"
+                           "query b\nsignal controvers*\nexclude citance_phrase:remains\n")
+        out = tmp_path / "out"
+        assert main(["match", *golden_args, "--queries", str(queries),
+                     "--out", str(out)]) == 0
+        records = read_csv(out / "matches.csv")
+        assert sorted({r["query_id"] for r in records}) == ["a", "b"]
+        assert read_csv(out / "match_summary.csv") == [
+            {"signal": "controvers*", "standalone": str(len(records))}]
+        matched = {(r["doc_id"], r["sentence_index"]) for r in records}
+        assert capsys.readouterr().out == (
+            f"citances matched: {len(matched)}; records: {len(records)}\n")
+
     def test_bad_query_file_is_data_error(self, golden_args, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text("query a\nsignal cont*overs\nfilter none\n")
@@ -1210,6 +1227,34 @@ def test_corpus_records_of_any_shape_load_or_are_load_errors(records, mode):
             "--which", "rates,slopes,selfcite,age,position,meso,top",
         ])
     assert code in (0, 2), err
+
+
+def per_row_csv(header, rows) -> str:
+    """What ``_write_csv`` writes, one row at a time: a row with a "\r" in
+    a text cell is quoted in full, any other row only where csv must."""
+    out = io.StringIO()
+    minimal = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    minimal.writerow(header)
+    for row in rows:
+        carriage_return = any(isinstance(cell, str) and "\r" in cell for cell in row)
+        (quoted if carriage_return else minimal).writerow(row)
+    return out.getvalue()
+
+
+csv_cells = st.none() | st.integers() | st.floats() | st.text(
+    alphabet='ab 1,"\n\r\t\xe9\u2028\U0001f600', max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(csv_cells, max_size=5), max_size=8))
+@example([["a", 1]] * 5000 + [["b\rc", None, 2.5]])  # a "\r" in the second run of rows
+@example([[None, "x\r"]] + [["y", 0.1]] * 4100)  # a "\r" in the first run only
+def test_write_csv_writes_what_a_per_row_writer_writes(rows):
+    handle = io.StringIO()
+    cli._write_csv(handle, ("h1", "h,2"), (tuple(row) for row in rows))
+    # As lists of lines, so a failure names the first line that differs.
+    assert handle.getvalue().split("\n") == per_row_csv(("h1", "h,2"), rows).split("\n")
 
 
 LONG_TEXT = "x" * 131_072 + "\n# coder mallory\n#\n" + "y" * 10
