@@ -103,7 +103,8 @@ def _count(text: str) -> int:
 def _unit_interval(text: str) -> float | None:
     """``text`` as a number in [0, 1] if DECIMAL writes it, else None."""
     value = float(text) if DECIMAL.fullmatch(text) else -1.0
-    return value if 0.0 <= value <= 1.0 else None  # an overflow to inf is out too
+    # An overflow to inf is out too, and abs reads a "-0" as 0.0, not -0.0.
+    return abs(value) if 0.0 <= value <= 1.0 else None
 
 
 def _fraction(text: str) -> float:

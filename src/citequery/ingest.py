@@ -37,10 +37,6 @@ ABBREVIATIONS = frozenset(
 )
 
 _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
-# A plain marker, ``<ref id="X"/>`` or ``<ref id=X/>`` with X not empty and
-# free of quotes, ``<``, ``>`` (and, bare, of whitespace and ``/``), ends at
-# REF_MARKER's ``/>`` and sets group 1 or 2 to X; any other sets group 3.
-_MARKERS = re.compile(r'<ref\s+id=(?:"([^"<>]+)"|([^\s"\'<>/]+))\s*/>|' + REF_MARKER.pattern)
 # The one form of every integer and every decimal number an input or option
 # gives: ASCII digits after an optional "-" (a decimal may hold a "." and an
 # exponent), so "1_0", "+4", " 4 ", "٤", "nan" and "inf" are no numbers.
@@ -87,7 +83,6 @@ class RefLink(NamedTuple):
     cited_doc_id: str | None = None
     cited_year: int | None = None
     self_citation: str = UNKNOWN  # SELF, NON_SELF or UNKNOWN; see _self_class
-    span: tuple[int, int] | None = None  # marker offsets within the sentence text
 
 
 class Sentence(NamedTuple):
@@ -202,37 +197,30 @@ def sentence_spans(
     return spans
 
 
-def _sentence_links(text: str, links: Sequence[tuple[object, tuple[int, int] | None]]):
-    """Split raw text into (index, text, links) sentences. A sentence holds
-    each ``(item, span)`` link whose document-level marker span lies within
-    it, rebased to sentence-local offsets; links without a span are dropped.
-    No sentence boundary is ever placed inside a marker span."""
-    spans = sentence_spans(text, [span for _, span in links if span is not None])
+def _sentence_links(text: str, links: Sequence[tuple[object, tuple[int, int]]]):
+    """Split raw text into (index, text, items) sentences. A sentence holds
+    the item of each ``(item, span)`` link whose marker span lies within it,
+    and no sentence boundary is ever placed inside a marker span."""
+    spans = sentence_spans(text, [span for _, span in links])
     starts = [start for start, _ in spans]
-    local: list[list] = [[] for _ in spans]
-    for item, span in links:
-        if span is None:
-            continue
+    held: list[list] = [[] for _ in spans]
+    for item, (start, end) in links:
         # Sentences are disjoint, so only the last one starting at or
         # before the marker can hold it.
-        index = bisect_right(starts, span[0]) - 1
-        if index >= 0 and span[1] <= spans[index][1]:
-            start = starts[index]
-            local[index].append((item, (span[0] - start, span[1] - start)))
-    return [(index, text[start:end], local[index]) for index, (start, end) in enumerate(spans)]
+        index = bisect_right(starts, start) - 1
+        if index >= 0 and end <= spans[index][1]:
+            held[index].append(item)
+    return [(index, text[start:end], held[index]) for index, (start, end) in enumerate(spans)]
 
 
-def split_sentences(text: str, refs: Sequence[RefLink] = ()) -> list[Sentence]:
-    """Split raw text into sentences, distributing refs by marker span.
-
-    ``refs`` carry document-level marker spans; the returned sentences
-    hold the same links rebased to sentence-local offsets. No sentence
-    boundary is ever placed inside a marker span.
-    """
-    return [
-        Sentence(index, sentence, tuple(r._replace(span=span) for r, span in links))
-        for index, sentence, links in _sentence_links(text, [(r, r.span) for r in refs])
-    ]
+def split_sentences(
+    text: str, links: Sequence[tuple[RefLink, tuple[int, int]]] = ()
+) -> list[Sentence]:
+    """Split raw text into sentences, each holding the ref of every
+    ``(ref, span)`` link whose marker span (offsets in ``text``) lies
+    within it. No sentence boundary is ever placed inside a marker span."""
+    return [Sentence(index, sentence, tuple(refs))
+            for index, sentence, refs in _sentence_links(text, links)]
 
 
 # Validation. Every load error code but bad_json and dup_doc_id is raised
@@ -286,11 +274,11 @@ def _marker_ref(attrs: dict[str, str], seen_ids: set[str]) -> dict:
     return ref
 
 
-def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list, dict]]:
+def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list]]:
     """Check one decoded JSON record and return its sentences as (index,
-    text, refs, spans): refs are the checked ``refs`` entries (a marker's
-    attributes in that shape), and spans maps the id of each that has a
-    marker to the sentence-local span of its last one.
+    text, refs): refs are the checked ``refs`` entries, then, in marker
+    order, the attributes of each marker of an id they do not list, in
+    that shape.
 
     Raises RecordError with a stable code for malformed records.
     """
@@ -323,9 +311,8 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list, dict]]:
         body = obj["body"]
         if not isinstance(body, str):
             raise RecordError("bad_body")
-        links = [(_marker_ref(attrs, seen_ids), span) for span, attrs in parse_ref_markers(body)]
-        return [(index, text, [ref for ref, _ in held], {ref["ref_id"]: span for ref, span in held})
-                for index, text, held in _sentence_links(body, links)]
+        return _sentence_links(body, [(_marker_ref(attrs, seen_ids), span)
+                                      for span, attrs in parse_ref_markers(body)])
     if mode != "presegmented":
         raise ValueError(f"unknown mode: {mode!r}")
     if "sentences" not in obj:
@@ -342,10 +329,10 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list, dict]]:
         if not isinstance(text, str) or not isinstance(refs, list):
             raise RecordError("bad_sentences")
         # The plain marker of a listed id free of '"', '<' and '>' is one that
-        # _MARKERS reads as that id. When each is found after the one before (so
-        # the search stays linear) and the text holds no other "<ref", they are
-        # all its markers, once each: the regex is skipped.
-        spans, end = {}, 0
+        # parse_ref_markers reads as that id. When each is found after the one
+        # before (so the search stays linear) and the text holds no other "<ref",
+        # they are all its markers, once each: the regex is skipped.
+        end = 0
         marked = plain = "<ref" in text
         for ref in refs:
             ref_id = _check_ref(ref, seen_ids)
@@ -353,19 +340,14 @@ def _checked_sentences(obj, mode: str) -> list[tuple[int, str, list, dict]]:
                 marker = f'<ref id="{ref_id}"/>'
                 at = text.find(marker, end)
                 end = at + len(marker)
-                spans[ref_id] = (at, end)
                 plain = at >= 0 and '"' not in ref_id and "<" not in ref_id and ">" not in ref_id
-        # Else the last marker of an id gives its span; ids absent from the
-        # refs array become refs of their own, after the array's.
+        # Else ids absent from the refs array become refs of their own, after
+        # the array's.
         if marked and not (plain and text.count("<ref") == len(refs)):
-            spans, listed = {}, {ref["ref_id"] for ref in refs}
-            for marker in _MARKERS.finditer(text):  # only a plain one is not parsed in full
-                attrs = None if marker[3] is None else parse_ref_markers(marker[0])[0][1]
-                ref_id = marker[1] or marker[2] if attrs is None else attrs.get("id", "")
-                if ref_id not in listed:
-                    refs = [*refs, _marker_ref(attrs or {"id": ref_id}, seen_ids)]
-                spans[ref_id] = marker.span()
-        sentences.append((index, text, refs, spans))
+            listed = {ref["ref_id"] for ref in refs}
+            refs = [*refs, *(_marker_ref(attrs, seen_ids) for _, attrs in parse_ref_markers(text)
+                             if attrs.get("id", "") not in listed)]
+        sentences.append((index, text, refs))
     return sentences
 
 
@@ -388,7 +370,7 @@ def _self_class(initials: dict[str, set[str | None]], cited: list | None) -> str
     return NON_SELF
 
 
-def _document(obj: dict, sentences: list[tuple[int, str, list, dict]]) -> Document:
+def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
     """The Document of a record and its ``_checked_sentences``."""
     initials: dict[str, set[str | None]] = {}
     for author in obj.get("authors") or ():
@@ -402,9 +384,9 @@ def _document(obj: dict, sentences: list[tuple[int, str, list, dict]]) -> Docume
         sentences=tuple([
             Sentence(index, text, tuple([
                 RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
-                        _self_class(initials, ref.get("cited_authors")), spans.get(ref["ref_id"]))
+                        _self_class(initials, ref.get("cited_authors")))
                 for ref in refs]) if refs else ())
-            for index, text, refs, spans in sentences]),
+            for index, text, refs in sentences]),
     )
 
 
@@ -502,7 +484,7 @@ def numbered_csv_columns(
 
 def _checked_records(
     path: str | Path, mode: str, errors: list[LoadError]
-) -> Iterator[tuple[dict, list[tuple[int, str, list, dict]]]]:
+) -> Iterator[tuple[dict, list[tuple[int, str, list]]]]:
     """Each record of a corpus file that loads, with its
     ``_checked_sentences``; load errors go to ``errors`` (see load_corpus)."""
     if mode not in ("presegmented", "rawtext"):
@@ -553,7 +535,7 @@ def read_citing(
     raises as in ``load_corpus``.
     """
     for obj, sentences in _checked_records(path, mode, errors):
-        yield obj["doc_id"], [(index, text) for index, text, refs, _ in sentences if refs]
+        yield obj["doc_id"], [(index, text) for index, text, refs in sentences if refs]
 
 
 def extract_citances(doc: Document) -> list[Citance]:

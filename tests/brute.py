@@ -10,9 +10,11 @@ labels and group order.
 
 ``oracle_corpus`` loads corpus records by the definitional route: every
 marker's attributes parsed in full by ``parse_ref_markers``, each
-sentence's refs assembled as (entry, span) links, and the self-citation
-class decided over every pair of a citing and a cited author. It pins
-the reader's plain-marker path, its ref checks and its initials lookup.
+sentence's refs its listed entries and then one per marker of an id they
+do not list, a raw body's refs placed in sentences by ``split_sentences``,
+and the self-citation class decided over every pair of a citing and a
+cited author. It pins the reader's plain-marker path, its ref checks and
+its initials lookup.
 
 ``oracle_citation_table`` reads a citation counts CSV the way
 ``CitationTable.from_csv`` did before it moved to one C-level pass: each
@@ -204,9 +206,9 @@ def oracle_document(obj, mode: str) -> Document:
     if not _authors_ok(obj.get("authors")):
         raise RecordError("bad_authors")
 
-    def link(ref, span):
+    def link(ref):
         return RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
-                       oracle_self_class(obj.get("authors"), ref.get("cited_authors")), span)
+                       oracle_self_class(obj.get("authors"), ref.get("cited_authors")))
 
     seen: set = set()
     if mode == "rawtext":
@@ -214,9 +216,9 @@ def oracle_document(obj, mode: str) -> Document:
             raise RecordError("missing_body")
         if not isinstance(obj["body"], str):
             raise RecordError("bad_body")
-        refs = [link(_marker_ref(attrs, seen), span)
-                for span, attrs in parse_ref_markers(obj["body"])]
-        sentences = split_sentences(obj["body"], refs)
+        links = [(link(_marker_ref(attrs, seen)), span)
+                 for span, attrs in parse_ref_markers(obj["body"])]
+        sentences = split_sentences(obj["body"], links)
     else:
         if "sentences" not in obj:
             raise RecordError("missing_sentences")
@@ -229,15 +231,12 @@ def oracle_document(obj, mode: str) -> Document:
             refs = [] if refs is None else refs
             if not isinstance(text, str) or not isinstance(refs, list):
                 raise RecordError("bad_sentences")
-            # The last marker of an id gives its span; ids the refs array
-            # does not list are links of their own, after the array's.
-            markers = parse_ref_markers(text)
-            spans = {attrs.get("id", ""): span for span, attrs in markers}
-            links = [(ref, spans.get(_check_ref(ref, seen))) for ref in refs]
-            listed = {ref["ref_id"] for ref in refs}
-            links += [(_marker_ref(attrs, seen), span)
-                      for span, attrs in markers if attrs.get("id", "") not in listed]
-            sentences.append(Sentence(index, text, tuple(link(*pair) for pair in links)))
+            # Ids the refs array does not list are refs of their own, after
+            # the array's.
+            listed = {_check_ref(ref, seen) for ref in refs}
+            refs = [*refs, *(_marker_ref(attrs, seen) for _, attrs in parse_ref_markers(text)
+                             if attrs.get("id", "") not in listed)]
+            sentences.append(Sentence(index, text, tuple(map(link, refs))))
     return Document(obj["doc_id"], year, obj.get("doc_type", "other"), obj.get("main_field"),
                     meso, tuple(sentences))
 

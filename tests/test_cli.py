@@ -467,6 +467,23 @@ class TestSampleAnnotateGate:
             "no annotations for the given coders\n")
         assert not (tmp_path / "g").exists()
 
+    def test_a_negative_zero_threshold_is_zero(self, tmp_path, capsys):
+        paths = []
+        for coder in ("alice", "bob"):
+            paths.append(tmp_path / f"{coder}.csv")
+            paths[-1].write_text(f"# coder {coder}\ndoc_id,sentence_index,query_id,text,label\n"
+                                 "g04,4,controvers.standalone,some text,valid\n")
+        written = {}
+        for threshold in ("0", "-0", "-0.0", "-0e1"):
+            out = tmp_path / f"g{threshold}"
+            assert main(["gate", "--annotations", *map(str, paths), f"--threshold={threshold}",
+                         "--out", str(out)]) == 0
+            written[threshold] = (capsys.readouterr().out.replace(str(out), "OUT"),
+                                  {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "threshold 0.0\n" in written["0"][1]["validated.txt"].decode()
+        for threshold, files in written.items():
+            assert files == written["0"], threshold
+
     def test_annotate_skip_leaves_blank(self, golden_args, tmp_path, monkeypatch):
         out = tmp_path / "out"
         main(["sample", *golden_args, "--out", str(out), "--n", "1"])

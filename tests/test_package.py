@@ -1,9 +1,11 @@
 """The package depends on the standard library only, reads no
 environment variable, defines no module-level name that nothing uses,
 starts without ``dataclasses`` or ``inspect``, and its five validating
-types refuse each bad field when built."""
+types refuse each bad field when built. README lists each named tuple's
+fields as the code defines them."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -144,3 +146,26 @@ BAD_FIELDS = {
 def test_each_validating_type_refuses_each_bad_field(cls, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+def test_readme_signatures_list_the_named_tuple_fields():
+    # Every backticked ``Name(field, ...)`` in README whose Name is a named
+    # tuple of the package lists that tuple's fields, in order.
+    modules = ["citequery", *(f"citequery.{path.stem}" for path in SRC.glob("*.py")
+                              if path.stem != "__init__")]
+    named_tuples = {
+        name: value._fields
+        for module in modules
+        for name, value in vars(importlib.import_module(module)).items()
+        if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+    }
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    checked, drift = set(), []
+    for name, fields in re.findall(r"`(\w+)\(([^`]*)\)`", readme):
+        if name in named_tuples:
+            checked.add(name)
+            listed = tuple(field.partition("=")[0].strip() for field in fields.split(","))
+            if listed != named_tuples[name]:
+                drift.append(f"{name}{listed} is {name}{named_tuples[name]}")
+    assert "RefLink" in checked
+    assert drift == []
