@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import sys
 from collections import Counter
@@ -52,7 +53,7 @@ from .ingest import (
     DECIMAL, DOC_TYPES, Citance, Document, LoadError, integer, iter_citances, load_corpus,
     numbered_csv_columns, numbered_lines, read_citing,
 )
-from .tokens import tokenize
+from .tokens import tokenize_all
 from .validation import (
     DEFAULT_SAMPLE_SIZE,
     AnnotationRecord,
@@ -84,6 +85,12 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative DECIMAL ("-0e1") is a value, not an option; argparse's own
+        # rule admits only "-1" and "-.5". Subparsers are _Parsers too.
+        self._negative_number_matcher = re.compile(rf"(?=-)(?:{DECIMAL.pattern})\Z")
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         raise UsageError(message)
@@ -286,17 +293,16 @@ def _config(args) -> dict:
 
 def _match_records(args, queries):
     """The match records of ``queries`` in ``run_all``'s order, and the text
-    of each matched citance. The corpus is streamed: each citance is
-    tokenized as it is read, and dropped at once if no word of it can start a
-    signal, else matched; only matched texts are kept."""
+    of each matched citance. The corpus is streamed: a document's citances
+    are tokenized together as it is read, and each is dropped at once if no
+    word of it can start a signal, else matched; only matched texts are kept."""
     matcher = CatalogMatcher(queries)
     match, lead_free = matcher.match_citance, matcher.lead_free
     records: list[MatchRecord] = []
     texts: dict[tuple[str, int], str] = {}
     with _citing_documents(args) as (documents, _):
         for doc_id, citing in documents:
-            for index, text in citing:
-                words = tokenize(text)
+            for (index, text), words in zip(citing, tokenize_all([t for _, t in citing])):
                 if lead_free.issuperset(words):
                     continue
                 found = match(Citance(doc_id, index, words))

@@ -206,6 +206,7 @@ class _SignalGroup(NamedTuple):
         context_ends: set[int] | None = None
         spans: list[Span] = []
         carveouts = self.carveout_tokens
+        _new = tuple.__new__  # skips the named tuple's Python-level __new__
         for pattern, exempt in self.patterns:
             first, rest, last, text = pattern
             starts = _starts(pattern, classes, positions) if rest else positions.get(first, ())
@@ -227,7 +228,7 @@ class _SignalGroup(NamedTuple):
                         }
                     if start - 1 in context_ends:
                         continue
-                spans.append(Span(start, start + last, text))
+                spans.append(_new(Span, (start, start + last, text)))
         spans.sort()
         return spans
 
@@ -321,6 +322,7 @@ class CatalogMatcher:
         doc_id, sentence_index = citance.doc_id, citance.sentence_index
         filters: dict[str, list[tuple[int, int, str]]] = {}
         records = []
+        _new = tuple.__new__  # skips the named tuples' Python-level __new__
         for group_index in sorted(candidates):
             group = self._groups[group_index]
             signals = group.survivors(words, classes, positions)
@@ -328,7 +330,8 @@ class CatalogMatcher:
                 continue
             for query_id, filter_set, max_gap in group.members:
                 if filter_set is None:
-                    records.append(MatchRecord(doc_id, sentence_index, query_id, signals[0]))
+                    records.append(_new(MatchRecord,
+                                        (doc_id, sentence_index, query_id, signals[0], None)))
                     continue
                 spans = filters.get(filter_set)
                 if spans is None:
@@ -349,8 +352,8 @@ class CatalogMatcher:
                     if i == n:
                         break
                     if spans[i][0] <= end + max_gap + 1:
-                        records.append(MatchRecord(doc_id, sentence_index, query_id,
-                                                   signal, Span(*spans[i])))
+                        records.append(_new(MatchRecord, (doc_id, sentence_index, query_id,
+                                                          signal, _new(Span, spans[i]))))
                         break
         return records
 

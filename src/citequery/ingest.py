@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .tokens import REF_MARKER, tokenize
+from .tokens import REF_MARKER, tokenize_all
 
 DOC_TYPES = ("full-article", "review", "short-communication", "other")
 MAIN_FIELDS = ("BioHealth", "LifeEarth", "MathComp", "PhysEngr", "SocHum")
@@ -406,7 +406,8 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     and a UTF-8 byte order mark opening line 1 is dropped. An unreadable
     file raises OSError, and a line that is not UTF-8 a ValueError naming it.
     """
-    with open(path, "rb") as handle:
+    # A corpus line runs to about 8 KB, the size of the default buffer.
+    with open(path, "rb", buffering=1 << 16) as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 yield lineno, raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
@@ -540,8 +541,9 @@ def read_citing(
 
 def extract_citances(doc: Document) -> list[Citance]:
     """Citances of a document: its ref-bearing sentences, tokenized."""
-    return [Citance(doc.doc_id, sentence.index, tokenize(sentence.text))
-            for sentence in doc.sentences if sentence.refs]
+    citing = [sentence for sentence in doc.sentences if sentence.refs]
+    words = tokenize_all([sentence.text for sentence in citing])
+    return [Citance(doc.doc_id, s.index, w) for s, w in zip(citing, words)]
 
 
 def iter_citances(documents: Iterable[Document]) -> Iterator[Citance]:

@@ -30,12 +30,31 @@ _WORD = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*")
 
 def tokenize(text: str) -> tuple[str, ...]:
     """The words of sentence text, with every ref marker cut out."""
+    return _words(_kept(text))
+
+
+def tokenize_all(texts: list[str]) -> list[tuple[str, ...]]:
+    """``[tokenize(text) for text in texts]``, cutting markers and lowercasing once."""
+    # "<" bounds ``REF_MARKER``'s ``[^<>]*`` and starts no marker before "\x1f"; neither
+    # is cased or case-ignorable for ``lower``. A text's own "\x1f" (whitespace) reads as " ".
+    joined = "<\x1f".join(texts)
+    if joined.count("\x1f") >= len(texts):
+        joined = "<\x1f".join([text.replace("\x1f", " ") for text in texts])
+    return list(map(_words, _kept(joined).split("\x1f"))) if texts else []
+
+
+def _kept(text: str) -> str:
+    """``text`` with its ref markers cut, lowercased, and its ASCII ``_DROPPED`` deleted."""
     if "<ref" in text:
         text = REF_MARKER.sub(" ", text)
     # ``surrogatepass`` carries a lone surrogate, which JSON can deliver,
-    # through unchanged; the non-ASCII pass below then drops it.
+    # through unchanged; ``_words``'s non-ASCII pass then drops it.
     kept = text.lower().encode("utf-8", "surrogatepass").translate(None, _ASCII_DROPPED)
-    kept = kept.decode("utf-8", "surrogatepass")
+    return kept.decode("utf-8", "surrogatepass")
+
+
+def _words(kept: str) -> tuple[str, ...]:
+    """The words of one text ``_kept`` gave."""
     if not kept.isascii():
         kept = _DROPPED.sub("", kept).replace("’", "'")
     if "'" in kept or "-" in kept:

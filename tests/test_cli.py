@@ -474,15 +474,17 @@ class TestSampleAnnotateGate:
             paths[-1].write_text(f"# coder {coder}\ndoc_id,sentence_index,query_id,text,label\n"
                                  "g04,4,controvers.standalone,some text,valid\n")
         written = {}
-        for threshold in ("0", "-0", "-0.0", "-0e1"):
-            out = tmp_path / f"g{threshold}"
-            assert main(["gate", "--annotations", *map(str, paths), f"--threshold={threshold}",
+        # A negative decimal after "--threshold" is its value, not an option.
+        for option in (["--threshold=0"], ["--threshold=-0"], ["--threshold=-0.0"],
+                       ["--threshold=-0e1"], ["--threshold", "-0e1"]):
+            out = tmp_path / f"g{len(written)}"
+            assert main(["gate", "--annotations", *map(str, paths), *option,
                          "--out", str(out)]) == 0
-            written[threshold] = (capsys.readouterr().out.replace(str(out), "OUT"),
-                                  {p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert "threshold 0.0\n" in written["0"][1]["validated.txt"].decode()
-        for threshold, files in written.items():
-            assert files == written["0"], threshold
+            written[" ".join(option)] = (capsys.readouterr().out.replace(str(out), "OUT"),
+                                         {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "threshold 0.0\n" in written["--threshold=0"][1]["validated.txt"].decode()
+        for option, files in written.items():
+            assert files == written["--threshold=0"], option
 
     def test_annotate_skip_leaves_blank(self, golden_args, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -1362,6 +1364,7 @@ def test_report_options_are_refused_before_any_file_is_read(options, message, tm
 @pytest.mark.parametrize("argv", [
     ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "1.5"],
     ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "-0.1"],
+    ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "-1e-3"],
     ["report", "--corpus", "absent.jsonl", "--which", "rates", "--threshold", "nan"],
     ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "1.5"],
     ["gate", "--annotations", "a.csv", "b.csv", "--threshold", "inf"],
@@ -1374,7 +1377,7 @@ def test_thresholds_outside_zero_one_are_usage_errors(argv, tmp_path, capsys):
     # None of the named files exists: a threshold is refused before any read.
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
-    assert "is not a number in [0, 1]" in capsys.readouterr().err
+    assert f"{argv[-1]!r} is not a number in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 

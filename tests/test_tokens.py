@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citequery.tokens import REF_MARKER, tokenize
+from citequery.tokens import REF_MARKER, tokenize, tokenize_all
 from legacy_tokenizer import legacy_words
 
 
@@ -130,3 +130,36 @@ def test_every_bmp_code_point_matches_legacy_tokenizer():
     texts = [shape.format(chr(code)) for code in range(0x10000)
              for shape in ("{}", "a{}b", "a’{}")]
     assert [t for t in texts if tokenize(t) != tuple(legacy_words(t))] == []
+
+
+# Fragments that could carry a marker, a cased letter's context or the
+# batch separator ("<" then "\x1f") across the edge between two texts,
+# and markers without their "<", which a "<" before a text would complete.
+_EDGE_FRAGMENTS = ("<", "ref", "/>", "<ref", "id=", "\x1f", "Σ", *(m[1:] for m in _MARKERS))
+
+
+@st.composite
+def _texts(draw):
+    """Up to 8 texts: a drawn run of fragments and characters, cut at
+    drawn offsets."""
+    pieces = draw(st.lists(st.one_of(  # an edge fragment half the time
+        st.sampled_from(_EDGE_FRAGMENTS),
+        st.one_of(st.sampled_from(_TRICKY + _MARKERS), st.characters()),
+    ), max_size=32))
+    ends = sorted(draw(st.lists(st.integers(0, len(pieces)), max_size=8)))
+    return ["".join(pieces[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_texts())
+def test_tokenize_all_equals_tokenize_per_text(texts):
+    assert tokenize_all(texts) == [tokenize(text) for text in texts]
+
+
+def test_every_bmp_code_point_tokenizes_alike_in_batches():
+    # Batches of 7 put each code point at a text's start, middle and end,
+    # beside the texts before and after it.
+    texts = [shape.format(chr(code)) for code in range(0x10000)
+             for shape in ("{}", "a{}b", "’{}", "Σ{}", "{}Σ")]
+    batches = [texts[i:i + 7] for i in range(0, len(texts), 7)]
+    assert [b for b in batches if tokenize_all(b) != list(map(tokenize, b))] == []
