@@ -104,11 +104,21 @@ def citance_self_class(sentence: Sentence) -> str:
     return SELF if SELF in classes else NON_SELF if NON_SELF in classes else UNKNOWN
 
 
-def _iter_citing_sentences(documents: Iterable[Document]):
+def _flagged_citances(flags: Flags, documents: Iterable[Document]):
+    """Each document, in order, with its citing sentences a key of ``flags``
+    names. The keys are indexed by doc id first, so a document no key names
+    costs one lookup and a flagged one a pass over its own sentences."""
+    index: dict[str, list[int]] = {}  # doc id -> the sentence indices named in it
+    for doc_id, sentence_index in flags:
+        index.setdefault(doc_id, []).append(sentence_index)
     for doc in documents:
-        for sentence in doc.sentences:
-            if sentence.refs:
-                yield doc, sentence
+        named = index.get(doc.doc_id)
+        if named:
+            named = set(named)
+            yield doc, [sentence for sentence in doc.sentences
+                        if sentence.index in named and sentence.refs]
+        else:
+            yield doc, ()
 
 
 def _known(value):
@@ -171,9 +181,8 @@ def rate_by(
         raise ValueError(f"unknown groupings {sorted(unknown)}; one of {GROUPINGS}")
     per_doc = [(_DOC_GROUPS[g], *tallies[g]) for g in tallies if g in _DOC_GROUPS]
     per_citance = [(_CITANCE_GROUPS[g], *tallies[g]) for g in tallies if g in _CITANCE_GROUPS]
-    for doc in documents:
+    for doc, flagged in _flagged_citances(flags, documents):
         citing = [sentence for sentence in doc.sentences if sentence.refs]
-        flagged = [sentence for sentence in citing if (doc.doc_id, sentence.index) in flags]
         for group_of, totals, positives in per_doc if citing else ():
             group = group_of(doc)
             totals[group] += len(citing)
@@ -261,13 +270,12 @@ def top_tables(
     """
     issued: dict[str, int] = {}
     received: dict[str, int] = {}
-    for doc, sentence in _iter_citing_sentences(documents):
-        if (doc.doc_id, sentence.index) not in flags:
-            continue
-        issued[doc.doc_id] = issued.get(doc.doc_id, 0) + 1
-        cited = {r.cited_doc_id for r in sentence.refs if r.cited_doc_id}
-        for doc_id in cited:
-            received[doc_id] = received.get(doc_id, 0) + 1
+    for doc, flagged in _flagged_citances(flags, documents):
+        for sentence in flagged:
+            issued[doc.doc_id] = issued.get(doc.doc_id, 0) + 1
+            cited = {r.cited_doc_id for r in sentence.refs if r.cited_doc_id}
+            for doc_id in cited:
+                received[doc_id] = received.get(doc_id, 0) + 1
 
     def top(counts: dict[str, int]) -> list[tuple[str, int]]:
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -296,27 +304,25 @@ class CitationTable:
         table = cls({}, {})
         pub_years, yearly = table.pub_years, table.yearly
         numbers = Integers()  # each distinct cell text is checked once
+        run_id = run_pub = None  # the doc_id and pub_year texts of the previous row
         with numbered_csv_columns(path, ("doc_id", "pub_year", "year", "citations")) as (
                 rows, line, _):
-            for doc_id, pub_year, year, citations in rows:
+            for doc_id, pub_text, year, citations in rows:
                 try:
-                    pub_year, year, citations = numbers[pub_year], numbers[year], numbers[citations]
+                    pub_year, year, citations = numbers[pub_text], numbers[year], numbers[citations]
                 except ValueError as exc:
                     raise ValueError(f"line {line()}: bad row ({exc})") from None
                 if citations < 0:
                     raise ValueError(f"line {line()}: bad row (negative citations {citations})")
-                if pub_years.setdefault(doc_id, pub_year) != pub_year:
-                    raise ValueError(f"line {line()}: conflicting pub_year for {doc_id!r}")
-                years = yearly.get(doc_id)
-                if years is None:
-                    years = yearly[doc_id] = {}
-                elif year in years:
+                if doc_id != run_id or pub_text != run_pub:  # a paper's rows come in runs
+                    if pub_years.setdefault(doc_id, pub_year) != pub_year:
+                        raise ValueError(f"line {line()}: conflicting pub_year for {doc_id!r}")
+                    years = yearly.setdefault(doc_id, {})
+                    run_id, run_pub = doc_id, pub_text
+                if year in years:
                     raise ValueError(f"line {line()}: repeated row for {(doc_id, year)!r}")
                 years[year] = citations
         return table
-
-    def citations(self, doc_id: str, year: int) -> int:
-        return self.yearly.get(doc_id, {}).get(year, 0)
 
 
 def first_disagreement_years(
@@ -324,15 +330,14 @@ def first_disagreement_years(
 ) -> dict[str, int]:
     """Earliest citing-paper year per cited paper over flagged citances."""
     first: dict[str, int] = {}
-    for doc, sentence in _iter_citing_sentences(documents):
-        if (doc.doc_id, sentence.index) not in flags:
-            continue
-        for ref in sentence.refs:
-            if not ref.cited_doc_id:
-                continue
-            current = first.get(ref.cited_doc_id)
-            if current is None or doc.year < current:
-                first[ref.cited_doc_id] = doc.year
+    for doc, flagged in _flagged_citances(flags, documents):
+        for sentence in flagged:
+            for ref in sentence.refs:
+                if not ref.cited_doc_id:
+                    continue
+                current = first.get(ref.cited_doc_id)
+                if current is None or doc.year < current:
+                    first[ref.cited_doc_id] = doc.year
     return first
 
 
@@ -415,23 +420,18 @@ def citation_gap(
     articles). Papers absent from the citation table count zero.
     """
     issuers = {doc_id for doc_id, _ in flags}
-    rows = []
-    flagged_docs = []
-    other_docs = []
+    absent: dict[int, int] = {}
+    flagged, other = [], []  # (year counts, year) per paper
     for doc in documents:
-        if doc_type is not None and doc.doc_type != doc_type:
-            continue
-        (flagged_docs if doc.doc_id in issuers else other_docs).append(doc)
-    if not flagged_docs:
+        if doc_type is None or doc.doc_type == doc_type:
+            (flagged if doc.doc_id in issuers else other).append(
+                (table.yearly.get(doc.doc_id, absent), doc.year))
+    if not flagged:
         raise ValueError("citation gap undefined: no flagged papers")
-    if not other_docs:
+    if not other:
         raise ValueError("citation gap undefined: no unflagged papers")
-    for k in range(1, horizon + 1):
-        mean_flagged = sum(
-            table.citations(d.doc_id, d.year + k) for d in flagged_docs
-        ) / len(flagged_docs)
-        mean_other = sum(
-            table.citations(d.doc_id, d.year + k) for d in other_docs
-        ) / len(other_docs)
-        rows.append(GapRow(k, mean_flagged, mean_other))
-    return rows
+
+    def mean(papers, k: int) -> float:
+        return sum(counts.get(year + k, 0) for counts, year in papers) / len(papers)
+
+    return [GapRow(k, mean(flagged, k), mean(other, k)) for k in range(1, horizon + 1)]

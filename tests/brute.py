@@ -6,7 +6,8 @@ cells, used to pin the cohort-weighted aggregation.
 
 ``brute_rates`` recounts one ``rate_by`` grouping citance by citance
 (reference by reference for ``age_bin``) with plain loops and its own bin
-labels and group order.
+labels and group order. ``brute_flagged`` recounts what ``top_tables`` and
+``first_disagreement_years`` read, testing every citing sentence's key.
 
 ``oracle_corpus`` loads corpus records by the definitional route: every
 marker's attributes parsed in full by ``parse_ref_markers``, each
@@ -126,6 +127,26 @@ def brute_rates(flags, documents, grouping: str) -> list[tuple[object, int, int]
         return (0, 0, group)  # each grouping's known labels share one type
 
     return [(group, flagged.get(group, 0), totals[group]) for group in sorted(totals, key=order)]
+
+
+def brute_flagged(flags, documents):
+    """(issued, received, first): flagged citances per citing document and
+    per cited document (a citance counted once per cited id), and the
+    earliest citing year per cited id, each in corpus order of first sight."""
+    issued: dict[str, int] = {}
+    received: dict[str, int] = {}
+    first: dict[str, int] = {}
+    for doc in documents:
+        for sentence in doc.sentences:
+            if not sentence.refs or (doc.doc_id, sentence.index) not in flags:
+                continue
+            issued[doc.doc_id] = issued.get(doc.doc_id, 0) + 1
+            cited = [ref.cited_doc_id for ref in sentence.refs if ref.cited_doc_id]
+            for doc_id in dict.fromkeys(cited):
+                received[doc_id] = received.get(doc_id, 0) + 1
+            for doc_id in cited:
+                first[doc_id] = min(first.get(doc_id, doc.year), doc.year)
+    return issued, received, first
 
 
 def nfkd_fold(value: str) -> str:

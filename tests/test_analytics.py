@@ -25,7 +25,7 @@ from citequery.analytics import (
 from citequery.catalog import ValidatedSet, default_validated_set
 from citequery.engine import MatchRecord, Span, run_all
 from citequery.ingest import NON_SELF, SELF, UNKNOWN, Document, RefLink, Sentence
-from brute import brute_impact, brute_rates, oracle_citation_table
+from brute import brute_flagged, brute_impact, brute_rates, oracle_citation_table
 
 
 def match(doc_id, index, query_id):
@@ -202,33 +202,49 @@ class TestRateBy:
     @staticmethod
     @st.composite
     def corpora(draw):
+        """Documents whose doc ids and sentence indices may repeat, and flags
+        that always name a sentence without refs, an absent document and a
+        sentence past a document's end."""
         docs = []
         for i in range(draw(st.integers(0, 6))):
             sentences = []
-            for index in range(draw(st.integers(1, 8))):
+            for position in range(draw(st.integers(1, 8))):
                 refs = tuple(
-                    RefLink(f"r{j}", cited_year=draw(st.none() | st.integers(1985, 2010)),
+                    RefLink(f"r{j}", draw(st.sampled_from((None, "", "d0", "d1", "one", "x"))),
+                            cited_year=draw(st.none() | st.integers(1985, 2010)),
                             self_citation=draw(st.sampled_from((SELF, NON_SELF, UNKNOWN))))
                     for j in range(draw(st.integers(0, 3))))
+                index = draw(st.sampled_from((position, position, position, 0)))
                 sentences.append(Sentence(index, "s", refs))
             docs.append(Document(
-                f"d{i}", draw(st.integers(1995, 2005)), "other",
+                f"d{draw(st.integers(0, i))}", draw(st.integers(1995, 2005)), "other",
                 draw(st.sampled_from((None, "SocHum", "MathComp"))),
                 draw(st.sampled_from((None, 1, 2, 7, 10))), tuple(sentences)))
         docs.extend(TestRateBy.EDGE_DOCS)
         keys = [(doc.doc_id, sentence.index) for doc in docs for sentence in doc.sentences]
+        uncited = [(doc.doc_id, s.index) for doc in docs for s in doc.sentences if not s.refs]
         flags = set(draw(st.lists(st.sampled_from(keys))))
+        flags.add(draw(st.sampled_from(uncited)))
         return docs, frozenset(flags | {("one", 0), ("absent", 0), ("d0", 99)})
 
     @settings(max_examples=100, deadline=None)
     @given(corpora())
     def test_every_grouping_equals_brute_force(self, corpus):
+        """``rate_by``'s groupings, ``top_tables`` and
+        ``first_disagreement_years`` equal a plain loop over every citing
+        sentence."""
         docs, flags = corpus
         repeated = (g for g in (*GROUPINGS, "year", "age_bin"))
         rates = rate_by(flags, docs, repeated)
         assert list(rates) == list(GROUPINGS)
         for grouping in GROUPINGS:
             assert rates[grouping] == brute_rates(flags, docs, grouping), grouping
+        issued, received, first = brute_flagged(flags, docs)
+        for n in (2, 100):
+            assert top_tables(flags, docs, n) == tuple(
+                sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+                for counts in (issued, received))
+        assert list(first_disagreement_years(flags, docs).items()) == list(first.items())
 
     def test_peak_memory_does_not_grow_with_documents(self):
         def ref(doc_id, i):
@@ -468,6 +484,14 @@ def _read_or_refuse(read, path):
 @example(b"doc_id,pub_year,year,citations\np1,2000,7,1\np1,2000,07,2\n")
 @example(b"doc_id,pub_year,year,citations\np1,2000,2001,x\np2,2000,caf\xe9,1\n")
 @example(b"#\xe9\ndoc_id,pub_year,year,citations\n")
+# A paper's pub_year changing within its rows, and its rows split by
+# another's: its pub_year and its years are checked again when it comes
+# back, and a pub_year spelled two ways is one year.
+@example(b"doc_id,pub_year,year,citations\np1,2000,2001,1\np1,1999,2002,1\n")
+@example(b"doc_id,pub_year,year,citations\np1,2000,2001,1\np2,2000,2001,1\np1,1999,2002,1\n")
+@example(b"doc_id,pub_year,year,citations\np1,2000,2001,1\np2,2000,2001,1\np1,2000,2001,2\n")
+@example(b"doc_id,pub_year,year,citations\np1,2000,2001,1\np1,02000,2002,1\n")
+@example(b"doc_id,pub_year,year,citations\np1,2000,2001,1\np1,02000,2002,1\np1,2000,2002,3\n")
 @example(b"\xef\xbb\xbf# a\r\ncitations,year,doc_id,pub_year,year\r\n\r\n"
          b'"1","x","""p\n1""","2000","2001"\r\n')
 def test_the_table_reader_equals_the_oracle(tmp_path_factory, content):
