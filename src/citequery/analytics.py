@@ -416,16 +416,15 @@ def citation_gap(
 ) -> list[GapRow]:
     """Mean-citation gap between flag-issuing and other papers, per year.
 
-    Optionally restricted to one document type (e.g. full research
-    articles). Papers absent from the citation table count zero.
+    A paper issues a flag when a key of ``flags`` names one of its citing
+    sentences. Optionally restricted to one document type (e.g. full
+    research articles). Papers absent from the citation table count zero.
     """
-    issuers = {doc_id for doc_id, _ in flags}
     absent: dict[int, int] = {}
     flagged, other = [], []  # (year counts, year) per paper
-    for doc in documents:
+    for doc, citing in _flagged_citances(flags, documents):
         if doc_type is None or doc.doc_type == doc_type:
-            (flagged if doc.doc_id in issuers else other).append(
-                (table.yearly.get(doc.doc_id, absent), doc.year))
+            (flagged if citing else other).append((table.yearly.get(doc.doc_id, absent), doc.year))
     if not flagged:
         raise ValueError("citation gap undefined: no flagged papers")
     if not other:

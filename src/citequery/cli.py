@@ -107,6 +107,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _horizon(text: str) -> int:
+    """argparse type of --horizon: a count of at most 200, the span of the
+    years a corpus may hold (1900-2100). The gap report has a row a year."""
+    value = _count(text)
+    if value > 200:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1 and <= 200")
+    return value
+
+
 def _unit_interval(text: str) -> float | None:
     """``text`` as a number in [0, 1] if DECIMAL writes it, else None."""
     value = float(text) if DECIMAL.fullmatch(text) else -1.0
@@ -678,7 +687,7 @@ def build_parser() -> _Parser:
     p.add_argument("--citations", help="per-paper yearly citation counts CSV")
     p.add_argument("--doc-type", dest="doc_type", choices=DOC_TYPES,
                    help="restrict the gap report to one document type")
-    p.add_argument("--horizon", type=_count, default=10)
+    p.add_argument("--horizon", type=_horizon, default=10)
     p.add_argument("--top-n", dest="top_n", type=_count, default=10)
     p.set_defaults(func=cmd_report)
 

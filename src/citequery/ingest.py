@@ -43,7 +43,10 @@ _MARKER_ATTR = re.compile(r"(\w+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s/>]+))")
 INTEGER = re.compile(r"-?[0-9]+")
 DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 _OPTIONAL_STR = (str, type(None))
-_TERMINATORS = ".!?"
+# A terminator that whitespace follows. The lookahead consumes nothing, so a
+# terminator that opens the next sentence is matched too; group 1 is where
+# that sentence would start. re's \s and str.isspace read the same characters.
+_BOUNDARY = re.compile(r"[.!?](?=\s+(\S))")
 # A JSON \u escape of a UTF-16 surrogate; json.loads keeps an unpaired one
 # as a str that no output file can encode. Scanned left to right, the second
 # regex skips an escaped backslash whole, so only a real escape matches; its
@@ -143,8 +146,6 @@ def _is_abbreviation(text: str, dot_index: int) -> bool:
         start -= 1
     chunk = text[start:dot_index].lower()
     core = chunk.lstrip("([{'\"").rstrip(".")
-    if not core:
-        return False
     if core in ABBREVIATIONS:
         return True
     return len(core) == 1 and core.isalpha()
@@ -161,39 +162,24 @@ def sentence_spans(
     single-letter initial. Spans are trimmed of surrounding whitespace;
     everything dropped between consecutive spans is whitespace.
     """
-    n = len(text)
     protected = sorted(protected_spans)
     k = 0  # protected spans before k end at or before the current index
-    boundaries: list[int] = []  # index one past the terminator
-    for i, c in enumerate(text):
-        if c not in _TERMINATORS:
-            continue
+    spans: list[tuple[int, int]] = []
+    start = len(text) - len(text.lstrip())
+    for m in _BOUNDARY.finditer(text):
+        i = m.start()
         while k < len(protected) and protected[k][1] <= i:
             k += 1
         if k < len(protected) and protected[k][0] <= i:
             continue
-        j = i + 1
-        if j >= n or not text[j].isspace():
+        head = m[1]
+        if not (head.isupper() or head.isdigit()) or (m[0] == "." and _is_abbreviation(text, i)):
             continue
-        while j < n and text[j].isspace():
-            j += 1
-        if j >= n or not (text[j].isupper() or text[j].isdigit()):
-            continue
-        if c == "." and _is_abbreviation(text, i):
-            continue
-        boundaries.append(i + 1)
-
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for cut in boundaries + [n]:
-        segment_start, segment_end = start, cut
-        while segment_start < segment_end and text[segment_start].isspace():
-            segment_start += 1
-        while segment_end > segment_start and text[segment_end - 1].isspace():
-            segment_end -= 1
-        if segment_end > segment_start:
-            spans.append((segment_start, segment_end))
-        start = cut
+        spans.append((start, i + 1))
+        start = m.start(1)
+    end = len(text.rstrip())
+    if end > start:
+        spans.append((start, end))
     return spans
 
 

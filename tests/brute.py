@@ -12,10 +12,16 @@ labels and group order. ``brute_flagged`` recounts what ``top_tables`` and
 ``oracle_corpus`` loads corpus records by the definitional route: every
 marker's attributes parsed in full by ``parse_ref_markers``, each
 sentence's refs its listed entries and then one per marker of an id they
-do not list, a raw body's refs placed in sentences by ``split_sentences``,
-and the self-citation class decided over every pair of a citing and a
-cited author. It pins the reader's plain-marker path, its ref checks and
-its initials lookup.
+do not list, a raw body split by ``oracle_sentence_spans`` and each ref
+placed in the sentence whose span holds its marker's, and the
+self-citation class decided over every pair of a citing and a cited
+author. It pins the reader's plain-marker path, its ref checks, its
+initials lookup and its sentence splitter.
+
+``oracle_sentence_spans`` is the splitter as it was before it moved to
+one regex scan: every character tested in a Python loop, the whitespace
+after a terminator skipped and each sentence trimmed character by
+character.
 
 ``oracle_citation_table`` reads a citation counts CSV the way
 ``CitationTable.from_csv`` did before it moved to one C-level pass: each
@@ -32,8 +38,8 @@ import unicodedata
 from itertools import dropwhile
 
 from citequery.ingest import (
-    DOC_TYPES, MAIN_FIELDS, NON_SELF, SELF, UNKNOWN, Document, LoadError, RecordError,
-    RefLink, Sentence, parse_ref_markers, split_sentences,
+    ABBREVIATIONS, DOC_TYPES, MAIN_FIELDS, NON_SELF, SELF, UNKNOWN, Document, LoadError,
+    RecordError, RefLink, Sentence, parse_ref_markers,
 )
 
 
@@ -206,6 +212,62 @@ def _marker_ref(attrs: dict, seen: set) -> dict:
     return ref
 
 
+_TERMINATORS = ".!?"
+
+
+def _is_abbreviation(text: str, dot_index: int) -> bool:
+    """True when the period at ``dot_index`` ends a known abbreviation."""
+    start = dot_index
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    chunk = text[start:dot_index].lower()
+    core = chunk.lstrip("([{'\"").rstrip(".")
+    if not core:
+        return False
+    if core in ABBREVIATIONS:
+        return True
+    return len(core) == 1 and core.isalpha()
+
+
+def oracle_sentence_spans(text: str, protected_spans=()) -> list[tuple[int, int]]:
+    """Character spans of the sentences in ``text``, as ``sentence_spans``
+    must find them."""
+    n = len(text)
+    protected = sorted(protected_spans)
+    k = 0  # protected spans before k end at or before the current index
+    boundaries: list[int] = []  # index one past the terminator
+    for i, c in enumerate(text):
+        if c not in _TERMINATORS:
+            continue
+        while k < len(protected) and protected[k][1] <= i:
+            k += 1
+        if k < len(protected) and protected[k][0] <= i:
+            continue
+        j = i + 1
+        if j >= n or not text[j].isspace():
+            continue
+        while j < n and text[j].isspace():
+            j += 1
+        if j >= n or not (text[j].isupper() or text[j].isdigit()):
+            continue
+        if c == "." and _is_abbreviation(text, i):
+            continue
+        boundaries.append(i + 1)
+
+    spans: list[tuple[int, int]] = []
+    start = 0
+    for cut in boundaries + [n]:
+        segment_start, segment_end = start, cut
+        while segment_start < segment_end and text[segment_start].isspace():
+            segment_start += 1
+        while segment_end > segment_start and text[segment_end - 1].isspace():
+            segment_end -= 1
+        if segment_end > segment_start:
+            spans.append((segment_start, segment_end))
+        start = cut
+    return spans
+
+
 def oracle_document(obj, mode: str) -> Document:
     """One record's Document; raises RecordError as the reader does."""
     if not isinstance(obj, dict):
@@ -237,9 +299,14 @@ def oracle_document(obj, mode: str) -> Document:
             raise RecordError("missing_body")
         if not isinstance(obj["body"], str):
             raise RecordError("bad_body")
+        body = obj["body"]
         links = [(link(_marker_ref(attrs, seen)), span)
-                 for span, attrs in parse_ref_markers(obj["body"])]
-        sentences = split_sentences(obj["body"], links)
+                 for span, attrs in parse_ref_markers(body)]
+        spans = oracle_sentence_spans(body, [span for _, span in links])
+        sentences = [Sentence(index, body[start:end],
+                              tuple(ref for ref, (first, last) in links
+                                    if start <= first and last <= end))
+                     for index, (start, end) in enumerate(spans)]
     else:
         if "sentences" not in obj:
             raise RecordError("missing_sentences")

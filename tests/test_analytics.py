@@ -788,3 +788,31 @@ class TestCitationGap:
         docs, _, table = self.build(0)
         with pytest.raises(ValueError):
             citation_gap(set(), docs, table)
+
+    @settings(max_examples=30, deadline=None)
+    @given(TestRateBy.corpora(), st.sampled_from([None, "other", "review"]),
+           st.dictionaries(st.tuples(st.sampled_from(["d0", "d1", "d2", "one", "none"]),
+                                     st.integers(1996, 2010)), st.integers(0, 9)))
+    @example(([Document("a", 2000, sentences=(Sentence(0, "s", (RefLink("r"),)),)),
+               Document("b", 2000, sentences=(Sentence(0, "s", (RefLink("r"),)),))],
+              frozenset({("a", 99)})), None, {("a", 2001): 4})
+    def test_issuers_have_a_flagged_citance(self, corpus, doc_type, counts):
+        """``citation_gap`` equals a plain loop in which a paper issues a flag
+        only when a key names one of its citing sentences."""
+        docs, flags = corpus
+        table = CitationTable({}, counts)
+        papers = {True: [], False: []}
+        for doc in docs:
+            if doc_type is None or doc.doc_type == doc_type:
+                issuer = any(s.refs and (doc.doc_id, s.index) in flags for s in doc.sentences)
+                papers[issuer].append(doc)
+        if not papers[True] or not papers[False]:
+            with pytest.raises(ValueError):
+                citation_gap(flags, docs, table, doc_type=doc_type, horizon=3)
+            return
+
+        def mean(group, k):
+            return sum(counts.get((doc.doc_id, doc.year + k), 0) for doc in group) / len(group)
+
+        assert citation_gap(flags, docs, table, doc_type=doc_type, horizon=3) == [
+            (k, mean(papers[True], k), mean(papers[False], k)) for k in (1, 2, 3)]

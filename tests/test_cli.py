@@ -1333,6 +1333,7 @@ def test_sample_round_trips_through_annotate_and_gate_readers(rows, coder):
     ["report", "--which", "gap", "--horizon", "0"],
     ["report", "--which", "gap", "--horizon", "ten"],
     ["report", "--which", "gap", "--horizon", "1_0"],
+    ["report", "--which", "gap", "--horizon", "201"],
     ["report", "--which", "top", "--top-n", "+4"],
     ["report", "--which", "top", "--top-n", " 4 "],
     ["sample", "--n", "\u0664"],

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +33,7 @@ from citequery.ingest import (
     _fold,
 )
 from citequery.tokens import tokenize
-from brute import nfkd_fold, oracle_corpus, oracle_self_class
+from brute import nfkd_fold, oracle_corpus, oracle_self_class, oracle_sentence_spans
 from conftest import GOLDEN_CORPUS
 from synth import write_corpus
 
@@ -504,6 +507,42 @@ def test_protected_spans_only_remove_the_boundaries_they_cover(text, starts_and_
     # Every span but the last ends one past a boundary's terminator.
     covered = [end for end in plain[:-1] if any(s <= end - 1 < e for s, e in protected)]
     assert guarded == [end for end in plain[:-1] if end not in covered] + plain[-1:]
+
+
+splitter_texts = st.lists(st.sampled_from([
+    ".", "!", "?",
+    " ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u3000",
+    "a", "b", "A", "Q", "ǅ", "7", "²", "٣", "Ⅻ", "(", ")", "[", "]", "{", "'", '"',
+    "e.g.", "i.e.", "et al.", "Fig.", "vs.", "J.", "pH 7.4", '<ref id="r1"/>', '<ref id="a. B"/>',
+]), max_size=30).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(splitter_texts, st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), max_size=6))
+@example("x. .Z", [])
+@example("Xy. . Z", [])  # a terminator that opens the next sentence
+@example("Xy.\u3000Bc? ² d!\x85٣", [])  # non-ASCII whitespace and digits
+def test_the_splitter_equals_the_oracle(text, starts_and_widths):
+    protected = [(start, start + width) for start, width in starts_and_widths]
+    assert sentence_spans(text, protected) == oracle_sentence_spans(text, protected)
+
+
+def test_the_splitters_regex_reads_whitespace_as_str_does():
+    # sentence_spans finds whitespace with re's \s and trims it with str.strip,
+    # where the oracle tests str.isspace; each Python's Unicode tables differ.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = set(re.findall(r"\s", every))
+    assert spaces == set(filter(str.isspace, every)) == {c for c in every if not c.strip()}
+
+
+@pytest.mark.parametrize("unit", ["a.", "A. ", "e.g. A "],
+                         ids=["no_whitespace", "initials", "abbreviations"])
+def test_the_splitter_is_linear_on_adversarial_bodies(unit):
+    text = unit * (1_000_000 // len(unit))
+    started = time.perf_counter()
+    sentence_spans(text)
+    assert time.perf_counter() - started < 1.0
 
 
 class TestExtractCitances:
