@@ -25,6 +25,8 @@ COOCCURRENCE_WINDOW = "cooccurrence_window"
 EXCLUSION_KINDS = (TOKEN_CARVEOUT, MATCH_CONTEXT, CITANCE_PHRASE, COOCCURRENCE_WINDOW)
 
 DEFAULT_MAX_GAP = 4
+# Matches validation samples per query; here because every command's parser reads it.
+DEFAULT_SAMPLE_SIZE = 50
 
 
 class QueryFileError(ValueError):

@@ -23,24 +23,15 @@ import stat
 import sys
 from collections import Counter
 from contextlib import AbstractContextManager, contextmanager, suppress
+from importlib import import_module
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 from . import __version__
-from .analytics import (
-    CitationTable,
-    citation_gap,
-    field_slopes,
-    flag_citances,
-    impact_ratio,
-    meso_log_ratio,
-    rate_by,
-    self_citation_ratio,
-    top_tables,
-)
 from .catalog import (
+    DEFAULT_SAMPLE_SIZE,
     ValidatedSet,
     builtin_catalog,
     default_validated_set,
@@ -54,13 +45,14 @@ from .ingest import (
     numbered_csv_columns, numbered_lines, read_citing,
 )
 from .tokens import tokenize_all
-from .validation import (
-    DEFAULT_SAMPLE_SIZE,
-    AnnotationRecord,
-    compute_stats,
-    gate_queries,
-    sample_matches,
-)
+
+# The analytics and validation layers are imported by the first command that
+# calls them (see _bind), so match, ingest-check and every command's set-up
+# run without them.
+_ANALYTICS = ("CitationTable", "citation_gap", "field_slopes", "flag_citances", "impact_ratio",
+              "meso_log_ratio", "rate_by", "self_citation_ratio", "top_tables")
+_LAYER_OF = dict.fromkeys(_ANALYTICS, "analytics") | dict.fromkeys(
+    ("AnnotationRecord", "compute_stats", "gate_queries", "sample_matches"), "validation")
 
 REPORTS = {  # name -> (the rate_by groupings it reads, whether it needs --citations)
     "rates": (("main_field", "year", "field_year"), False), "slopes": (("field_year",), False),
@@ -74,6 +66,23 @@ _encode_json = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps builds 
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
+
+
+def _bind(*names: str) -> None:
+    """Bind each of ``names`` in this module's globals from the layer that
+    defines it, importing the layer on first use. A name already bound, as a
+    caller's wrapper of it may be, is kept."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(import_module(f".{_LAYER_OF[name]}", __package__), name)
+
+
+def __getattr__(name: str):  # PEP 562: ``cli.rate_by`` before a command has bound it
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 class UsageError(Exception):
@@ -258,6 +267,7 @@ def _load_queries(spec: str):
 
 def _validated_set(args, query_ids: set[str]) -> ValidatedSet:
     if args.stats:
+        _bind("gate_queries")
         with _reading("stats", args.stats):
             return gate_queries(_read_stats_csv(args.stats, query_ids), args.threshold)
     try:
@@ -390,6 +400,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _bind("sample_matches")
     queries = _load_queries(args.queries)
     writer = OutputWriter(Path(args.out), _config(args), args.seed, ("sample.csv",))
     records, texts = _match_records(args, queries)
@@ -487,6 +498,7 @@ def _annotations_from_file(path: str) -> tuple[str, list[AnnotationRecord]]:
 
 
 def cmd_gate(args) -> int:
+    _bind("AnnotationRecord", "compute_stats", "gate_queries")
     coders, records = [], []
     for path in args.annotations:
         with _reading("annotation", path):
@@ -581,6 +593,7 @@ def _report(name: str, args, docs: list[Document], flags, table: CitationTable |
 
 
 def cmd_report(args) -> int:
+    _bind(*_ANALYTICS)
     if args.which is None:  # every report the inputs can feed
         args.which = ",".join(name for name, (_, needs_table) in REPORTS.items()
                               if args.citations or not needs_table)

@@ -361,6 +361,7 @@ def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
     initials: dict[str, set[str | None]] = {}
     for author in obj.get("authors") or ():
         initials.setdefault(_fold(author["family"]), set()).add(_initial(author.get("given")))
+    new = tuple.__new__  # skips the named tuples' Python-level __new__
     return Document(
         doc_id=obj["doc_id"],
         year=obj["year"],
@@ -368,10 +369,10 @@ def _document(obj: dict, sentences: list[tuple[int, str, list]]) -> Document:
         main_field=obj.get("main_field"),
         meso_field=obj.get("meso_field"),
         sentences=tuple([
-            Sentence(index, text, tuple([
-                RefLink(ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
-                        _self_class(initials, ref.get("cited_authors")))
-                for ref in refs]) if refs else ())
+            new(Sentence, (index, text, tuple([
+                new(RefLink, (ref["ref_id"], ref.get("cited_doc_id"), ref.get("cited_year"),
+                              _self_class(initials, ref.get("cited_authors"))))
+                for ref in refs]) if refs else ()))
             for index, text, refs in sentences]),
     )
 

@@ -12,13 +12,11 @@ import hashlib
 import random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .catalog import ValidatedSet
+from .catalog import DEFAULT_SAMPLE_SIZE, ValidatedSet
 from .engine import MatchRecord
 
 VALID = "valid"
 INVALID = "invalid"
-
-DEFAULT_SAMPLE_SIZE = 50
 
 CitanceKey = tuple[str, int]
 

@@ -1,11 +1,13 @@
 """The package depends on the standard library only, reads no
 environment variable, defines no module-level name that nothing uses,
-starts without ``dataclasses`` or ``inspect``, and its five validating
-types refuse each bad field when built. README lists each named tuple's
-fields as the code defines them."""
+starts without ``dataclasses`` or ``inspect``, loads each layer only when
+a command or caller first uses it, and its five validating types refuse
+each bad field when built. README lists each named tuple's fields as the
+code defines them."""
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -13,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import citequery
 from citequery.catalog import ExclusionRule, Pattern, QuerySpec
 from citequery.validation import AnnotationRecord, ValidationStats
+from conftest import GOLDEN_CORPUS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "citequery"
 
@@ -72,12 +76,7 @@ def module_level_names(tree):
 
 def test_every_module_level_name_is_used_or_exported():
     sources = {path: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse(sources[SRC / "__init__.py"]).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(citequery.__all__)
     unused = []
     for path, text in sources.items():
         for name, first, last in module_level_names(ast.parse(text, str(path))):
@@ -104,6 +103,75 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent), *heavy],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+LATE = ["citequery.analytics", "citequery.validation", "random"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["match", "--corpus", str(GOLDEN_CORPUS), "--out", "out"], []),
+    (["ingest-check", "--corpus", str(GOLDEN_CORPUS)], []),
+    (["report", "--corpus", str(GOLDEN_CORPUS), "--out", "out"], ["citequery.analytics"]),
+    (["sample", "--corpus", str(GOLDEN_CORPUS), "--out", "out"],
+     ["citequery.validation", "random"]),
+], ids=["import", "match", "ingest-check", "report", "sample"])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    # Every command pays the compiling and running of each module it imports.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import citequery.cli; "
+            "argv = sys.argv[3:]; code = citequery.cli.main(argv) if argv else 0; "
+            "print(code, sorted(set(sys.argv[2].split()) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent), " ".join(LATE),
+                             *argv], capture_output=True, text=True, check=True, cwd=tmp_path)
+    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+EXPORTS = {  # the package's names, by the module that defines each
+    "analytics": ["CitationTable", "citation_gap", "flag_citances", "impact_ratio",
+                  "meso_log_ratio", "rate_by", "self_citation_ratio", "top_tables",
+                  "yearly_slope"],
+    "catalog": ["ExclusionRule", "Pattern", "QuerySpec", "ValidatedSet", "builtin_catalog",
+                "default_validated_set", "parse_query_file"],
+    "engine": ["CatalogMatcher", "MatchRecord", "Span", "run_all"],
+    "ingest": ["Citance", "Document", "RefLink", "Sentence", "extract_citances",
+               "iter_citances", "load_corpus", "split_sentences"],
+    "tokens": ["tokenize"],
+    "validation": ["AnnotationRecord", "ValidationStats", "cohens_kappa", "compute_stats",
+                   "gate_queries", "percent_agreement", "percent_valid", "sample_matches"],
+}
+
+
+def test_the_package_exports_each_name_from_its_module():
+    names = sorted(name for names in EXPORTS.values() for name in names)
+    assert sorted(citequery.__all__) == names
+    assert set(names) <= set(dir(citequery))
+    for module, defined in EXPORTS.items():
+        layer = importlib.import_module(f"citequery.{module}")
+        for name in defined:
+            assert getattr(citequery, name) is getattr(layer, name), name
+
+
+@pytest.mark.parametrize("module", ["citequery", "citequery.cli"])
+def test_an_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(importlib.import_module(module), "no_such_name")
+
+
+def test_the_cli_resolves_each_late_name_before_any_command_runs():
+    # A tracing harness reads and wraps these on the cli module before it runs a command.
+    late = {"analytics": ["CitationTable", "citation_gap", "field_slopes", "flag_citances",
+                          "impact_ratio", "meso_log_ratio", "rate_by", "self_citation_ratio",
+                          "top_tables"],
+            "validation": ["AnnotationRecord", "compute_stats", "gate_queries",
+                           "sample_matches"]}
+    code = ("import importlib, json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from citequery import cli; late = json.loads(sys.argv[2]); "
+            "print(sorted(set(vars(cli)) & {n for ns in late.values() for n in ns}), "
+            "all(getattr(cli, n) is getattr(importlib.import_module(f'citequery.{m}'), n) "
+            "for m, ns in late.items() for n in ns))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent), json.dumps(late)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[] True\n"
 
 
 WORD = Pattern(("word",))
